@@ -1,8 +1,6 @@
 package nurapid
 
 import (
-	"encoding/json"
-	"fmt"
 	"os"
 	"testing"
 	"time"
@@ -115,11 +113,8 @@ func TestBenchCmpSmoke(t *testing.T) {
 	}
 
 	// Regression gate against the committed baseline, when present.
-	if data, err := os.ReadFile(cmpBenchBaselineFile); err == nil {
-		var base cmpBench
-		if err := json.Unmarshal(data, &base); err != nil {
-			t.Fatalf("committed %s is corrupt: %v", cmpBenchBaselineFile, err)
-		}
+	var base cmpBench
+	if readBenchBaseline(t, cmpBenchBaselineFile, &base) {
 		baseByCores := map[int]cmpBenchPoint{}
 		for _, p := range base.Points {
 			baseByCores[p.Cores] = p
@@ -136,12 +131,5 @@ func TestBenchCmpSmoke(t *testing.T) {
 		}
 	}
 
-	data, err := json.MarshalIndent(rec, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	fmt.Printf("wrote %s\n", out)
+	writeBenchRecord(t, out, rec)
 }

@@ -1,8 +1,6 @@
 package nurapid
 
 import (
-	"encoding/json"
-	"fmt"
 	"os"
 	"testing"
 	"time"
@@ -86,23 +84,12 @@ func TestBenchCoreSmoke(t *testing.T) {
 		rec.NsPerAccess, rec.PrePRNs, rec.Speedup)
 
 	// Regression gate against the committed baseline, when present.
-	if data, err := os.ReadFile(coreBenchBaselineFile); err == nil {
-		var base coreBench
-		if err := json.Unmarshal(data, &base); err != nil {
-			t.Fatalf("committed %s is corrupt: %v", coreBenchBaselineFile, err)
-		}
-		if base.NsPerAccess > 0 && nsPerAccess > base.NsPerAccess*1.10 {
-			t.Errorf("ns/access regressed: %.2f vs committed baseline %.2f (>10%%)",
-				nsPerAccess, base.NsPerAccess)
-		}
+	var base coreBench
+	if readBenchBaseline(t, coreBenchBaselineFile, &base) &&
+		base.NsPerAccess > 0 && nsPerAccess > base.NsPerAccess*1.10 {
+		t.Errorf("ns/access regressed: %.2f vs committed baseline %.2f (>10%%)",
+			nsPerAccess, base.NsPerAccess)
 	}
 
-	data, err := json.MarshalIndent(rec, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	fmt.Printf("wrote %s\n", out)
+	writeBenchRecord(t, out, rec)
 }

@@ -25,13 +25,13 @@ const coreBenchAccesses = 1 << 16
 // benchmark replays: conflict-heavy traffic over a few hundred sets with
 // ~3x more live tags than ways, so steady state exercises hits in every
 // d-group, misses, evictions, and demotion ripples.
-func coreBenchStream(blockBytes, numSets int) []memsys.Request {
+func coreBenchStream(blockBytes, numSets int) []memsys.Req {
 	rng := mathx.NewRNG(1)
-	reqs := make([]memsys.Request, coreBenchAccesses)
+	reqs := make([]memsys.Req, coreBenchAccesses)
 	for i := range reqs {
 		set := rng.Intn(256)
 		tag := rng.Intn(24)
-		reqs[i] = memsys.Request{
+		reqs[i] = memsys.Req{
 			Addr:  uint64(tag*numSets+set) * uint64(blockBytes),
 			Write: rng.Bool(0.3),
 			Gap:   int64(rng.Intn(4)),
@@ -43,7 +43,7 @@ func coreBenchStream(blockBytes, numSets int) []memsys.Request {
 // replayStream drives the whole stream through l2 once, back to back:
 // request i issues when request i-1 completes plus its think-time gap —
 // the same replay clock the differential harness uses.
-func replayStream(l2 memsys.LowerLevel, now int64, reqs []memsys.Request) int64 {
+func replayStream(l2 memsys.LowerLevel, now int64, reqs []memsys.Req) int64 {
 	return memsys.AccessMany(l2, now, reqs, nil)
 }
 

@@ -2,7 +2,6 @@ package nurapid
 
 import (
 	"bytes"
-	"encoding/json"
 	"os"
 	"runtime"
 	"testing"
@@ -170,16 +169,9 @@ func TestBenchObsSmoke(t *testing.T) {
 		t.Fatalf("CMP disabled-probe overhead %.2f%% exceeds the 3%% budget",
 			rec.CMPDisabledOverhead*100)
 	}
-	data, err := json.MarshalIndent(rec, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(out, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("fig6 baseline %v, nil-probe %v (%+.1f%%), probed %v (%+.1f%%); recorded in %s",
-		baseline, disabled, rec.DisabledOverhead*100, probed, rec.EnabledOverhead*100, out)
+	writeBenchRecord(t, out, rec)
+	t.Logf("fig6 baseline %v, nil-probe %v (%+.1f%%), probed %v (%+.1f%%)",
+		baseline, disabled, rec.DisabledOverhead*100, probed, rec.EnabledOverhead*100)
 	t.Logf("cmp2 baseline %v, nil-probe %v (%+.1f%%), probed %v (%+.1f%%)",
 		cmpBase, cmpDisabled, rec.CMPDisabledOverhead*100, cmpProbed, rec.CMPEnabledOverhead*100)
 }

@@ -259,11 +259,6 @@ func TestBenchRunnerSmoke(t *testing.T) {
 		rec.Fig6Speedup = float64(serialFig6) / float64(parallel)
 	}
 
-	data, err := json.MarshalIndent(rec, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	data = append(data, '\n')
 	prev, readErr := os.ReadFile(out)
 	if readErr != nil {
 		prev = nil // no previous record (or unreadable): write fresh
@@ -272,9 +267,7 @@ func TestBenchRunnerSmoke(t *testing.T) {
 		t.Logf("keeping existing %s: %s", out, reason)
 		return
 	}
-	if err := os.WriteFile(out, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("pipeline serial %v over %d jobs; trace-gen %v, replay %v; fig6 serial %v; gate: %s; recorded in %s",
-		serialWall, len(jobs), traceGen, replay, serialFig6, gate, out)
+	writeBenchRecord(t, out, rec)
+	t.Logf("pipeline serial %v over %d jobs; trace-gen %v, replay %v; fig6 serial %v; gate: %s",
+		serialWall, len(jobs), traceGen, replay, serialFig6, gate)
 }

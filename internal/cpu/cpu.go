@@ -184,13 +184,6 @@ func MustNew(l2 memsys.LowerLevel, opts ...Option) *CPU {
 	return c
 }
 
-// NewWithConfig builds a CPU in the old positional form.
-//
-// Deprecated: use New(l2, WithConfig(cfg), WithL1EnergyNJ(l1NJ)).
-func NewWithConfig(cfg Config, l2 memsys.LowerLevel, l1NJ float64) (*CPU, error) {
-	return New(l2, WithConfig(cfg), WithL1EnergyNJ(l1NJ))
-}
-
 // CoreID returns the id stamped on this core's lower-level requests.
 func (c *CPU) CoreID() int { return c.coreID }
 

@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -87,10 +88,31 @@ func Helper(x int) int { return x + 1 }
 	}
 }
 
+// hotRoots lists every organization-facing entry point in the module:
+// each FuncDecl named Access, AccessMany, or Replay, keyed as
+// package path + receiver type + name. TestHotRootsAnnotated requires
+// the module to declare exactly these, so adding or deleting an entry
+// point must update the list.
+var hotRoots = []string{
+	"nurapid/internal/cache.Cache.Access",
+	"nurapid/internal/cmp.Queue.Access",
+	"nurapid/internal/cmp.coreFront.Access",
+	"nurapid/internal/memsys.AccessMany",
+	"nurapid/internal/memsys/memtest.Stub.Access",
+	"nurapid/internal/nuca.Cache.Access",
+	"nurapid/internal/nurapid.Cache.Access",
+	"nurapid/internal/obs.Access",
+	"nurapid/internal/refmodel.Cache.Access",
+	"nurapid/internal/sim.Replay",
+	"nurapid/internal/uca.Hierarchy.Access",
+	"nurapid/internal/uca.Uniform.Access",
+}
+
 // TestHotRootsAnnotated is the drift guard: every real organization
 // entry point — a FuncDecl named Access, AccessMany, or Replay in the
 // module — must carry //nurapid:hotpath or //nurapid:coldpath, so new
-// organizations cannot silently dodge the analyzer.
+// organizations cannot silently dodge the analyzer, and the set of
+// such declarations must be exactly hotRoots.
 func TestHotRootsAnnotated(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads and typechecks the whole module")
@@ -100,7 +122,7 @@ func TestHotRootsAnnotated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	found := 0
+	var found []string
 	for _, pkg := range pkgs {
 		for _, f := range pkg.Files {
 			for _, decl := range f.Decls {
@@ -108,17 +130,27 @@ func TestHotRootsAnnotated(t *testing.T) {
 				if !ok || !rootNames[fd.Name.Name] {
 					continue
 				}
-				found++
+				key := pkg.Types.Path() + "." + fd.Name.Name
+				if fd.Recv != nil {
+					typ := fd.Recv.List[0].Type
+					if star, ok := typ.(*ast.StarExpr); ok {
+						typ = star.X
+					}
+					if id, ok := typ.(*ast.Ident); ok {
+						key = pkg.Types.Path() + "." + id.Name + "." + fd.Name.Name
+					}
+				}
+				found = append(found, key)
 				if markOf(fd.Doc) == "" {
 					pos := pkg.Fset.Position(fd.Pos())
-					t.Errorf("%s: %s.%s carries neither //nurapid:hotpath nor //nurapid:coldpath",
-						pos, pkg.Types.Path(), fd.Name.Name)
+					t.Errorf("%s: %s carries neither //nurapid:hotpath nor //nurapid:coldpath", pos, key)
 				}
 			}
 		}
 	}
-	if found < 12 {
-		t.Fatalf("found only %d Access/AccessMany/Replay declarations; the drift guard lost its targets", found)
+	sort.Strings(found)
+	if strings.Join(found, "\n") != strings.Join(hotRoots, "\n") {
+		t.Fatalf("Access/AccessMany/Replay declarations drifted from hotRoots:\n got %q\nwant %q", found, hotRoots)
 	}
 }
 

@@ -30,9 +30,9 @@ import (
 // directly followed by Issue, Issue by the organization's Access, and
 // Inval (coherence shoot-down) may appear only after the outcome. The
 // organization's own emissions happen behind dynamic dispatch — the
-// analyzer gives calls to memsys.LowerLevel.Access/AccessMany (and the
-// package-level batch helpers) a synthetic whole-window summary so
-// queue code that emits around such a call is still checked.
+// analyzer gives calls to memsys.LowerLevel.Access and memsys.AccessMany
+// (the batch loop, or the BatchAccessor method) a synthetic whole-window
+// summary so queue code that emits around such a call is still checked.
 //
 // Probe emissions are recognized as p.Emit(obs.Ctor(...)) where Emit is
 // the obs.Probe interface method; an `x != nil`-guarded block that
@@ -134,7 +134,7 @@ func poAllowed(prev, next poKind) bool {
 		return poRank[prev] >= 1
 	case poAccess:
 		// A new access may begin after any completed emission — the
-		// batched AccessMany loops do exactly that — but never directly
+		// batched AccessMany loop does exactly that — but never directly
 		// after a bare Access (its outcome is still pending).
 		return prev != poAccess
 	case poBypass:
@@ -465,8 +465,8 @@ func (a *poAnalysis) evalCalls(n ast.Node, in uint16) uint16 {
 }
 
 // lowerAccessCallee recognizes dynamic dispatch into a cache
-// organization — a call to memsys.LowerLevel.Access / AccessMany (or
-// the package-level batch helpers of the same names) — and registers a
+// organization — a call to memsys.LowerLevel.Access or memsys.AccessMany
+// (the batch loop, or the BatchAccessor method) — and registers a
 // synthetic summary for it: the callee emits one (or, batched, many)
 // complete canonical access window(s), beginning with Access and
 // ending in a completed-window kind. This keeps queue-side emitters

@@ -42,13 +42,6 @@ type Req struct {
 	Gap   int64
 }
 
-// Request is the pre-Req batched element type. Its field set (Addr,
-// Write, Gap) is a subset of Req, so existing keyed literals compile
-// unchanged.
-//
-// Deprecated: use Req.
-type Request = Req
-
 // LowerLevel is the single interface every L2 organization implements.
 // Access fully handles the request, including fetching from memory on a
 // miss and any internal block movement (promotions, demotions, swaps).
@@ -71,20 +64,12 @@ type LowerLevel interface {
 	Counters() *stats.Counters
 }
 
-// Access issues one request in the old positional form.
-//
-// Deprecated: build a Req and call l2.Access directly:
-// l2.Access(Req{Now: now, Addr: addr, Write: write}).
-//
-//nurapid:coldpath
-func Access(l2 LowerLevel, now int64, addr uint64, write bool) AccessResult {
-	return l2.Access(Req{Now: now, Addr: addr, Write: write})
-}
-
-// BatchAccessor is implemented by organizations that provide a
-// specialized batched replay loop. AccessMany must be observably
-// identical to issuing each request through Access with the replay
-// clock below — the differential harness compares the two paths.
+// BatchAccessor is implemented by lower levels that take a whole batch
+// in one call; AccessMany hands such a batch over unchanged. No
+// organization implements it — every organization is replayed by the
+// one loop in AccessMany — but a wrapper that times or traces each
+// replay chunk as a unit does. An implementation must be observably
+// identical to that loop.
 type BatchAccessor interface {
 	//nurapid:hotpath
 	AccessMany(now int64, reqs []Req, out []AccessResult) int64
@@ -96,24 +81,13 @@ type BatchAccessor interface {
 // ignored; its Core is forwarded). When out is non-nil it must have
 // len(reqs) and receives each per-request result. The return value is
 // the completion cycle of the final request plus its Gap (now when
-// reqs is empty). Organizations implementing BatchAccessor serve the
-// batch on their specialized loop; everything else falls back to the
-// generic per-access loop, so callers need not care which they hold.
+// reqs is empty).
 //
 //nurapid:hotpath
 func AccessMany(l2 LowerLevel, now int64, reqs []Req, out []AccessResult) int64 {
 	if ba, ok := l2.(BatchAccessor); ok {
 		return ba.AccessMany(now, reqs, out)
 	}
-	return GenericAccessMany(l2, now, reqs, out)
-}
-
-// GenericAccessMany is the fallback batched loop over Access. It is
-// exported so specialized implementations (and their tests) can compare
-// against the reference replay semantics.
-//
-//nurapid:hotpath
-func GenericAccessMany(l2 LowerLevel, now int64, reqs []Req, out []AccessResult) int64 {
 	for i := range reqs {
 		q := reqs[i]
 		q.Now = now

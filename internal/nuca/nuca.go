@@ -560,23 +560,6 @@ func (c *Cache) Counters() *stats.Counters {
 	return &c.ctrs
 }
 
-// AccessMany implements memsys.BatchAccessor: a trace is replayed with
-// each access issued when the previous one completes plus its gap.
-//
-//nurapid:hotpath
-func (c *Cache) AccessMany(now int64, reqs []memsys.Req, out []memsys.AccessResult) int64 {
-	for i := range reqs {
-		q := reqs[i]
-		q.Now = now
-		r := c.Access(q)
-		if out != nil {
-			out[i] = r
-		}
-		now = r.DoneAt + reqs[i].Gap
-	}
-	return now
-}
-
 // GroupOf reports which latency group currently holds addr, or -1.
 func (c *Cache) GroupOf(addr uint64) int {
 	way, ok := c.lookup(addr)
@@ -617,7 +600,4 @@ func (c *Cache) CheckInvariants() error {
 	return nil
 }
 
-var (
-	_ memsys.LowerLevel    = (*Cache)(nil)
-	_ memsys.BatchAccessor = (*Cache)(nil)
-)
+var _ memsys.LowerLevel = (*Cache)(nil)

@@ -461,29 +461,6 @@ func (c *Cache) Access(req memsys.Req) memsys.AccessResult {
 	return c.access(req.Now, req.Addr, req.Write, req.Core)
 }
 
-// AccessMany implements memsys.BatchAccessor: the trace-replay loop with
-// the per-request interface dispatch hoisted out. Each request issues at
-// the completion time of its predecessor plus its think-time gap, and
-// every per-access effect — including port serialization behind
-// outstanding demotion-ripple movement — is identical to issuing the
-// requests one at a time through Access; the differential harness
-// replays both paths and compares them element by element.
-//
-//nurapid:hotpath
-func (c *Cache) AccessMany(now int64, reqs []memsys.Req, out []memsys.AccessResult) int64 {
-	if c.cfg.Audit {
-		return memsys.GenericAccessMany(c, now, reqs, out)
-	}
-	for i := range reqs {
-		r := c.access(now, reqs[i].Addr, reqs[i].Write, reqs[i].Core)
-		if out != nil {
-			out[i] = r
-		}
-		now = r.DoneAt + reqs[i].Gap
-	}
-	return now
-}
-
 func (c *Cache) access(now int64, addr uint64, write bool, core int) memsys.AccessResult {
 	c.hot.accesses++
 	if c.probe != nil {
@@ -845,4 +822,3 @@ func (c *Cache) PointerBits() int {
 }
 
 var _ memsys.LowerLevel = (*Cache)(nil)
-var _ memsys.BatchAccessor = (*Cache)(nil)

@@ -87,7 +87,7 @@ func (r *recorder) Emit(e obs.Event) { r.events = append(r.events, e) }
 // divergence, or nil when the two agree on everything. A third fast
 // instance replays the same sequence through the batched AccessMany
 // path and is compared against the per-access path element by element,
-// so the specialized replay loop is oracle-gated too.
+// so the replay loop's clock threading is oracle-gated too.
 func Diff(cfg nurapid.Config, seq []Access, opt Options) *Divergence {
 	m := cacti.Default()
 	fastMem := memsys.NewMemory(cfg.BlockBytes)
@@ -253,7 +253,7 @@ func DiffShared(cfg nurapid.Config, seq []Access, opt Options) *Divergence {
 // diffBatched replays seq on a fresh instance through memsys.AccessMany
 // and compares it against the per-access fast run: per-request results,
 // the final replay clock, the emitted event stream, and all final state.
-// Any drift the specialized loop introduces (ordering, port
+// Any drift the replay loop introduces (ordering, port
 // serialization, counter accounting) surfaces as a "batch:" divergence.
 func diffBatched(cfg nurapid.Config, m *cacti.Model, seq []Access,
 	fast *nurapid.Cache, fastMem *memsys.Memory, fastRec *recorder,
@@ -263,9 +263,9 @@ func diffBatched(cfg nurapid.Config, m *cacti.Model, seq []Access,
 	batchRec := &recorder{}
 	batch.SetProbe(batchRec)
 
-	reqs := make([]memsys.Request, len(seq))
+	reqs := make([]memsys.Req, len(seq))
 	for i, a := range seq {
-		reqs[i] = memsys.Request{Addr: a.Addr, Write: a.Write, Gap: a.Gap}
+		reqs[i] = memsys.Req{Addr: a.Addr, Write: a.Write, Gap: a.Gap}
 	}
 	out := make([]memsys.AccessResult, len(seq))
 	end := memsys.AccessMany(batch, 0, reqs, out)

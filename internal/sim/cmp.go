@@ -2,8 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"sync"
-	"time"
 
 	"nurapid/internal/cmp"
 	"nurapid/internal/memsys"
@@ -66,15 +64,6 @@ func (r *CMPRunResult) Snapshot() []stats.KV {
 	return out
 }
 
-// cmpCell is the singleflight slot for one memoized CMP run. panicked
-// latches a panic escaping the one execution so concurrent waiters are
-// released with the real failure, not a nil result (see memoCell).
-type cmpCell struct {
-	once     sync.Once
-	res      *CMPRunResult
-	panicked any
-}
-
 // cmpLabel names a CMP run in observer events and memo keys, e.g.
 // "cmp4-shared-nurapid-4g-next-random".
 func (r *Runner) cmpLabel(org Organization) string {
@@ -90,21 +79,6 @@ func (r *Runner) cmpCores() int {
 	return 2
 }
 
-// cmpSlot returns the singleflight slot for key, creating it if needed.
-func (r *Runner) cmpSlot(key string) *cmpCell {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.cmpMemo == nil {
-		r.cmpMemo = make(map[string]*cmpCell)
-	}
-	c, ok := r.cmpMemo[key]
-	if !ok {
-		c = &cmpCell{}
-		r.cmpMemo[key] = c
-	}
-	return c
-}
-
 // RunCMP simulates app on Cores copies of the out-of-order core over
 // one shared org, memoized on (app, cores, sharing, org key). Each core
 // retires Instructions instructions, so the aggregate work scales with
@@ -112,75 +86,43 @@ func (r *Runner) cmpSlot(key string) *cmpCell {
 // exactly as in single-core runs, under the cmp label.
 func (r *Runner) RunCMP(app workload.App, org Organization) *CMPRunResult {
 	label := r.cmpLabel(org)
-	key := app.Name + "/" + label
-	c := r.cmpSlot(key)
-	c.once.Do(func() {
-		defer func() {
-			if p := recover(); p != nil {
-				c.panicked = p
-			}
-		}()
-		r.emit(RunEvent{Kind: RunStart, App: app.Name, Org: label})
-		var start time.Duration
-		if r.clock != nil {
-			start = r.clock()
-		}
-		c.res = r.runCMP(app, org, label)
-		var elapsed time.Duration
-		if r.clock != nil {
-			elapsed = r.clock() - start
-		}
-		r.emit(RunEvent{Kind: RunFinish, App: app.Name, Org: label,
-			IPC: c.res.Res.AggregateIPC, Elapsed: elapsed, Metrics: c.res.Snapshot()})
-	})
-	if c.panicked != nil {
-		panic(fmt.Sprintf("sim: cmp run %s panicked: %v", key, c.panicked))
-	}
-	return c.res
-}
-
-// runCMP executes one (non-memoized) CMP simulation.
-func (r *Runner) runCMP(app workload.App, org Organization, label string) *CMPRunResult {
-	mem := memsys.NewMemory(org.blockBytes())
-	l2 := org.Factory(r.Model, mem)
-	sys, err := cmp.New(l2, cmp.Config{
-		Cores:      r.cmpCores(),
-		Sharing:    r.Sharing,
-		L1EnergyNJ: r.Model.L1NJ,
-		Queue: cmp.QueueConfig{
-			Banks:      8,
-			BlockBytes: org.blockBytes(),
-			Occupancy:  4,
+	return runOnce(r, &r.cmpMemo, app.Name+"/"+label, app.Name, label, func() (*CMPRunResult, RunEvent) {
+		mem := memsys.NewMemory(org.blockBytes())
+		l2 := org.Factory(r.Model, mem)
+		sys, err := cmp.New(l2, cmp.Config{
 			Cores:      r.cmpCores(),
-		},
-	})
-	if err != nil {
-		// All inputs are runner-controlled; an error is a bug.
-		panic(fmt.Sprintf("sim: cmp system construction failed: %v", err))
-	}
-	probes := r.instrumentCMP(app.Name, label, sys)
-	srcs, err := sys.Sources(app, r.Seed)
-	if err != nil {
-		panic(fmt.Sprintf("sim: cmp sources failed: %v", err))
-	}
-	res := sys.Run(srcs, r.Instructions)
-
-	out := &CMPRunResult{
-		App:          app.Name,
-		Org:          org.Key,
-		Cores:        r.cmpCores(),
-		Res:          res,
-		L2EnergyNJ:   l2.EnergyNJ(),
-		MemEnergyNJ:  mem.EnergyNJ(),
-		QueueMetrics: sys.Queue().Snapshot(),
-	}
-	for _, p := range probes {
-		if s, ok := p.(interface{ Snapshot() []stats.KV }); ok {
-			out.ObsMetrics = append(out.ObsMetrics, s.Snapshot()...)
+			Sharing:    r.Sharing,
+			L1EnergyNJ: r.Model.L1NJ,
+			Queue: cmp.QueueConfig{
+				Banks:      8,
+				BlockBytes: org.blockBytes(),
+				Occupancy:  4,
+				Cores:      r.cmpCores(),
+			},
+		})
+		if err != nil {
+			// All inputs are runner-controlled; an error is a bug.
+			panic(fmt.Sprintf("sim: cmp system construction failed: %v", err))
 		}
-	}
-	r.closeProbes(probes)
-	return out
+		probes := r.instrumentCMP(app.Name, label, sys)
+		srcs, err := sys.Sources(app, r.Seed)
+		if err != nil {
+			panic(fmt.Sprintf("sim: cmp sources failed: %v", err))
+		}
+		cres := sys.Run(srcs, r.Instructions)
+
+		res := &CMPRunResult{
+			App:          app.Name,
+			Org:          org.Key,
+			Cores:        r.cmpCores(),
+			Res:          cres,
+			L2EnergyNJ:   l2.EnergyNJ(),
+			MemEnergyNJ:  mem.EnergyNJ(),
+			QueueMetrics: sys.Queue().Snapshot(),
+			ObsMetrics:   r.finishProbes(probes),
+		}
+		return res, RunEvent{IPC: cres.AggregateIPC, Metrics: res.Snapshot()}
+	})
 }
 
 // instrumentCMP attaches the run's probe chain to the whole shared
@@ -204,14 +146,7 @@ func (r *Runner) instrumentCMP(app, label string, sys *cmp.System) []obs.Probe {
 // PrefetchCMP submits every (app, org) CMP pair to the worker pool and
 // blocks until all are simulated; a no-op for serial runners.
 func (r *Runner) PrefetchCMP(apps []workload.App, orgs []Organization) {
-	tasks := make([]func(), 0, len(apps)*len(orgs))
-	for _, app := range apps {
-		for _, org := range orgs {
-			app, org := app, org
-			tasks = append(tasks, func() { r.RunCMP(app, org) })
-		}
-	}
-	r.fanOut(tasks)
+	prefetch(r, apps, orgs, r.RunCMP)
 }
 
 // CMP compares the three shared-L2 organizations under multi-core load:

@@ -50,23 +50,34 @@ func TestTextObserverMatchesLegacyProgress(t *testing.T) {
 }
 
 // TestClockStampsElapsed checks that an injected clock reaches
-// RunEvent.Elapsed on finish events (and only there).
+// RunEvent.Elapsed on finish events (and only there), on both the
+// single-core and the CMP path.
 func TestClockStampsElapsed(t *testing.T) {
-	var ticks time.Duration
-	clock := func() time.Duration { ticks += time.Millisecond; return ticks }
-	var events []RunEvent
-	r := smallRunner(t, WithInstructions(60_000),
-		WithObserver(ObserverFunc(func(e RunEvent) { events = append(events, e) })),
-		WithClock(clock))
-	r.Run(r.Apps[0], Base())
-	if len(events) != 2 {
-		t.Fatalf("got %d events, want start+finish", len(events))
-	}
-	if events[0].Elapsed != 0 {
-		t.Fatalf("start event carries elapsed %v, want 0", events[0].Elapsed)
-	}
-	if events[1].Elapsed != time.Millisecond {
-		t.Fatalf("finish elapsed = %v, want 1ms from the fake clock", events[1].Elapsed)
+	for _, tc := range []struct {
+		name string
+		run  func(r *Runner)
+	}{
+		{"single-core", func(r *Runner) { r.Run(r.Apps[0], Base()) }},
+		{"cmp", func(r *Runner) { r.RunCMP(r.Apps[0], Base()) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var ticks time.Duration
+			clock := func() time.Duration { ticks += time.Millisecond; return ticks }
+			var events []RunEvent
+			r := smallRunner(t, WithInstructions(60_000),
+				WithObserver(ObserverFunc(func(e RunEvent) { events = append(events, e) })),
+				WithClock(clock))
+			tc.run(r)
+			if len(events) != 2 {
+				t.Fatalf("got %d events, want start+finish", len(events))
+			}
+			if events[0].Elapsed != 0 {
+				t.Fatalf("start event carries elapsed %v, want 0", events[0].Elapsed)
+			}
+			if events[1].Elapsed != time.Millisecond {
+				t.Fatalf("finish elapsed = %v, want 1ms from the fake clock", events[1].Elapsed)
+			}
+		})
 	}
 }
 

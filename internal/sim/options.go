@@ -20,20 +20,11 @@ func NewRunner(opts ...Option) *Runner {
 		Seed:         1,
 		Apps:         workload.Apps(),
 		Workers:      1,
-		memo:         make(map[string]*memoCell),
 	}
 	for _, o := range opts {
 		o(r)
 	}
 	return r
-}
-
-// NewRunnerSeeded is the pre-options constructor.
-//
-// Deprecated: use NewRunner(WithInstructions(instructions),
-// WithSeed(seed)).
-func NewRunnerSeeded(instructions int64, seed uint64) *Runner {
-	return NewRunner(WithInstructions(instructions), WithSeed(seed))
 }
 
 // WithInstructions sets the number of instructions simulated per run.

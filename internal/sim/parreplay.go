@@ -5,7 +5,7 @@
 // need no coordination), and replay is embarrassingly parallel across
 // (app, org) jobs (each job builds a private L2 and memory). Within one
 // job, cache state cannot be split, so the request stream is replayed
-// in chunks that carry the completion clock sequentially (replayChunks)
+// in chunks that carry the completion clock sequentially (replayTrace)
 // — chunk boundaries respect the port-serialization contract, and the
 // per-job results merge deterministically by job index, reproducing the
 // serial ReplayResult and Fingerprint bytes exactly whatever the worker
@@ -124,7 +124,7 @@ func ReplayAll(model *cacti.Model, jobs []ReplayJob, opts ReplayOptions) []*Repl
 		g := jobGroup[i]
 		tasks = append(tasks, func() {
 			<-g.ready
-			results[i] = replayJob(model, job, g.trace, chunk)
+			results[i] = replayTrace(model, job.Org, g.trace, chunk)
 		})
 	}
 	runPool(opts.Workers, tasks)
@@ -137,7 +137,7 @@ func ReplayAll(model *cacti.Model, jobs []ReplayJob, opts ReplayOptions) []*Repl
 // the chunk size never leaks into results.
 func extractChunked(app workload.App, seed uint64, n int, chunk int) Trace {
 	s := NewTraceStream(app, seed, n)
-	reqs := make([]memsys.Request, 0, n)
+	reqs := make([]memsys.Req, 0, n)
 	for {
 		c := s.Next(chunk)
 		if c == nil {
@@ -146,16 +146,6 @@ func extractChunked(app workload.App, seed uint64, n int, chunk int) Trace {
 		reqs = append(reqs, c...)
 	}
 	return Trace{Reqs: reqs, TailGap: s.TailGap(), Instructions: s.Instructions()}
-}
-
-// replayJob replays one job's share of the pipeline: a fresh L2 and
-// memory, the chunked inner loop, the trace's tail gap, and the result
-// harvest — identical code to the serial ReplayTrace path.
-func replayJob(model *cacti.Model, job ReplayJob, t Trace, chunk int) *ReplayResult {
-	mem := memsys.NewMemory(job.Org.blockBytes())
-	l2 := job.Org.Factory(model, mem)
-	end := replayChunks(l2, t.Reqs, chunk) + t.TailGap
-	return buildReplayResult(job.Org.Key, l2, mem, int64(len(t.Reqs)), end)
 }
 
 // runPool executes tasks on min(w, len(tasks)) goroutines, handing them

@@ -117,7 +117,7 @@ func TestTraceStreamMatchesExtract(t *testing.T) {
 	}
 	for _, chunk := range []int{1, 7, 1000, n, 10 * n} {
 		s := NewTraceStream(app, 1, n)
-		var got []memsys.Request
+		var got []memsys.Req
 		for {
 			c := s.Next(chunk)
 			if c == nil {
@@ -252,47 +252,57 @@ func panickingOrg() Organization {
 
 // TestRunPanicReleasesSingleflight seeds a panic into the one memoized
 // execution and checks every concurrent caller of the key — the
-// executor and all singleflight waiters — observes it. Before the
-// latch, waiters were released with a nil result and crashed on a
-// secondary nil dereference (or the process died from a pool
-// goroutine).
+// executor and all singleflight waiters — observes it, on both the
+// single-core and the CMP path. Before the latch, waiters were released
+// with a nil result and crashed on a secondary nil dereference (or the
+// process died from a pool goroutine).
 func TestRunPanicReleasesSingleflight(t *testing.T) {
-	starts := 0
-	r := smallRunner(t, WithInstructions(60_000),
-		WithObserver(ObserverFunc(func(e RunEvent) {
-			if e.Kind == RunStart {
-				starts++
+	for _, tc := range []struct {
+		name string
+		run  func(r *Runner, app workload.App, org Organization)
+	}{
+		{"single-core", func(r *Runner, app workload.App, org Organization) { r.Run(app, org) }},
+		{"cmp", func(r *Runner, app workload.App, org Organization) { r.RunCMP(app, org) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			starts := 0
+			r := smallRunner(t, WithInstructions(60_000),
+				WithObserver(ObserverFunc(func(e RunEvent) {
+					if e.Kind == RunStart {
+						starts++
+					}
+				})))
+			app := r.Apps[0]
+
+			const callers = 8
+			panics := make([]string, callers)
+			var wg sync.WaitGroup
+			wg.Add(callers)
+			for i := 0; i < callers; i++ {
+				go func(i int) {
+					defer wg.Done()
+					defer func() {
+						if p := recover(); p != nil {
+							panics[i] = fmt.Sprint(p)
+						}
+					}()
+					tc.run(r, app, panickingOrg())
+				}(i)
 			}
-		})))
-	app := r.Apps[0]
+			wg.Wait()
 
-	const callers = 8
-	panics := make([]string, callers)
-	var wg sync.WaitGroup
-	wg.Add(callers)
-	for i := 0; i < callers; i++ {
-		go func(i int) {
-			defer wg.Done()
-			defer func() {
-				if p := recover(); p != nil {
-					panics[i] = fmt.Sprint(p)
+			if starts != 1 {
+				t.Fatalf("panicking run started %d times, want exactly 1", starts)
+			}
+			for i, p := range panics {
+				if p == "" {
+					t.Fatalf("caller %d did not observe the panic", i)
 				}
-			}()
-			r.Run(app, panickingOrg())
-		}(i)
-	}
-	wg.Wait()
-
-	if starts != 1 {
-		t.Fatalf("panicking run started %d times, want exactly 1", starts)
-	}
-	for i, p := range panics {
-		if p == "" {
-			t.Fatalf("caller %d did not observe the panic", i)
-		}
-		if !strings.Contains(p, "seeded test panic") || !strings.Contains(p, "panicker") {
-			t.Fatalf("caller %d panic %q does not carry the seeded failure and run key", i, p)
-		}
+				if !strings.Contains(p, "seeded test panic") || !strings.Contains(p, "panicker") {
+					t.Fatalf("caller %d panic %q does not carry the seeded failure and run key", i, p)
+				}
+			}
+		})
 	}
 }
 

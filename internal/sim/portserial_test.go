@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"nurapid/internal/cacti"
-	"nurapid/internal/mathx"
 	"nurapid/internal/memsys"
 	"nurapid/internal/nurapid"
 )
@@ -103,46 +102,5 @@ func TestAccessSerializesBehindDemotionRipple(t *testing.T) {
 	if got := hr.DoneAt - hq.DoneAt; got != wantDelay {
 		t.Fatalf("post-ripple hit delayed %d cycles, want %d (movement must serialize the port)",
 			got, wantDelay)
-	}
-}
-
-// TestBatchedPathMatchesPerAccessReplay guards the batched AccessMany
-// loop against ordering drift: a conflict-heavy stream (hits, misses,
-// evictions, demotion ripples) replayed through the specialized batched
-// path must produce element-identical results — Hit, Group, and the
-// port-serialized DoneAt — to the generic per-access replay.
-func TestBatchedPathMatchesPerAccessReplay(t *testing.T) {
-	for _, prom := range []nurapid.Promotion{nurapid.DemotionOnly, nurapid.NextFastest, nurapid.Fastest} {
-		cfg := portSerialConfig()
-		cfg.Promotion = prom
-		cfg.Audit = false // audited caches route AccessMany through the generic loop already
-		model := cacti.Default()
-
-		rng := mathx.NewRNG(99)
-		reqs := make([]memsys.Request, 20000)
-		for i := range reqs {
-			set, tag := rng.Intn(16), rng.Intn(12)
-			reqs[i] = memsys.Request{
-				Addr:  uint64(tag*64+set) * uint64(cfg.BlockBytes),
-				Write: rng.Bool(0.3),
-				Gap:   int64(rng.Intn(4)),
-			}
-		}
-
-		generic := nurapid.MustNew(cfg, model, memsys.NewMemory(cfg.BlockBytes))
-		batched := nurapid.MustNew(cfg, model, memsys.NewMemory(cfg.BlockBytes))
-		outG := make([]memsys.AccessResult, len(reqs))
-		outB := make([]memsys.AccessResult, len(reqs))
-		endG := memsys.GenericAccessMany(generic, 0, reqs, outG)
-		endB := batched.AccessMany(0, reqs, outB)
-		if endG != endB {
-			t.Fatalf("%s: batched end clock %d, generic %d", prom, endB, endG)
-		}
-		for i := range outG {
-			if outG[i] != outB[i] {
-				t.Fatalf("%s: request %d diverged: generic %+v batched %+v",
-					prom, i, outG[i], outB[i])
-			}
-		}
 	}
 }

@@ -81,15 +81,18 @@ func (r *Runner) instrument(app, org string, l2 memsys.LowerLevel) []obs.Probe {
 	return ps
 }
 
-// finishProbes harvests each probe's metrics snapshot into the result
-// and closes probes that hold resources (trace sinks flush here).
-func (r *Runner) finishProbes(ps []obs.Probe, res *RunResult) {
+// finishProbes closes the run's probes (trace sinks flush here) after
+// harvesting their metrics snapshots, which it returns; nil when the
+// run was not probed.
+func (r *Runner) finishProbes(ps []obs.Probe) []stats.KV {
+	var kvs []stats.KV
 	for _, p := range ps {
 		if s, ok := p.(interface{ Snapshot() []stats.KV }); ok {
-			res.ObsMetrics = append(res.ObsMetrics, s.Snapshot()...)
+			kvs = append(kvs, s.Snapshot()...)
 		}
 	}
 	r.closeProbes(ps)
+	return kvs
 }
 
 // closeProbes closes every probe that is an io.Closer, latching the

@@ -4,8 +4,9 @@
 // but measurement campaigns that only care about the L2 itself — the
 // bench-core suite, the determinism guard, quick what-if sweeps —
 // replay a pre-extracted request trace straight through
-// memsys.AccessMany, hitting each organization's specialized batched
-// loop with zero per-access overhead from the core model.
+// memsys.AccessMany, one Access per request with the next issue cycle
+// taken from the previous completion, and no per-access overhead from
+// the core model.
 package sim
 
 import (
@@ -25,7 +26,7 @@ import (
 // counts the non-memory instructions issued since the previous memory
 // operation — a cheap stand-in for core think time. Deterministic for
 // a given (app, seed, n).
-func ExtractTrace(app workload.App, seed uint64, n int) []memsys.Request {
+func ExtractTrace(app workload.App, seed uint64, n int) []memsys.Req {
 	return ExtractTraceApp(app, seed, n).Reqs
 }
 
@@ -36,7 +37,7 @@ func ExtractTrace(app workload.App, seed uint64, n int) []memsys.Request {
 // covers. Replaying Reqs alone silently drops TailGap; ReplayTrace
 // accounts it.
 type Trace struct {
-	Reqs []memsys.Request
+	Reqs []memsys.Req
 	// TailGap is the number of non-memory instructions issued after the
 	// last Load/Store before the source ended. Zero for request-budget
 	// extraction from an inexhaustible generator (extraction stops at a
@@ -64,7 +65,7 @@ func ExtractTraceSource(src workload.Source, n int) Trace {
 	s := NewSourceStream(src, n)
 	t := Trace{Reqs: s.Next(n)}
 	if t.Reqs == nil {
-		t.Reqs = []memsys.Request{}
+		t.Reqs = []memsys.Req{}
 	}
 	t.TailGap = s.TailGap()
 	t.Instructions = s.Instructions()
@@ -104,14 +105,14 @@ func NewSourceStream(src workload.Source, n int) *TraceStream {
 // Next extracts the next chunk of up to limit requests, or nil when the
 // stream is exhausted. Each returned slice is freshly allocated, so
 // chunks may be handed to concurrent consumers.
-func (s *TraceStream) Next(limit int) []memsys.Request {
+func (s *TraceStream) Next(limit int) []memsys.Req {
 	if s.done || limit <= 0 {
 		return nil
 	}
 	if limit > s.left {
 		limit = s.left
 	}
-	reqs := make([]memsys.Request, 0, limit)
+	reqs := make([]memsys.Req, 0, limit)
 	for len(reqs) < limit {
 		in, ok := s.src.Next()
 		if !ok {
@@ -121,7 +122,7 @@ func (s *TraceStream) Next(limit int) []memsys.Request {
 		s.insts++
 		switch in.Kind {
 		case workload.Load, workload.Store:
-			reqs = append(reqs, memsys.Request{
+			reqs = append(reqs, memsys.Req{
 				Addr:  in.Addr,
 				Write: in.Kind == workload.Store,
 				Gap:   s.gap,
@@ -186,7 +187,7 @@ func (r *ReplayResult) Snapshot() []stats.KV {
 // (org, reqs, model).
 //
 //nurapid:coldpath
-func Replay(model *cacti.Model, org Organization, reqs []memsys.Request) *ReplayResult {
+func Replay(model *cacti.Model, org Organization, reqs []memsys.Req) *ReplayResult {
 	return ReplayTrace(model, org, Trace{Reqs: reqs})
 }
 
@@ -198,46 +199,39 @@ func Replay(model *cacti.Model, org Organization, reqs []memsys.Request) *Replay
 //
 //nurapid:coldpath
 func ReplayTrace(model *cacti.Model, org Organization, t Trace) *ReplayResult {
-	mem := memsys.NewMemory(org.blockBytes())
-	l2 := org.Factory(model, mem)
-	end := replayChunks(l2, t.Reqs, len(t.Reqs)) + t.TailGap
-	return buildReplayResult(org.Key, l2, mem, int64(len(t.Reqs)), end)
+	return replayTrace(model, org, t, len(t.Reqs))
 }
 
-// replayChunks drives reqs through l2 in chunks of at most chunk
-// requests, carrying the completion clock across chunk boundaries.
-// Because AccessMany's replay rule (now_i = DoneAt_{i-1} + Gap_{i-1})
-// threads one clock through the whole sequence, folding the returned
-// clock into the next chunk's start reproduces the single-call replay
-// exactly — the chunk boundary is invisible to the organization's port
-// and movement serialization. This is the per-shard inner loop of the
-// parallel replay pipeline; cache state cannot be split, so within one
-// (app, org) replay chunks stay strictly sequential.
+// replayTrace is the one replay job behind ReplayTrace and ReplayAll: a
+// fresh L2 and memory, t's requests driven through memsys.AccessMany in
+// chunks of at most chunk requests, t's tail gap, and the result
+// harvest. The completion clock is carried across chunk boundaries, and
+// because AccessMany's replay rule (now_i = DoneAt_{i-1} + Gap_{i-1})
+// threads one clock through the whole sequence, the chunked replay is
+// bit-identical to a single call at any chunk size — the boundary is
+// invisible to the organization's port and movement serialization.
+// Cache state cannot be split, so within one (app, org) replay chunks
+// stay strictly sequential.
 //
 //nurapid:coldpath
-func replayChunks(l2 memsys.LowerLevel, reqs []memsys.Request, chunk int) int64 {
+func replayTrace(model *cacti.Model, org Organization, t Trace, chunk int) *ReplayResult {
 	if chunk <= 0 {
 		chunk = DefaultChunkRequests
 	}
+	mem := memsys.NewMemory(org.blockBytes())
+	l2 := org.Factory(model, mem)
 	now := int64(0)
-	for start := 0; start < len(reqs); start += chunk {
+	for start := 0; start < len(t.Reqs); start += chunk {
 		end := start + chunk
-		if end > len(reqs) {
-			end = len(reqs)
+		if end > len(t.Reqs) {
+			end = len(t.Reqs)
 		}
-		now = memsys.AccessMany(l2, now, reqs[start:end], nil)
+		now = memsys.AccessMany(l2, now, t.Reqs[start:end], nil)
 	}
-	return now
-}
-
-// buildReplayResult harvests the organization's post-replay state into
-// a ReplayResult; shared by the serial and pooled replay paths so both
-// produce identical bytes by construction.
-func buildReplayResult(orgKey string, l2 memsys.LowerLevel, mem *memsys.Memory, requests, finalClock int64) *ReplayResult {
 	res := &ReplayResult{
-		Org:        orgKey,
-		Requests:   requests,
-		FinalClock: finalClock,
+		Org:        org.Key,
+		Requests:   int64(len(t.Reqs)),
+		FinalClock: now + t.TailGap,
 		Hits:       l2.Distribution().Total() - l2.Distribution().MissCount(),
 		L2EnergyNJ: l2.EnergyNJ(),
 		MemReads:   mem.Accesses - mem.Writes,

@@ -172,8 +172,8 @@ type Runner struct {
 	probeErr error
 
 	mu      sync.Mutex
-	memo    map[string]*memoCell
-	cmpMemo map[string]*cmpCell
+	memo    map[string]*memoCell[*RunResult]
+	cmpMemo map[string]*memoCell[*CMPRunResult]
 }
 
 // memoCell is one singleflight slot: the once gates the single
@@ -183,25 +183,10 @@ type Runner struct {
 // callers blocked on the Once would be released with a nil result and
 // crash on a confusing secondary nil dereference. With it, every caller
 // of the key — first and waiters alike — re-raises the original panic.
-type memoCell struct {
+type memoCell[T any] struct {
 	once     sync.Once
-	res      *RunResult
+	res      T
 	panicked any
-}
-
-// cell returns the singleflight slot for key, creating it if needed.
-func (r *Runner) cell(key string) *memoCell {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.memo == nil {
-		r.memo = make(map[string]*memoCell)
-	}
-	c, ok := r.memo[key]
-	if !ok {
-		c = &memoCell{}
-		r.memo[key] = c
-	}
-	return c
 }
 
 // emit delivers an event to the observer, serialized so observers need
@@ -215,13 +200,34 @@ func (r *Runner) emit(e RunEvent) {
 	r.observer.Observe(e)
 }
 
-// runMemo executes compute exactly once per key, concurrent duplicates
-// included, and emits start/finish events around the one execution. A
-// panic inside compute is recovered, latched on the cell, and re-raised
-// from every caller of the key — releasing concurrent singleflight
-// waiters with the real failure instead of a nil result.
-func (r *Runner) runMemo(key, app, org string, hasAPKI bool, compute func() *RunResult) *RunResult {
-	c := r.cell(key)
+// now reads the injected clock, or returns zero without one.
+func (r *Runner) now() time.Duration {
+	if r.clock == nil {
+		return 0
+	}
+	return r.clock()
+}
+
+// runOnce is the one job lifecycle behind every memoized run, single-
+// core and CMP alike. It executes job exactly once per key in memo,
+// concurrent duplicates included, and emits start/finish events around
+// that one execution; job returns the result and its finish event's
+// metrics, and runOnce stamps the identity and the clock's elapsed
+// time. A panic inside job is recovered, latched on the cell, and
+// re-raised from every caller of the key — releasing concurrent
+// singleflight waiters with the real failure instead of a nil result.
+func runOnce[T any](r *Runner, memo *map[string]*memoCell[T], key, app, org string, job func() (T, RunEvent)) T {
+	r.mu.Lock()
+	if *memo == nil {
+		*memo = make(map[string]*memoCell[T])
+	}
+	c, ok := (*memo)[key]
+	if !ok {
+		c = &memoCell[T]{}
+		(*memo)[key] = c
+	}
+	r.mu.Unlock()
+
 	c.once.Do(func() {
 		defer func() {
 			if p := recover(); p != nil {
@@ -229,19 +235,11 @@ func (r *Runner) runMemo(key, app, org string, hasAPKI bool, compute func() *Run
 			}
 		}()
 		r.emit(RunEvent{Kind: RunStart, App: app, Org: org})
-		var start time.Duration
-		if r.clock != nil {
-			start = r.clock()
-		}
-		res := compute()
-		var elapsed time.Duration
-		if r.clock != nil {
-			elapsed = r.clock() - start
-		}
+		start := r.now()
+		res, fin := job()
+		fin.Kind, fin.App, fin.Org, fin.Elapsed = RunFinish, app, org, r.now()-start
 		c.res = res
-		r.emit(RunEvent{Kind: RunFinish, App: app, Org: org,
-			IPC: res.CPU.IPC, APKI: res.CPU.APKI, HasAPKI: hasAPKI, Elapsed: elapsed,
-			Metrics: res.Snapshot()})
+		r.emit(fin)
 	})
 	if c.panicked != nil {
 		panic(fmt.Sprintf("sim: run %s panicked: %v", key, c.panicked))
@@ -249,10 +247,14 @@ func (r *Runner) runMemo(key, app, org string, hasAPKI bool, compute func() *Run
 	return c.res
 }
 
+// finished is a completed run's finish-event payload.
+func (res *RunResult) finished(hasAPKI bool) RunEvent {
+	return RunEvent{IPC: res.CPU.IPC, APKI: res.CPU.APKI, HasAPKI: hasAPKI, Metrics: res.Snapshot()}
+}
+
 // Run simulates app on org, memoized on (app, org key).
 func (r *Runner) Run(app workload.App, org Organization) *RunResult {
-	key := app.Name + "/" + org.Key
-	return r.runMemo(key, app.Name, org.Key, true, func() *RunResult {
+	return runOnce(r, &r.memo, app.Name+"/"+org.Key, app.Name, org.Key, func() (*RunResult, RunEvent) {
 		mem := memsys.NewMemory(org.blockBytes())
 		l2 := org.Factory(r.Model, mem)
 		probes := r.instrument(app.Name, org.Key, l2)
@@ -281,8 +283,8 @@ func (r *Runner) Run(app workload.App, org Organization) *RunResult {
 		if nc, ok := l2.(*nurapid.Cache); ok {
 			res.L2GroupAccesses = nc.GroupAccesses()
 		}
-		r.finishProbes(probes, res)
-		return res
+		res.ObsMetrics = r.finishProbes(probes)
+		return res, res.finished(true)
 	})
 }
 
@@ -293,11 +295,17 @@ func (r *Runner) Run(app workload.App, org Organization) *RunResult {
 // with its full run set up front, then assembles its table from
 // memoized results in deterministic order.
 func (r *Runner) Prefetch(apps []workload.App, orgs []Organization) {
+	prefetch(r, apps, orgs, r.Run)
+}
+
+// prefetch fans run out over every (app, org) pair; the one fan-out
+// behind Prefetch and PrefetchCMP.
+func prefetch[T any](r *Runner, apps []workload.App, orgs []Organization, run func(workload.App, Organization) T) {
 	tasks := make([]func(), 0, len(apps)*len(orgs))
 	for _, app := range apps {
 		for _, org := range orgs {
 			app, org := app, org
-			tasks = append(tasks, func() { r.Run(app, org) })
+			tasks = append(tasks, func() { run(app, org) })
 		}
 	}
 	r.fanOut(tasks)

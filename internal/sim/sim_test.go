@@ -284,13 +284,3 @@ func TestObserverSeesEachRunOnce(t *testing.T) {
 		t.Fatalf("events = %d starts, %d finishes, want 1 each", starts, finishes)
 	}
 }
-
-func TestDeprecatedSeededConstructor(t *testing.T) {
-	r := NewRunnerSeeded(120_000, 7)
-	if r.Instructions != 120_000 || r.Seed != 7 || r.Workers != 1 {
-		t.Fatalf("NewRunnerSeeded misconfigured: %+v", r)
-	}
-	if len(r.Apps) != 15 {
-		t.Fatalf("roster size %d, want 15", len(r.Apps))
-	}
-}

@@ -148,7 +148,7 @@ func (r *Runner) runScaledVariant(app workload.App, scale float64, isNurapid boo
 	}
 	key := fmt.Sprintf("%s/techsweep-%s-%.2f", app.Name, org, scale)
 	label := fmt.Sprintf("%s-wire%.2fx", org, scale)
-	return r.runMemo(key, app.Name, label, false, func() *RunResult {
+	return runOnce(r, &r.memo, key, app.Name, label, func() (*RunResult, RunEvent) {
 		model := r.Model.Scaled(scale)
 		var l2 memsys.LowerLevel
 		var mem *memsys.Memory
@@ -173,7 +173,7 @@ func (r *Runner) runScaledVariant(app workload.App, scale float64, isNurapid boo
 			MemEnergyNJ: mem.EnergyNJ(),
 			MemAccesses: mem.Accesses,
 		}
-		r.finishProbes(probes, res)
-		return res
+		res.ObsMetrics = r.finishProbes(probes)
+		return res, res.finished(false)
 	})
 }

@@ -38,12 +38,12 @@ func zeroAllocOrgs() []Organization {
 // zeroAllocStream builds a deterministic mixed request stream sized to
 // cycle each organization through hits, misses, evictions, writebacks,
 // promotions, and demotion ripples.
-func zeroAllocStream(blockBytes int, n int) []memsys.Request {
+func zeroAllocStream(blockBytes int, n int) []memsys.Req {
 	rng := mathx.NewRNG(7)
-	reqs := make([]memsys.Request, n)
+	reqs := make([]memsys.Req, n)
 	for i := range reqs {
 		block := uint64(rng.Intn(3000))
-		reqs[i] = memsys.Request{
+		reqs[i] = memsys.Req{
 			Addr:  block * uint64(blockBytes),
 			Write: rng.Bool(0.3),
 			Gap:   int64(rng.Intn(4)),

@@ -173,22 +173,6 @@ func (u *Uniform) Counters() *stats.Counters {
 	return &u.ctrs
 }
 
-// AccessMany implements memsys.BatchAccessor.
-//
-//nurapid:hotpath
-func (u *Uniform) AccessMany(now int64, reqs []memsys.Req, out []memsys.AccessResult) int64 {
-	for i := range reqs {
-		q := reqs[i]
-		q.Now = now
-		r := u.Access(q)
-		if out != nil {
-			out[i] = r
-		}
-		now = r.DoneAt + reqs[i].Gap
-	}
-	return now
-}
-
 // Cache exposes the underlying cache (tests, occupancy checks).
 func (u *Uniform) Cache() *cache.Cache { return u.c }
 
@@ -368,22 +352,6 @@ func (h *Hierarchy) Counters() *stats.Counters {
 	return &h.ctrs
 }
 
-// AccessMany implements memsys.BatchAccessor.
-//
-//nurapid:hotpath
-func (h *Hierarchy) AccessMany(now int64, reqs []memsys.Req, out []memsys.AccessResult) int64 {
-	for i := range reqs {
-		q := reqs[i]
-		q.Now = now
-		r := h.Access(q)
-		if out != nil {
-			out[i] = r
-		}
-		now = r.DoneAt + reqs[i].Gap
-	}
-	return now
-}
-
 // L2 exposes the first level (tests).
 func (h *Hierarchy) L2() *cache.Cache { return h.l2 }
 
@@ -391,8 +359,6 @@ func (h *Hierarchy) L2() *cache.Cache { return h.l2 }
 func (h *Hierarchy) L3() *cache.Cache { return h.l3 }
 
 var (
-	_ memsys.LowerLevel    = (*Uniform)(nil)
-	_ memsys.BatchAccessor = (*Uniform)(nil)
-	_ memsys.LowerLevel    = (*Hierarchy)(nil)
-	_ memsys.BatchAccessor = (*Hierarchy)(nil)
+	_ memsys.LowerLevel = (*Uniform)(nil)
+	_ memsys.LowerLevel = (*Hierarchy)(nil)
 )

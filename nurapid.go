@@ -288,15 +288,6 @@ func NewRunner(opts ...RunnerOption) *Runner {
 	return sim.NewRunner(opts...)
 }
 
-// NewRunnerSeeded builds a serial runner simulating the given number of
-// instructions per run at the given seed.
-//
-// Deprecated: use NewRunner(WithInstructions(instructions),
-// WithSeed(seed)).
-func NewRunnerSeeded(instructions int64, seed uint64) *Runner {
-	return sim.NewRunnerSeeded(instructions, seed)
-}
-
 // Runner construction options.
 
 // WithInstructions sets the number of instructions simulated per run.
