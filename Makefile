@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race race-runner lint escape-rebaseline fmt bench bench-runner bench-core bench-cmp obs-bench audit diff-fuzz diff-fuzz-long ci
+.PHONY: build test race race-runner lint escape-rebaseline fmt bench bench-smoke fuzz-smoke audit diff-fuzz diff-fuzz-long ci
 
 build:
 	$(GO) build ./...
@@ -43,44 +43,31 @@ escape-rebaseline:
 fmt:
 	gofmt -w .
 
-# bench smoke: one iteration per benchmark, to catch bit-rot without
-# waiting for real measurements.
+# bench: one iteration per benchmark, to catch bit-rot without waiting
+# for real measurements (the timed gates are bench-smoke's).
 bench:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./...
 
-# bench-runner: sweep the sharded trace-gen + chunked-replay pipeline
-# at 1/2/4/8/16 workers (byte-identity enforced at every width), time
-# serial vs parallel Fig6 regeneration, and record the scaling curve
-# with per-width efficiency in BENCH_runner.json. The >=0.5-efficiency
-# gate at 4 workers is enforced only when GOMAXPROCS >= 4; single-proc
-# hosts record the gate as skipped instead of faking a speedup.
-bench-runner:
-	BENCH_RUNNER_JSON=$(CURDIR)/BENCH_runner.json $(GO) test -count=1 -run '^TestBenchRunnerSmoke$$' -v .
+# bench-smoke: one timed pass over the four perf contracts, written to
+# BENCH_smoke.json (one section each, every gate's verdict recorded):
+#   core   - headline NuRAPID ns/access <= 1.10x the committed record,
+#            0 allocs per replayed batch;
+#   cmp    - shared-L2 accesses/s at 1/2/4/8 cores >= 0.85x the record;
+#   obs    - serial Fig6 and 2-core CMP, probe-free vs nil-probe vs full
+#            probes: byte-identical renders, CMP disabled-probe
+#            overhead <= 3%;
+#   runner - replay pipeline at 1/2/4/8/16 workers with identical
+#            fingerprints, efficiency >= 0.5 at 4 workers (skipped when
+#            GOMAXPROCS < 4), serial vs parallel Fig6 byte-identical.
+# A <4-proc run never replaces a runner section whose efficiency gate
+# was enforced.
+bench-smoke:
+	BENCH_SMOKE_JSON=$(CURDIR)/BENCH_smoke.json $(GO) test -count=1 -run '^TestBenchSmoke$$' -v .
 
-# bench-core: run the core access-path benchmark suite, measure the
-# headline steady-state NuRAPID ns/access, verify the path is still
-# allocation-free, and write BENCH_core.json. Fails when ns/access
-# regresses >10% against the committed BENCH_core.json baseline.
-bench-core:
-	$(GO) test -run='^$$' -bench='^BenchmarkCore' -benchtime=1x .
-	BENCH_CORE_JSON=$(CURDIR)/BENCH_core.json $(GO) test -count=1 -run '^TestBenchCoreSmoke$$' -v .
-
-# bench-cmp: measure the CMP front end's aggregate shared-L2 throughput
-# (accesses per second of host time) at 1/2/4/8 cores and write
-# BENCH_cmp.json. Fails when any core count regresses >15% against the
-# committed baseline.
-bench-cmp:
-	BENCH_CMP_JSON=$(CURDIR)/BENCH_cmp.json $(GO) test -count=1 -run '^TestBenchCmpSmoke$$' -v .
-
-# obs-bench: measure the disabled-probe overhead of the observability
-# layer on the Fig6 workload and on the 2-core shared-L2 CMP experiment
-# (probe-free vs nil-probe factory vs full Collector+Sampler probes),
-# assert the rendered output stays byte-identical, and record wall
-# times + overhead ratios in BENCH_obs.json. The queued CMP path adds
-# the Enqueue/Issue/Inval emission sites; its <3% disabled-probe budget
-# is asserted by the test itself.
-obs-bench:
-	BENCH_OBS_JSON=$(CURDIR)/BENCH_obs.json $(GO) test -count=1 -run '^TestBenchObsSmoke$$' -v .
+# fuzz-smoke: a short native-fuzzing pass over the JSONL obs-trace
+# reader and the probes that aggregate what it decodes.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz=FuzzDecodeTrace -fuzztime=15s ./internal/obs/
 
 # audit: the randomized invariant storm at full length.
 audit:
@@ -100,4 +87,4 @@ diff-fuzz:
 diff-fuzz-long:
 	DIFF_FUZZ_LONG=1 $(GO) test -count=1 -timeout 60m -v -run TestDifferentialMatrix ./internal/refmodel/difftest/
 
-ci: build test race race-runner lint bench bench-runner bench-core bench-cmp obs-bench diff-fuzz
+ci: build test race race-runner lint bench bench-smoke fuzz-smoke diff-fuzz

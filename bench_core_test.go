@@ -1,8 +1,8 @@
 // Core access-path benchmarks: the steady-state cost of one lower-level
 // cache access for every organization and the full NuRAPID policy
-// matrix. These seed the repository's perf trajectory: `make bench-core`
-// runs the suite, writes BENCH_core.json, and CI fails when ns/access
-// regresses more than 10% against the committed baseline.
+// matrix. The headline configuration is also the core section of the
+// bench smoke (TestBenchSmoke, `make bench-smoke`), whose gate fails
+// when ns/access regresses more than 10% against BENCH_smoke.json.
 package nurapid
 
 import (
@@ -77,7 +77,7 @@ func nurapidBenchCfg(groups int, prom core.Promotion, dist core.DistancePolicy, 
 }
 
 // BenchmarkCoreNuRAPID is the headline steady-state benchmark (the
-// BENCH_core.json gate): the paper's primary design scaled to the bench
+// bench smoke's core gate): the paper's primary design scaled to the bench
 // geometry — 4 d-groups, next-fastest promotion, random distance
 // replacement, distance-associative placement.
 func BenchmarkCoreNuRAPID(b *testing.B) {

@@ -27,22 +27,31 @@ func benchRunner(b *testing.B) *sim.Runner {
 	return benchRunnerWorkers(b, 1)
 }
 
-func benchRunnerWorkers(b *testing.B, workers int) *sim.Runner {
-	b.Helper()
+// benchRunnerWorkers builds the bench roster's runner on a pool of
+// workers; extra options apply after the defaults.
+func benchRunnerWorkers(tb testing.TB, workers int, extra ...sim.Option) *sim.Runner {
+	tb.Helper()
+	opts := []sim.Option{
+		sim.WithInstructions(benchInstructions),
+		sim.WithSeed(1),
+		sim.WithApps(benchAppList(tb)...),
+		sim.WithWorkers(workers),
+	}
+	return sim.NewRunner(append(opts, extra...)...)
+}
+
+// benchAppList resolves benchApps to their workload models.
+func benchAppList(tb testing.TB) []workload.App {
+	tb.Helper()
 	var apps []workload.App
 	for _, name := range benchApps {
 		a, ok := workload.ByName(name)
 		if !ok {
-			b.Fatalf("app %s missing", name)
+			tb.Fatalf("app %s missing", name)
 		}
 		apps = append(apps, a)
 	}
-	return sim.NewRunner(
-		sim.WithInstructions(benchInstructions),
-		sim.WithSeed(1),
-		sim.WithApps(apps...),
-		sim.WithWorkers(workers),
-	)
+	return apps
 }
 
 func report(b *testing.B, e *sim.Experiment, keys ...string) {
@@ -167,7 +176,7 @@ func BenchmarkFig11EnergyDelay(b *testing.B) {
 // BenchmarkFig6Serial regenerates Figure 6 on the serial runner; the
 // parallel variant below is the same work on a GOMAXPROCS-wide pool.
 // Comparing the two pins the runner's parallel speedup (the numbers
-// behind BENCH_runner.json; see TestBenchRunnerSmoke).
+// behind BENCH_smoke.json's runner section; see TestBenchSmoke).
 func BenchmarkFig6Serial(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		e := benchRunnerWorkers(b, 1).Fig6()

@@ -160,3 +160,33 @@ func TestReportCMPWholeTrace(t *testing.T) {
 		t.Fatalf("inval counter missing:\n%s", got)
 	}
 }
+
+// TestReportMalformedTraceNoPanic feeds both reports lines that used to
+// crash them: negative ids, which the aggregates index by, must come
+// back as a line-numbered error, and a hit stamped before its access
+// window opened (a negative latency) must render without a sample.
+func TestReportMalformedTraceNoPanic(t *testing.T) {
+	for _, line := range []string{
+		`{"k":"hit","t":1,"g":-5,"lat":3}`,
+		`{"k":"place","t":1,"g":-3}`,
+		`{"k":"evict","t":1,"g":-9}`,
+		`{"k":"access","t":1,"addr":4096,"core":-2}`,
+		`{"k":"inval","t":1,"addr":4096,"core":-1}`,
+	} {
+		trace := `{"k":"access","t":0,"addr":4096}` + "\n" + line + "\n"
+		var out strings.Builder
+		if err := report(&out, "bad.jsonl", strings.NewReader(trace), obs.DefaultEpochAccesses, false); err == nil || !strings.Contains(err.Error(), "line 2") {
+			t.Errorf("report %s: err = %v, want a line-2 error", line, err)
+		}
+		if err := reportCMP(&out, "bad.jsonl", strings.NewReader(trace), obs.DefaultWindowCycles, false); err == nil || !strings.Contains(err.Error(), "line 2") {
+			t.Errorf("reportCMP %s: err = %v, want a line-2 error", line, err)
+		}
+	}
+	reversed := `{"k":"access","t":110,"addr":4096}
+{"k":"hit","t":0,"g":0,"lat":0}
+`
+	var out strings.Builder
+	if err := reportCMP(&out, "reversed.jsonl", strings.NewReader(reversed), obs.DefaultWindowCycles, false); err != nil {
+		t.Fatalf("reversed window reported error: %v", err)
+	}
+}

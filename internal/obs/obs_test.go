@@ -22,6 +22,7 @@ func canonicalEvents() []Event {
 		Enqueue(30, 0x1000_0000, 2, 1, true, 1),
 		Issue(34, 2, 1, 4),
 		Inval(48, 0x1000_0000, 1),
+		Bypass(52, 1),
 	}
 }
 
@@ -103,12 +104,34 @@ func TestTraceRoundTrip(t *testing.T) {
 	}
 }
 
+// malformedTraceLines are lines DecodeTrace must reject: garbage, an
+// unknown kind, and every negative id or cycle count the aggregating
+// probes would otherwise index or histogram with.
+var malformedTraceLines = []string{
+	`{"k":"noevent","t":1}`,
+	`not json`,
+	`{"k":"hit","t":1,"g":-5,"lat":3}`,
+	`{"k":"place","t":1,"g":-3,"depth":0}`,
+	`{"k":"evict","t":1,"g":-9}`,
+	`{"k":"promote","t":1,"from":-2,"g":0}`,
+	`{"k":"bypass","t":1,"g":-1}`,
+	`{"k":"access","t":1,"addr":4096,"core":-2}`,
+	`{"k":"inval","t":1,"addr":4096,"core":-1}`,
+	`{"k":"enqueue","t":1,"addr":4096,"bank":-4}`,
+	`{"k":"issue","t":1,"bank":0,"lat":4,"core":-3}`,
+	`{"k":"hit","t":1,"g":0,"lat":-3}`,
+	`{"k":"issue","t":1,"bank":0,"lat":-4}`,
+	`{"k":"access","t":-1,"addr":4096}`,
+}
+
 func TestDecodeTraceRejectsGarbage(t *testing.T) {
-	if err := DecodeTrace(strings.NewReader("{\"k\":\"noevent\",\"t\":1}\n"), func(Event) error { return nil }); err == nil {
-		t.Fatal("unknown kind not rejected")
-	}
-	if err := DecodeTrace(strings.NewReader("not json\n"), func(Event) error { return nil }); err == nil {
-		t.Fatal("malformed line not rejected")
+	for _, line := range malformedTraceLines {
+		// The bad line comes second, so the error must name line 2.
+		trace := `{"k":"swap","t":1,"lat":2}` + "\n" + line + "\n"
+		err := DecodeTrace(strings.NewReader(trace), func(Event) error { return nil })
+		if err == nil || !strings.Contains(err.Error(), "line 2") {
+			t.Errorf("%s: err = %v, want a line-2 error", line, err)
+		}
 	}
 	// Blank lines are fine.
 	n := 0

@@ -350,8 +350,9 @@ func (ts *TimeSeries) finalize() {
 	} else {
 		ts.wfUnattributed++
 	}
-	if a.attributed || (a.haveOutcome && a.hit) {
-		lat := a.done - a.enq
+	// A window whose outcome completes before it opened exists only in
+	// a malformed trace; it has no observable latency.
+	if lat := a.done - a.enq; (a.attributed || (a.haveOutcome && a.hit)) && lat >= 0 {
 		c.latency += lat
 		c.latSamples++
 		c.lat.Add(lat)

@@ -27,6 +27,7 @@ import (
 //	{"k":"enqueue","t":30,"addr":268435456,"bank":2,"depth":1,"w":true,"core":1}
 //	{"k":"issue","t":34,"bank":2,"lat":4,"core":1}
 //	{"k":"inval","t":48,"addr":268435456,"core":1}
+//	{"k":"bypass","t":52,"g":1}
 //
 // Only the fields meaningful for each kind are written; "w" and "d"
 // are omitted when false, "depth" on enqueue lines when 0, and "core"
@@ -165,6 +166,8 @@ func appendEvent(b []byte, e Event) []byte {
 		b = append(b, `,"addr":`...)
 		b = strconv.AppendUint(b, e.Addr, 10)
 		b = appendCore(b, e.Core)
+	case KindBypass:
+		b = appendGroup(b, e.Group)
 	}
 	return append(b, '}', '\n')
 }
@@ -205,8 +208,10 @@ type wireEvent struct {
 }
 
 // DecodeTrace reads a JSONL trace from r, calling fn for every event in
-// stream order. Blank lines are skipped; a malformed line or an unknown
-// kind aborts with an error naming the line number.
+// stream order. Blank lines are skipped; a malformed line, an unknown
+// kind, or a negative id (core, group, bank) or cycle count aborts with
+// an error naming the line number, so every decoded event is safe to
+// feed to the aggregating probes, which index by id.
 func DecodeTrace(r io.Reader, fn func(Event) error) error {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<16), 1<<20)
@@ -239,6 +244,15 @@ func (w wireEvent) event() (Event, error) {
 	if !ok {
 		return Event{}, fmt.Errorf("unknown event kind %q", w.K)
 	}
+	// The encoder never writes a negative field, and a field a kind
+	// does not carry decodes as 0, so one check covers every kind.
+	if w.Core < 0 || w.G < 0 || w.Bank < 0 || w.From < 0 {
+		return Event{}, fmt.Errorf("%s event with a negative id (core %d, g %d, bank %d, from %d)",
+			w.K, w.Core, w.G, w.Bank, w.From)
+	}
+	if w.T < 0 || w.Lat < 0 {
+		return Event{}, fmt.Errorf("%s event with a negative cycle count (t %d, lat %d)", w.K, w.T, w.Lat)
+	}
 	switch k {
 	case KindAccess:
 		return Access(w.T, w.Addr, w.W, int(w.Core)), nil
@@ -262,6 +276,8 @@ func (w wireEvent) event() (Event, error) {
 		return Issue(w.T, int(w.Bank), int(w.Core), w.Lat), nil
 	case KindInval:
 		return Inval(w.T, w.Addr, int(w.Core)), nil
+	case KindBypass:
+		return Bypass(w.T, int(w.G)), nil
 	}
 	return Event{}, fmt.Errorf("unhandled event kind %q", w.K)
 }
