@@ -277,6 +277,8 @@ func (c *Cache) Invalidate(addr Addr) (dropped, dirty bool) {
 }
 
 // Contains reports whether addr is currently resident (no side effects).
+//
+//nurapid:hotpath
 func (c *Cache) Contains(addr Addr) bool {
 	_, hit := c.arr.Lookup(addr)
 	return hit

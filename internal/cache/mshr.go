@@ -5,9 +5,15 @@ package cache
 // flight merge into its entry; when every register holds an unfinished
 // miss, new misses must stall — which is how the paper's 8-entry L1 MSHR
 // file throttles demand on the L2.
+//
+// The registers are a fixed-capacity array searched linearly: the file
+// is a handful of entries consulted on every L1 miss, so a scan of two
+// short parallel slices beats hashing. Entry order carries no meaning;
+// every query is a lookup by block or a minimum over completion times.
 type MSHRFile struct {
-	capacity int
-	inflight map[Addr]int64 // block address -> completion cycle
+	blocks []Addr  // in-flight block addresses, blocks[:n] live
+	dones  []int64 // completion cycle of blocks[i]
+	n      int
 
 	Allocations int64
 	Merges      int64
@@ -19,40 +25,57 @@ func NewMSHRFile(capacity int) *MSHRFile {
 	if capacity <= 0 {
 		panic("cache: MSHR capacity must be positive")
 	}
-	return &MSHRFile{capacity: capacity, inflight: make(map[Addr]int64, capacity)}
+	return &MSHRFile{blocks: make([]Addr, capacity), dones: make([]int64, capacity)}
 }
 
 // Capacity returns the number of registers.
-func (m *MSHRFile) Capacity() int { return m.capacity }
+func (m *MSHRFile) Capacity() int { return len(m.blocks) }
 
 // Expire retires every miss completed at or before now.
+//
+//nurapid:hotpath
 func (m *MSHRFile) Expire(now int64) {
-	for a, done := range m.inflight {
-		if done <= now {
-			delete(m.inflight, a)
+	for i := 0; i < m.n; {
+		if m.dones[i] <= now {
+			m.n--
+			m.blocks[i], m.dones[i] = m.blocks[m.n], m.dones[m.n]
+			continue
 		}
+		i++
 	}
 }
 
 // Outstanding returns the number of misses still in flight at now.
+//
+//nurapid:hotpath
 func (m *MSHRFile) Outstanding(now int64) int {
 	m.Expire(now)
-	return len(m.inflight)
+	return m.n
 }
 
 // Lookup reports whether block is already in flight and, if so, when its
-// fill completes.
+// fill completes. It does not expire entries: a block whose fill time
+// has passed still matches until an Allocate or Outstanding call
+// retires it.
+//
+//nurapid:hotpath
 func (m *MSHRFile) Lookup(block Addr) (doneAt int64, ok bool) {
-	doneAt, ok = m.inflight[block]
-	return doneAt, ok
+	for i, b := range m.blocks[:m.n] {
+		if b == block {
+			return m.dones[i], true
+		}
+	}
+	return 0, false
 }
 
 // EarliestDone returns the earliest completion cycle among in-flight
 // misses, or -1 when none are outstanding. Callers use it to schedule a
 // retry after a full-file stall.
+//
+//nurapid:hotpath
 func (m *MSHRFile) EarliestDone() int64 {
 	earliest := int64(-1)
-	for _, d := range m.inflight {
+	for _, d := range m.dones[:m.n] {
 		if earliest < 0 || d < earliest {
 			earliest = d
 		}
@@ -64,17 +87,20 @@ func (m *MSHRFile) EarliestDone() int64 {
 // is already in flight the request merges (returning the earlier entry's
 // completion). If the file is full it returns the earliest cycle at
 // which a register frees, and ok=false.
+//
+//nurapid:hotpath
 func (m *MSHRFile) Allocate(now int64, block Addr, doneAt int64) (effectiveDone int64, ok bool) {
 	m.Expire(now)
-	if done, exists := m.inflight[block]; exists {
+	if done, exists := m.Lookup(block); exists {
 		m.Merges++
 		return done, true
 	}
-	if len(m.inflight) >= m.capacity {
+	if m.n >= len(m.blocks) {
 		m.FullStalls++
 		return m.EarliestDone(), false
 	}
-	m.inflight[block] = doneAt
+	m.blocks[m.n], m.dones[m.n] = block, doneAt
+	m.n++
 	m.Allocations++
 	return doneAt, true
 }

@@ -14,6 +14,7 @@ package cpu
 
 import (
 	"fmt"
+	"math/bits"
 
 	"nurapid/internal/cache"
 	"nurapid/internal/memsys"
@@ -52,8 +53,11 @@ func (c Config) Validate() error {
 	if c.Width <= 0 || c.ROB <= 0 || c.LSQ <= 0 || c.MSHRs <= 0 {
 		return fmt.Errorf("cpu: non-positive structure size in %+v", c)
 	}
-	if c.L1Latency <= 0 || c.MispredictPenalty < 0 || c.FetchBytes <= 0 {
+	if c.L1Latency <= 0 || c.MispredictPenalty < 0 {
 		return fmt.Errorf("cpu: bad latency/penalty in %+v", c)
+	}
+	if c.FetchBytes <= 0 || c.FetchBytes&(c.FetchBytes-1) != 0 {
+		return fmt.Errorf("cpu: fetch block %d bytes is not a positive power of two", c.FetchBytes)
 	}
 	return c.L1Geometry.Validate()
 }
@@ -118,6 +122,7 @@ type CPU struct {
 	memIssued  bool  // the single L1D port already used this cycle
 
 	curFetchBlock uint64
+	fetchShift    uint // log2(FetchBytes): PC >> fetchShift is the fetch block
 	l2Accesses    int64
 	l1Energy      float64
 	l1dInvals     int64 // coherence-lite shoot-downs absorbed
@@ -172,6 +177,7 @@ func New(l2 memsys.LowerLevel, opts ...Option) (*CPU, error) {
 	c.mshr = cache.NewMSHRFile(c.cfg.MSHRs)
 	c.rob = make([]robEntry, c.cfg.ROB)
 	c.curFetchBlock = ^uint64(0)
+	c.fetchShift = uint(bits.TrailingZeros(uint(c.cfg.FetchBytes)))
 	return c, nil
 }
 
@@ -189,16 +195,73 @@ func (c *CPU) CoreID() int { return c.coreID }
 
 // Run executes up to maxInstr instructions from src (or until the source
 // ends) and returns the run summary. It is Start + Step-to-completion +
-// Result; lockstep drivers (internal/cmp) call those pieces directly.
+// Result, except that after each Step the clock jumps over the cycles in
+// which neither commit nor dispatch can change state (skipIdle), so a
+// run costs per instruction rather than per simulated cycle. The result
+// and the lower-level request stream are identical to a plain Step loop;
+// lockstep drivers (internal/cmp) call Start and Step directly.
+//
+//nurapid:hotpath
 func (c *CPU) Run(src workload.Source, maxInstr int64) Result {
 	c.Start(src, maxInstr)
 	for c.Step() {
+		c.skipIdle()
 	}
 	return c.Result()
 }
 
+// skipIdle advances the clock to the next cycle at which a Step can do
+// anything but count the cycle: the earlier of the ROB head's completion
+// (when the window is non-empty) and the end of the dispatch stall
+// (unless dispatch is waiting on a commit). Every Step in between would
+// retire nothing, call no Source.Next and no dispatch, and touch no state
+// but the clock, so skipping them changes no simulated number. With no
+// next event the next Step halts, so the clock is left alone.
+//
+//nurapid:hotpath
+func (c *CPU) skipIdle() {
+	if c.committed >= c.maxInstr {
+		return // the next Step halts
+	}
+	next := int64(-1)
+	if c.used > 0 {
+		next = c.rob[c.head].done
+	}
+	if !c.dispatchWaitsOnCommit() {
+		if s := max(c.cycle, c.stallUntil); next < 0 || s < next {
+			next = s
+		}
+	}
+	if next > c.cycle {
+		c.cycle = next
+	}
+}
+
+// dispatchWaitsOnCommit reports whether dispatch cannot make progress
+// until an instruction commits: the window is full, the pending
+// instruction is a load or store and the LSQ is full, or there is no
+// pending instruction and none may be fetched (source exhausted or
+// instruction budget reached). A pending instruction always sits in the
+// current fetch block (dispatch records a block transition before any
+// stall), so its retry re-fetches nothing.
+//
+//nurapid:hotpath
+func (c *CPU) dispatchWaitsOnCommit() bool {
+	switch {
+	case c.used >= c.cfg.ROB:
+		return true
+	case c.hasPending:
+		k := c.pending.Kind
+		return (k == workload.Load || k == workload.Store) && c.lsqUsed >= c.cfg.LSQ
+	default:
+		return c.sourceDone || c.committed+int64(c.used) >= c.maxInstr
+	}
+}
+
 // Start arms the core to execute up to maxInstr instructions from src.
 // It does not simulate any cycles; drive the core with Step.
+//
+//nurapid:hotpath
 func (c *CPU) Start(src workload.Source, maxInstr int64) {
 	c.src = src
 	c.maxInstr = maxInstr
@@ -212,6 +275,10 @@ func (c *CPU) Start(src workload.Source, maxInstr int64) {
 // exhausted and the window has drained); the clock does not advance on
 // the final call, so Cycles counts only simulated cycles — a full
 // Start/Step loop is cycle-for-cycle identical to the pre-Step Run loop.
+// Step always simulates exactly one cycle: lockstep drivers
+// (cmp.System.Run) interleave cores one cycle at a time.
+//
+//nurapid:hotpath
 func (c *CPU) Step() bool {
 	if c.halted || c.committed >= c.maxInstr {
 		c.halted = true
@@ -297,6 +364,8 @@ func (c *CPU) InvalidateL1(addr uint64) bool {
 }
 
 // commitStage retires up to Width completed instructions in order.
+//
+//nurapid:hotpath
 func (c *CPU) commitStage() {
 	for n := 0; n < c.cfg.Width && c.used > 0; n++ {
 		e := &c.rob[c.head]
@@ -306,7 +375,9 @@ func (c *CPU) commitStage() {
 		if e.isMem {
 			c.lsqUsed--
 		}
-		c.head = (c.head + 1) % c.cfg.ROB
+		if c.head++; c.head == c.cfg.ROB {
+			c.head = 0
+		}
 		c.used--
 		c.committed++
 	}
@@ -314,9 +385,11 @@ func (c *CPU) commitStage() {
 
 // dispatch tries to enter one instruction into the window; it returns
 // false on a structural stall (LSQ or MSHR full, I-fetch miss pending).
+//
+//nurapid:hotpath
 func (c *CPU) dispatch(in *workload.Instr) bool {
 	// Instruction fetch: one I-cache access per fetch-block transition.
-	fb := in.PC / uint64(c.cfg.FetchBytes)
+	fb := in.PC >> c.fetchShift
 	if fb != c.curFetchBlock {
 		c.curFetchBlock = fb
 		c.l1Energy += c.l1NJ
@@ -386,7 +459,9 @@ func (c *CPU) dispatch(in *workload.Instr) bool {
 	}
 
 	c.rob[c.tail] = robEntry{done: done, isMem: isMem}
-	c.tail = (c.tail + 1) % c.cfg.ROB
+	if c.tail++; c.tail == c.cfg.ROB {
+		c.tail = 0
+	}
 	c.used++
 	if isMem {
 		c.lsqUsed++

@@ -49,6 +49,8 @@ func (r *RNG) Intn(n int) int {
 }
 
 // Int63n returns a uniform int64 in [0, n). It panics if n <= 0.
+//
+//nurapid:hotpath
 func (r *RNG) Int63n(n int64) int64 {
 	if n <= 0 {
 		panic("mathx: Int63n called with non-positive n")
@@ -57,12 +59,16 @@ func (r *RNG) Int63n(n int64) int64 {
 }
 
 // Float64 returns a uniform float64 in [0, 1).
+//
+//nurapid:hotpath
 func (r *RNG) Float64() float64 {
 	// 53 random mantissa bits, the standard construction.
 	return float64(r.Uint64()>>11) / (1 << 53)
 }
 
 // Bool returns true with probability p.
+//
+//nurapid:hotpath
 func (r *RNG) Bool(p float64) bool {
 	if p <= 0 {
 		return false

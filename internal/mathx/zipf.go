@@ -42,6 +42,8 @@ func NewZipf(rng *RNG, s float64, n int) *Zipf {
 func (z *Zipf) N() int { return len(z.cdf) }
 
 // Draw returns the next sample in [0, N()).
+//
+//nurapid:hotpath
 func (z *Zipf) Draw() int {
 	u := z.rng.Float64()
 	// Binary search for the first CDF entry >= u.

@@ -150,6 +150,8 @@ func (g *Generator) App() App { return g.app }
 func (g *Generator) Generated() int64 { return g.generated }
 
 // Next implements Source; generators never exhaust.
+//
+//nurapid:hotpath
 func (g *Generator) Next() (Instr, bool) {
 	g.generated++
 	in := Instr{PC: g.nextPC()}
@@ -196,6 +198,8 @@ func l1ResidentFraction(app App) float64 {
 // nextPC advances the fetch stream: mostly sequential 4-byte
 // instructions, with occasional jumps whose targets follow a skewed
 // (hot-loop) distribution over the code footprint.
+//
+//nurapid:hotpath
 func (g *Generator) nextPC() uint64 {
 	if g.runLen <= 0 {
 		g.pc = codeBase + uint64(g.codeZipf.Draw())*64
@@ -215,6 +219,8 @@ func (g *Generator) nextPC() uint64 {
 // mixture model over the working set: strided column walks, sequential
 // streaming, skewed reuse within the active hot tile, or a uniform cold
 // reference.
+//
+//nurapid:hotpath
 func (g *Generator) dataAddr() uint64 {
 	if g.rng.Float64() < g.l1Frac {
 		return stackBase + uint64(g.rng.Intn(stackBytes/8))*8
@@ -234,6 +240,8 @@ func (g *Generator) dataAddr() uint64 {
 
 // blockAddr converts a working-set block index into a byte address with
 // a random word offset.
+//
+//nurapid:hotpath
 func (g *Generator) blockAddr(block int64) uint64 {
 	return dataBase + uint64(block)*blockBytes + uint64(g.rng.Intn(blockBytes/8))*8
 }
@@ -242,6 +250,8 @@ func (g *Generator) blockAddr(block int64) uint64 {
 // window. Stream blocks live beyond the working-set region so streamed
 // input keeps churning the cache the way read-mostly passes over large
 // inputs do.
+//
+//nurapid:hotpath
 func (g *Generator) streamAddr() uint64 {
 	if g.rng.Bool(streamAdvance) {
 		g.streamPos++
@@ -259,6 +269,8 @@ func (g *Generator) streamAddr() uint64 {
 
 // tileAddr draws a block from the active hot tile, shifting to a new
 // tile when the current phase expires.
+//
+//nurapid:hotpath
 func (g *Generator) tileAddr() int64 {
 	if g.tileLeft <= 0 {
 		if g.nTiles > 1 {
@@ -275,6 +287,8 @@ func (g *Generator) tileAddr() int64 {
 
 // columnAddr advances the strided column walk, starting a fresh column
 // after colPasses traversals.
+//
+//nurapid:hotpath
 func (g *Generator) columnAddr() uint64 {
 	if g.colPass >= colPasses {
 		span := g.colStride * colLen

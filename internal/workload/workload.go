@@ -58,6 +58,9 @@ type Instr struct {
 // Source produces a dynamic instruction stream. Next returns false when
 // the stream is exhausted (generators never exhaust; trace readers do).
 type Source interface {
+	// Next returns the next instruction, or false once exhausted. The
+	// core calls it once per dispatched instruction.
+	//nurapid:hotpath
 	Next() (Instr, bool)
 }
 
