@@ -16,17 +16,17 @@ race:
 
 # race-runner: the parallel experiment runner's determinism contract —
 # All() on an 8-worker pool must render the same bytes as the serial
-# runner — plus the sharded trace-gen / chunked-replay pipeline
+# runner — plus the sharded trace-gen / parallel replay pipeline
 # (ReplayAll at 1/2/4/8 workers byte-identical to serial, shared trace
 # generation, tail-gap accounting), pool panic latching, and the
 # singleflight, observer, and probe/trace machinery, under -race.
 race-runner:
-	$(GO) test -race -count=1 -run 'TestParallel|TestSingleflight|TestPrefetch|TestSerialPrefetch|TestReplayAll|TestReplayTrace|TestTraceStream|TestExtractTrace|TestRunPool|TestRunPanic|TestPaperRunSet|TestTextObserver|TestObserver|TestClock|TestProbe|TestTrace' ./internal/sim/
+	$(GO) test -race -count=1 -run 'TestParallel|TestSingleflight|TestPrefetch|TestSerialPrefetch|TestReplayAll|TestReplayTrace|TestExtractTrace|TestRunPool|TestRunPanic|TestPaperRunSet|TestTextObserver|TestObserver|TestClock|TestProbe|TestTrace' ./internal/sim/
 
-# lint = custom analyzers (determinism, panicstyle, statsreg, hotpath,
-# probeorder, snapshotdet + the directives meta-check) + go vet via the
-# multichecker, the compiler escape-analysis gate against the committed
-# lint_escape_baseline.json, and a gofmt cleanliness check.
+# lint = custom analyzers (determinism, panicstyle, statsreg, hotpath +
+# the directives meta-check) + go vet via the multichecker, the compiler
+# escape-analysis gate against the committed lint_escape_baseline.json,
+# and a gofmt cleanliness check.
 lint:
 	$(GO) run ./cmd/nurapidlint ./...
 	$(GO) run ./cmd/nurapidlint -escapecheck ./...
@@ -64,10 +64,12 @@ bench:
 bench-smoke:
 	BENCH_SMOKE_JSON=$(CURDIR)/BENCH_smoke.json $(GO) test -count=1 -run '^TestBenchSmoke$$' -v .
 
-# fuzz-smoke: a short native-fuzzing pass over the JSONL obs-trace
-# reader and the probes that aggregate what it decodes.
+# fuzz-smoke: a short native-fuzzing pass over the two trace parsers:
+# the JSONL obs-trace reader (and the probes that aggregate what it
+# decodes) and the binary workload trace reader.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz=FuzzDecodeTrace -fuzztime=15s ./internal/obs/
+	$(GO) test -run '^$$' -fuzz=FuzzTraceReader -fuzztime=15s ./internal/workload/
 
 # audit: the randomized invariant storm at full length.
 audit:

@@ -393,7 +393,7 @@ func runnerSmoke(t *testing.T, procs int, fig6Serial time.Duration, fig6Out stri
 		traceGen += time.Since(start)
 		traceReqs += len(reqs)
 		start = time.Now()
-		sim.Replay(model, nrOrg, reqs)
+		sim.ReplayTrace(model, nrOrg, sim.Trace{Reqs: reqs})
 		replay += time.Since(start)
 	}
 	s.set("trace_requests", float64(traceReqs))

@@ -1,8 +1,8 @@
 // Command nurapidlint is the repository's multichecker: it runs the
 // simulator-specific analyzers from internal/lint (determinism,
-// panicstyle, statsreg, hotpath, probeorder, snapshotdet, plus the
-// directives meta-check) over the packages matching the given patterns,
-// and — unless -vet=false — the stock `go vet` passes as well.
+// panicstyle, statsreg, hotpath, plus the directives meta-check) over
+// the packages matching the given patterns, and — unless -vet=false —
+// the stock `go vet` passes as well.
 //
 // Usage:
 //

@@ -158,6 +158,7 @@ func captureOne(path string, app workload.App, seed uint64, n int64) error {
 // interesting capacity would see.
 func analyzeSource(tracePath, appName string, seed uint64, n int64) error {
 	var src workload.Source
+	var reader *workload.TraceReader
 	label := ""
 	if tracePath != "" {
 		f, err := os.Open(tracePath)
@@ -165,11 +166,11 @@ func analyzeSource(tracePath, appName string, seed uint64, n int64) error {
 			return err
 		}
 		defer f.Close()
-		r, err := workload.NewTraceReader(f)
+		reader, err = workload.NewTraceReader(f)
 		if err != nil {
 			return err
 		}
-		src, label = r, fmt.Sprintf("trace %s (%s)", tracePath, r.Name())
+		src, label = reader, fmt.Sprintf("trace %s (%s)", tracePath, reader.Name())
 	} else {
 		app, ok := workload.ByName(appName)
 		if !ok {
@@ -179,6 +180,11 @@ func analyzeSource(tracePath, appName string, seed uint64, n int64) error {
 	}
 
 	a := workload.AnalyzeSource(src, n, 128)
+	if reader != nil && reader.Err() != nil {
+		// A truncated or corrupt trace must not be analyzed as if it
+		// were a shorter, valid one.
+		return fmt.Errorf("%s: %w", tracePath, reader.Err())
+	}
 	h := a.Histogram()
 	fmt.Printf("analysis of %s over %d instructions\n\n", label, n)
 	if err := h.WriteText(os.Stdout); err != nil {

@@ -68,6 +68,9 @@ func main() {
 			log.Fatal(err)
 		}
 		res := core.Run(reader, instructions)
+		if err := reader.Err(); err != nil {
+			log.Fatal(err)
+		}
 		fmt.Printf("%-22s %10d %8.3f %12.0f %14d\n",
 			setup.name, res.Cycles, res.IPC, l2.EnergyNJ(), mem.Accesses)
 	}

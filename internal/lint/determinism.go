@@ -3,26 +3,32 @@ package lint
 import (
 	"go/ast"
 	"go/types"
+	"strings"
 )
 
 // Determinism enforces the Runner's bit-reproducibility contract: for a
 // given seed, two simulations must produce byte-identical tables and
 // figures (that is what makes D-NUCA comparisons and EXPERIMENTS.md
-// anchors meaningful). Three constructs break that contract:
+// anchors meaningful). Four constructs break that contract:
 //
 //  1. wall-clock reads (time.Now and friends) leaking into results;
 //  2. the process-global math/rand generator, whose sequence depends on
 //     whatever else consumed it (seeded mathx.RNG / rand.New instances
 //     are fine);
 //  3. iterating a map while directly emitting table, figure, or printed
-//     output, since Go randomizes map iteration order per run.
+//     output, since Go randomizes map iteration order per run;
+//  4. iterating a map into the result of a Snapshot(), Counters(), or
+//     Names() implementation without sorting it before return: those
+//     feed experiment tables and fingerprints, so the caller emits the
+//     map order the loop leaked.
 //
 // Collecting map keys into a slice and sorting before output is the
 // sanctioned pattern and is not flagged.
 var Determinism = &Analyzer{
 	Name: "determinism",
 	Doc: "forbid wall-clock reads, the global math/rand generator, and " +
-		"map-range loops that feed table/figure output",
+		"map-range loops that feed table/figure output or unsorted " +
+		"Snapshot/Counters/Names results",
 	Run: runDeterminism,
 }
 
@@ -55,20 +61,23 @@ func runDeterminism(pass *Pass) error {
 		// path below is for dot-imported references, which have no
 		// selector at all.
 		handled := make(map[*ast.Ident]bool)
-		ast.Inspect(file, func(n ast.Node) bool {
-			switch node := n.(type) {
-			case *ast.SelectorExpr:
-				handled[node.Sel] = true
-				checkForbiddenRef(pass, node)
-			case *ast.Ident:
-				if !handled[node] {
-					checkForbiddenIdent(pass, node)
+		for _, decl := range file.Decls {
+			fd, _ := decl.(*ast.FuncDecl) // the enclosing function, if any
+			ast.Inspect(decl, func(n ast.Node) bool {
+				switch node := n.(type) {
+				case *ast.SelectorExpr:
+					handled[node.Sel] = true
+					checkForbiddenRef(pass, node)
+				case *ast.Ident:
+					if !handled[node] {
+						checkForbiddenIdent(pass, node)
+					}
+				case *ast.RangeStmt:
+					checkMapRange(pass, node, fd)
 				}
-			case *ast.RangeStmt:
-				checkMapRange(pass, node)
-			}
-			return true
-		})
+				return true
+			})
+		}
 	}
 	return nil
 }
@@ -150,10 +159,20 @@ func checkForbiddenIdent(pass *Pass, id *ast.Ident) {
 	}
 }
 
+// snapshotFuncNames are the reporting-surface method names whose
+// map-fed results must be sorted before return.
+var snapshotFuncNames = map[string]bool{
+	"Snapshot": true, "Counters": true, "Names": true,
+}
+
 // checkMapRange reports ranging over a map when the loop body emits
-// output directly: map order is randomized, so the emitted rows would
-// differ between runs.
-func checkMapRange(pass *Pass, rng *ast.RangeStmt) {
+// output directly, or, inside a Snapshot/Counters/Names implementation
+// (fd), when it fills a result no later sort call touches: map order is
+// randomized, so either way the rows would differ between runs. The
+// sanctioned pattern — range the map into a slice, sort it, then
+// return — is clean when some sink the loop fills is later passed to
+// sort.*, slices.Sort*, or any function whose name contains "Sort".
+func checkMapRange(pass *Pass, rng *ast.RangeStmt, fd *ast.FuncDecl) {
 	t := pass.TypeOf(rng.X)
 	if t == nil {
 		return
@@ -186,4 +205,112 @@ func checkMapRange(pass *Pass, rng *ast.RangeStmt) {
 		pass.Reportf(rng.Pos(),
 			"map iteration order is random; sort keys before calling %s (output must be reproducible)", emitter)
 	}
+	if fd == nil || fd.Body == nil || !snapshotFuncNames[fd.Name.Name] {
+		return
+	}
+	// A loop that fills nothing only reads (fine) or emits (reported
+	// above).
+	if sinks := collectSinks(pass, rng.Body); len(sinks) > 0 && !sortedAfter(pass, fd.Body, rng, sinks) {
+		pass.Reportf(rng.Pos(),
+			"%s ranges over a map into a result without sorting it; map order is random, so snapshots must sort before returning", fd.Name.Name)
+	}
+}
+
+// collectSinks returns the objects assigned or appended to inside the
+// range body — the candidates carrying map-ordered data outward.
+func collectSinks(pass *Pass, body *ast.BlockStmt) map[types.Object]bool {
+	sinks := make(map[types.Object]bool)
+	add := func(e ast.Expr) {
+		base := ast.Unparen(e)
+		for {
+			switch x := base.(type) {
+			case *ast.IndexExpr:
+				base = ast.Unparen(x.X)
+				continue
+			case *ast.SelectorExpr:
+				base = ast.Unparen(x.X)
+				continue
+			case *ast.StarExpr:
+				base = ast.Unparen(x.X)
+				continue
+			}
+			break
+		}
+		if id, ok := base.(*ast.Ident); ok {
+			if obj := pass.Info.ObjectOf(id); obj != nil {
+				sinks[obj] = true
+			}
+		}
+	}
+	ast.Inspect(body, func(n ast.Node) bool {
+		switch node := n.(type) {
+		case *ast.AssignStmt:
+			for _, lhs := range node.Lhs {
+				add(lhs)
+			}
+		case *ast.CallExpr:
+			// append(sink, ...) assigned elsewhere is caught by the
+			// AssignStmt case; method fills like sink.Add(...) count
+			// through the receiver.
+			if sel, ok := ast.Unparen(node.Fun).(*ast.SelectorExpr); ok {
+				if _, isMethod := pass.Info.Selections[sel]; isMethod {
+					add(sel.X)
+				}
+			}
+		}
+		return true
+	})
+	return sinks
+}
+
+// sortedAfter reports whether a call that sorts one of the sinks
+// appears after rng within body.
+func sortedAfter(pass *Pass, body *ast.BlockStmt, rng *ast.RangeStmt, sinks map[types.Object]bool) bool {
+	found := false
+	ast.Inspect(body, func(n ast.Node) bool {
+		if found {
+			return false
+		}
+		call, ok := n.(*ast.CallExpr)
+		if !ok || call.Pos() < rng.End() {
+			return true
+		}
+		if !isSortCall(pass, call) {
+			return true
+		}
+		for _, arg := range call.Args {
+			refs := false
+			ast.Inspect(arg, func(an ast.Node) bool {
+				if id, ok := an.(*ast.Ident); ok {
+					if obj := pass.Info.ObjectOf(id); obj != nil && sinks[obj] {
+						refs = true
+					}
+				}
+				return !refs
+			})
+			if refs {
+				found = true
+				return false
+			}
+		}
+		return true
+	})
+	return found
+}
+
+// isSortCall matches sort.* and slices.Sort* calls, plus any callee
+// whose name contains "Sort" (repo-local sorting helpers).
+func isSortCall(pass *Pass, call *ast.CallExpr) bool {
+	switch fun := ast.Unparen(call.Fun).(type) {
+	case *ast.SelectorExpr:
+		if pkg := pkgOf(pass, fun); pkg != nil {
+			if pkg.Path() == "sort" || pkg.Path() == "slices" {
+				return true
+			}
+		}
+		return strings.Contains(fun.Sel.Name, "Sort")
+	case *ast.Ident:
+		return strings.Contains(fun.Name, "Sort")
+	}
+	return false
 }

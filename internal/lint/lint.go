@@ -259,5 +259,5 @@ func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 
 // All returns the repository's analyzer suite.
 func All() []*Analyzer {
-	return []*Analyzer{Determinism, PanicStyle, StatsReg, HotPath, ProbeOrder, SnapshotDet}
+	return []*Analyzer{Determinism, PanicStyle, StatsReg, HotPath}
 }

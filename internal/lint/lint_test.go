@@ -28,8 +28,6 @@ func TestDeterminismGolden(t *testing.T) { checkGolden(t, Determinism, "determin
 func TestPanicStyleGolden(t *testing.T)  { checkGolden(t, PanicStyle, "panicstyle") }
 func TestStatsRegGolden(t *testing.T)    { checkGolden(t, StatsReg, "statsreg") }
 func TestHotPathGolden(t *testing.T)     { checkGolden(t, HotPath, "hotpath") }
-func TestProbeOrderGolden(t *testing.T)  { checkGolden(t, ProbeOrder, "probeorder") }
-func TestSnapshotDetGolden(t *testing.T) { checkGolden(t, SnapshotDet, "snapshotdet") }
 
 // TestDirectivesGolden exercises the directives meta-check: unknown
 // analyzer names and suppress-nothing directives are findings (the
@@ -89,8 +87,8 @@ func Helper(x int) int { return x + 1 }
 }
 
 // hotRoots lists every organization-facing entry point in the module:
-// each FuncDecl named Access, AccessMany, or Replay, keyed as
-// package path + receiver type + name. TestHotRootsAnnotated requires
+// each FuncDecl named Access or AccessMany, keyed as package path +
+// receiver type + name. TestHotRootsAnnotated requires
 // the module to declare exactly these, so adding or deleting an entry
 // point must update the list.
 var hotRoots = []string{
@@ -103,21 +101,20 @@ var hotRoots = []string{
 	"nurapid/internal/nurapid.Cache.Access",
 	"nurapid/internal/obs.Access",
 	"nurapid/internal/refmodel.Cache.Access",
-	"nurapid/internal/sim.Replay",
 	"nurapid/internal/uca.Hierarchy.Access",
 	"nurapid/internal/uca.Uniform.Access",
 }
 
 // TestHotRootsAnnotated is the drift guard: every real organization
-// entry point — a FuncDecl named Access, AccessMany, or Replay in the
-// module — must carry //nurapid:hotpath or //nurapid:coldpath, so new
+// entry point — a FuncDecl named Access or AccessMany in the module —
+// must carry //nurapid:hotpath or //nurapid:coldpath, so new
 // organizations cannot silently dodge the analyzer, and the set of
 // such declarations must be exactly hotRoots.
 func TestHotRootsAnnotated(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads and typechecks the whole module")
 	}
-	rootNames := map[string]bool{"Access": true, "AccessMany": true, "Replay": true}
+	rootNames := map[string]bool{"Access": true, "AccessMany": true}
 	pkgs, err := Load(moduleRoot, "./...")
 	if err != nil {
 		t.Fatal(err)
@@ -150,7 +147,7 @@ func TestHotRootsAnnotated(t *testing.T) {
 	}
 	sort.Strings(found)
 	if strings.Join(found, "\n") != strings.Join(hotRoots, "\n") {
-		t.Fatalf("Access/AccessMany/Replay declarations drifted from hotRoots:\n got %q\nwant %q", found, hotRoots)
+		t.Fatalf("Access/AccessMany declarations drifted from hotRoots:\n got %q\nwant %q", found, hotRoots)
 	}
 }
 

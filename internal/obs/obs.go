@@ -17,12 +17,12 @@
 // or a single KindBypass where a suppressed promotion's movement would
 // have appeared) or KindMiss, followed by KindEvict when a valid block
 // was displaced and the KindDemote links and final KindPlace of the
-// fill. In
-// particular Miss always precedes Evict, and Evict precedes Place
-// within one access. Multi-level organizations (uca.Hierarchy) apply
-// the order per level, with KindMiss reserved for the outermost miss to
-// memory. TestEventOrderCanonical (internal/sim) pins the order for
-// every organization.
+// fill, then at most a KindSwap backlog report. In particular Miss
+// always precedes Evict, and Evict precedes Place within one access.
+// Multi-level organizations (uca.Hierarchy) apply the order per level:
+// an inner level's Evict and Place (the groups a caller names to
+// CheckOrder as inner) may precede the outcome, and KindMiss is
+// reserved for the outermost miss to memory.
 //
 // The CMP front end (internal/cmp) extends the window at both ends:
 // a queued access opens with KindEnqueue (bank id and instantaneous
@@ -31,9 +31,14 @@
 // window above; a write's coherence shoot-downs close the window with
 // one KindInval per private L1D copy dropped, after the outcome.
 // Single-core runs never emit the queue-side kinds, so their traces
-// stay byte-identical to the pre-CMP format. The probeorder analyzer
-// (internal/lint) checks the extended order statically;
-// TestCMPEventOrderCanonical (internal/cmp) pins it at runtime.
+// stay byte-identical to the pre-CMP format.
+//
+// CheckOrder is the one executable statement of this contract. The
+// runtime pins run it over recorded streams: TestEventOrderCanonical
+// (internal/sim) for every organization family,
+// TestCMPEventOrderCanonical (internal/cmp) for the queued window, and
+// the differential oracle (internal/refmodel/difftest) for both sides
+// of every fast-vs-spec comparison.
 //
 // Overhead contract: probes are strictly observational (they never alter
 // simulated state or timing), events are fixed-size structs passed by

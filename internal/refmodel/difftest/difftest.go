@@ -123,20 +123,9 @@ func Diff(cfg nurapid.Config, seq []Access, opt Options) *Divergence {
 		now = fr.DoneAt + a.Gap
 	}
 
-	// Event streams: same events in the same canonical order.
-	for i := 0; i < len(fastRec.events) || i < len(refRec.events); i++ {
-		var fe, re obs.Event
-		feOK, reOK := i < len(fastRec.events), i < len(refRec.events)
-		if feOK {
-			fe = fastRec.events[i]
-		}
-		if reOK {
-			re = refRec.events[i]
-		}
-		if !feOK || !reOK || fe != re {
-			return &Divergence{Index: -1, Field: fmt.Sprintf("event %d", i),
-				Fast: renderEvent(fe, feOK), Ref: renderEvent(re, reOK)}
-		}
+	// Event streams: same events, each in the canonical order.
+	if d := diffEvents("", fastRec.events, refRec.events); d != nil {
+		return d
 	}
 
 	if d := diffBatched(cfg, m, seq, fast, fastMem, fastRec, fastResults, now); d != nil {
@@ -199,20 +188,10 @@ func DiffShared(cfg nurapid.Config, seq []Access, opt Options) *Divergence {
 		now = fr.DoneAt + a.Gap
 	}
 
-	// Core-stamped event streams must match exactly.
-	for i := 0; i < len(fastRec.events) || i < len(refRec.events); i++ {
-		var fe, re obs.Event
-		feOK, reOK := i < len(fastRec.events), i < len(refRec.events)
-		if feOK {
-			fe = fastRec.events[i]
-		}
-		if reOK {
-			re = refRec.events[i]
-		}
-		if !feOK || !reOK || fe != re {
-			return &Divergence{Index: -1, Field: fmt.Sprintf("shared:event %d", i),
-				Fast: renderEvent(fe, feOK), Ref: renderEvent(re, reOK)}
-		}
+	// Core-stamped event streams must match exactly, each in the
+	// extended (queue-side) canonical order.
+	if d := diffEvents("shared:", fastRec.events, refRec.events); d != nil {
+		return d
 	}
 
 	// Wiring guard: a probe attached below the queue would silently drop
@@ -280,19 +259,8 @@ func diffBatched(cfg nurapid.Config, m *cacti.Model, seq []Access,
 		return &Divergence{Index: -1, Field: "batch:end_clock",
 			Fast: fmt.Sprint(fastEnd), Ref: fmt.Sprint(end)}
 	}
-	for i := 0; i < len(fastRec.events) || i < len(batchRec.events); i++ {
-		var fe, be obs.Event
-		feOK, beOK := i < len(fastRec.events), i < len(batchRec.events)
-		if feOK {
-			fe = fastRec.events[i]
-		}
-		if beOK {
-			be = batchRec.events[i]
-		}
-		if !feOK || !beOK || fe != be {
-			return &Divergence{Index: -1, Field: fmt.Sprintf("batch:event %d", i),
-				Fast: renderEvent(fe, feOK), Ref: renderEvent(be, beOK)}
-		}
+	if d := diffEvents("batch:", fastRec.events, batchRec.events); d != nil {
+		return d
 	}
 	if d := diffCounters(fast.Counters(), batch.Counters()); d != nil {
 		d.Field = "batch:" + d.Field
@@ -316,6 +284,32 @@ func diffBatched(cfg nurapid.Config, m *cacti.Model, seq []Access,
 		return &Divergence{Index: -1, Field: "batch:memory traffic",
 			Fast: fmt.Sprintf("accesses=%d writes=%d", fastMem.Accesses, fastMem.Writes),
 			Ref:  fmt.Sprintf("accesses=%d writes=%d", batchMem.Accesses, batchMem.Writes)}
+	}
+	return nil
+}
+
+// diffEvents compares two recorded event streams element by element,
+// then holds them to the canonical order (obs.CheckOrder): two streams
+// can agree with each other and still both break the contract. Once
+// they are equal, one check covers both.
+func diffEvents(prefix string, fast, ref []obs.Event) *Divergence {
+	for i := 0; i < len(fast) || i < len(ref); i++ {
+		var fe, re obs.Event
+		feOK, reOK := i < len(fast), i < len(ref)
+		if feOK {
+			fe = fast[i]
+		}
+		if reOK {
+			re = ref[i]
+		}
+		if !feOK || !reOK || fe != re {
+			return &Divergence{Index: -1, Field: fmt.Sprintf("%sevent %d", prefix, i),
+				Fast: renderEvent(fe, feOK), Ref: renderEvent(re, reOK)}
+		}
+	}
+	if err := obs.CheckOrder(fast); err != nil {
+		return &Divergence{Index: -1, Field: prefix + "event order",
+			Fast: err.Error(), Ref: err.Error()}
 	}
 	return nil
 }

@@ -1,15 +1,14 @@
 package sim
 
 import (
+	"strings"
 	"testing"
 
 	"nurapid/internal/cacti"
 	"nurapid/internal/mathx"
 	"nurapid/internal/memsys"
-	"nurapid/internal/nuca"
 	"nurapid/internal/nurapid"
 	"nurapid/internal/obs"
-	"nurapid/internal/uca"
 )
 
 // eventRecorder captures the raw event stream of one cache instance.
@@ -19,176 +18,110 @@ type eventRecorder struct {
 
 func (r *eventRecorder) Emit(e obs.Event) { r.events = append(r.events, e) }
 
-// driveConflictHeavy feeds n deterministic accesses confined to a few
-// sets of the organization, so hits, misses, evictions, and (where the
-// organization has them) promotions and demotion chains all fire.
-func driveConflictHeavy(l2 memsys.LowerLevel, numSets, blockBytes, nTags, n int) {
+// orderCell is one organization of the order pin's roster: the groups
+// its inner cache level owns (obs.CheckOrder's inner argument) and the
+// counters that must move on the pin's workload, so the paths whose
+// events order matters most provably ran under the checker.
+type orderCell struct {
+	org   Organization
+	inner []int16
+	need  []string
+}
+
+// eventOrderCells is the roster the order pin runs: every policy family
+// of zeroAllocOrgs, plus two 2-MB NuRAPIDs with tiny frame partitions
+// (each set's 8 ways overcommit the 4 frames its partition owns per
+// d-group), so demotion chains, promotions, and the predictor's
+// bypasses and dead-on-arrival fills all fire.
+func eventOrderCells() []orderCell {
+	small := nurapid.DefaultConfig()
+	small.CapacityBytes = 2 << 20
+	small.NumDGroups = 2
+	small.RestrictFrames = 4
+	pred := small
+	pred.Promotion = nurapid.PredictiveBypass
+	pred.Distance = nurapid.DeadOnArrival
+	pred.Memoize = true
+	need := map[string][]string{
+		// The L3-hit path is the only one whose inner Place directly
+		// precedes the outcome.
+		"base":  {"misses", "l3_hits"},
+		"ideal": {"writebacks"},
+	}
+	var cells []orderCell
+	for _, org := range zeroAllocOrgs() {
+		c := orderCell{org: org, need: need[org.Key]}
+		switch {
+		case org.Key == "base":
+			c.inner = []int16{0} // uca.Hierarchy's L2
+		case strings.HasPrefix(org.Key, "dnuca-"):
+			c.need = []string{"promotions"}
+		}
+		cells = append(cells, c)
+	}
+	return append(cells,
+		orderCell{org: NuRAPID(small), need: []string{"evictions", "demotions", "promotions"}},
+		orderCell{org: NuRAPID(pred), need: []string{"bypasses", "dead_fills"}})
+}
+
+// conflictStream builds n deterministic requests confined to four sets
+// of every organization in the roster (a 1-MB stride is a multiple of
+// each one's set span). Half the requests reuse a few hot tags (hits,
+// promotions, L3 hits behind a thrashed L2), half sweep a wider pool
+// (misses, evictions, writebacks, demotion chains).
+func conflictStream(blockBytes, n int) []memsys.Req {
 	rng := mathx.NewRNG(42)
-	now := int64(0)
-	for i := 0; i < n; i++ {
-		set := rng.Intn(4)
-		tag := rng.Intn(nTags)
-		addr := uint64(tag*numSets+set) * uint64(blockBytes)
-		res := l2.Access(memsys.Req{Now: now, Addr: addr, Write: rng.Bool(0.3)})
-		now = res.DoneAt + int64(rng.Intn(8))
+	reqs := make([]memsys.Req, n)
+	for i := range reqs {
+		tag := rng.Intn(6)
+		if rng.Bool(0.5) {
+			tag = rng.Intn(40)
+		}
+		reqs[i] = memsys.Req{
+			Addr:  uint64(tag)<<20 + uint64(rng.Intn(4)*blockBytes),
+			Write: rng.Bool(0.3),
+			Gap:   int64(rng.Intn(8)),
+		}
 	}
+	return reqs
 }
 
-// checkCanonicalOrder verifies the obs package's per-access ordering
-// contract over a recorded stream: each access window starts with
-// KindAccess, contains exactly one outcome (KindHit or KindMiss), every
-// outer-level event follows the outcome (so Miss precedes Evict and all
-// movement follows the serve), and per d-group an Evict precedes the
-// Place that reuses its freed frame. inner marks groups that belong to
-// an inner cache level (the Hierarchy's L2), whose Evict/Place wrap
-// their own allocation before the outer outcome is known.
-func checkCanonicalOrder(t *testing.T, org string, events []obs.Event, inner func(int16) bool) {
-	t.Helper()
-	if len(events) == 0 {
-		t.Fatalf("%s: no events recorded", org)
-	}
-	var windows [][]obs.Event
-	for _, e := range events {
-		if e.Kind == obs.KindAccess {
-			windows = append(windows, nil)
-		}
-		if len(windows) == 0 {
-			t.Fatalf("%s: stream does not start with an access event (got %v)", org, e.Kind)
-		}
-		windows[len(windows)-1] = append(windows[len(windows)-1], e)
-	}
-	sawHit, sawMissEvict := false, false
-	for wi, w := range windows {
-		outcome := -1
-		for i, e := range w {
-			switch e.Kind {
-			case obs.KindAccess:
-				if i != 0 {
-					t.Fatalf("%s window %d: access event at position %d", org, wi, i)
-				}
-			case obs.KindHit, obs.KindMiss:
-				if outcome >= 0 {
-					t.Fatalf("%s window %d: second outcome event %v at %d (first at %d)",
-						org, wi, e.Kind, i, outcome)
-				}
-				outcome = i
-				sawHit = sawHit || e.Kind == obs.KindHit
-			case obs.KindEvict, obs.KindPlace, obs.KindPromote, obs.KindDemote, obs.KindSwap, obs.KindBypass:
-				if inner(e.Group) && e.Kind != obs.KindSwap {
-					continue // inner-level allocation precedes the outer outcome
-				}
-				if outcome < 0 {
-					t.Fatalf("%s window %d: %v (group %d) before the access outcome",
-						org, wi, e.Kind, e.Group)
-				}
-			}
-		}
-		if outcome < 0 {
-			t.Fatalf("%s window %d: no hit/miss outcome in %d events", org, wi, len(w))
-		}
-		// Per group: Evict frees a frame before Place reuses one.
-		lastEvict := map[int16]int{}
-		for i, e := range w {
-			if e.Kind == obs.KindEvict {
-				lastEvict[e.Group] = i
-			}
-			if e.Kind == obs.KindPlace {
-				if j, ok := lastEvict[e.Group]; ok && j > i {
-					t.Fatalf("%s window %d: place(group %d) at %d precedes evict at %d",
-						org, wi, e.Group, i, j)
-				}
-			}
-			if e.Kind == obs.KindMiss {
-				sawMissEvict = true
-			}
-		}
-	}
-	if !sawHit {
-		t.Fatalf("%s: workload produced no hits; ordering not exercised", org)
-	}
-	if !sawMissEvict {
-		t.Fatalf("%s: workload produced no misses; ordering not exercised", org)
-	}
-}
-
-// TestEventOrderCanonical pins the Access -> outcome -> Evict -> Place
-// event order for every organization, per the obs package ordering
-// contract. Before the cross-organization fix, uca.Uniform and
-// uca.Hierarchy emitted Evict ahead of Miss while nurapid emitted Miss
-// first; any regression in either direction fails here.
+// TestEventOrderCanonical pins the per-access event order (obs package
+// comment, checked by obs.CheckOrder) for every organization family on
+// the batched replay path. Each stream must carry hits, misses and
+// evictions, each cell's named counters must move, and the roster as a
+// whole must emit every single-core event kind, so no part of the
+// grammar goes unexercised.
 func TestEventOrderCanonical(t *testing.T) {
-	m := cacti.Default()
-
-	t.Run("nurapid", func(t *testing.T) {
-		cfg := nurapid.DefaultConfig()
-		cfg.CapacityBytes = 2 << 20
-		cfg.NumDGroups = 2
-		// Tiny partitions: each set's 8 ways overcommit the 4 frames its
-		// partition owns per d-group, so demotion chains actually fire.
-		cfg.RestrictFrames = 4
-		mem := memsys.NewMemory(cfg.BlockBytes)
-		c := nurapid.MustNew(cfg, m, mem)
-		rec := &eventRecorder{}
-		c.SetProbe(rec)
-		driveConflictHeavy(c, 2048, cfg.BlockBytes, 40, 4000)
-		if c.Counters().Get("evictions") == 0 || c.Counters().Get("demotions") == 0 {
-			t.Fatal("workload too gentle: no evictions or demotions")
+	seen := map[obs.Kind]bool{}
+	for _, c := range eventOrderCells() {
+		c := c
+		t.Run(c.org.Key, func(t *testing.T) {
+			l2 := c.org.Factory(cacti.Default(), memsys.NewMemory(c.org.blockBytes()))
+			rec := &eventRecorder{}
+			l2.(obs.Probeable).SetProbe(rec)
+			memsys.AccessMany(l2, 0, conflictStream(c.org.blockBytes(), 4000), nil)
+			if err := obs.CheckOrder(rec.events, c.inner...); err != nil {
+				t.Fatal(err)
+			}
+			kinds := map[obs.Kind]bool{}
+			for _, e := range rec.events {
+				kinds[e.Kind] = true
+				seen[e.Kind] = true
+			}
+			if !kinds[obs.KindHit] || !kinds[obs.KindMiss] || !kinds[obs.KindEvict] {
+				t.Fatalf("workload too gentle: want hits, misses, and evictions, saw %v", kinds)
+			}
+			for _, name := range c.need {
+				if l2.Counters().Get(name) == 0 {
+					t.Errorf("workload too gentle: counter %s never moved", name)
+				}
+			}
+		})
+	}
+	for _, k := range []obs.Kind{obs.KindPromote, obs.KindDemote, obs.KindPlace, obs.KindSwap, obs.KindBypass} {
+		if !seen[k] {
+			t.Errorf("no organization emitted %v; the order of that kind went unchecked", k)
 		}
-		checkCanonicalOrder(t, "nurapid", rec.events, func(int16) bool { return false })
-	})
-
-	t.Run("nurapid-predictive", func(t *testing.T) {
-		cfg := nurapid.DefaultConfig()
-		cfg.CapacityBytes = 2 << 20
-		cfg.NumDGroups = 2
-		cfg.RestrictFrames = 4
-		cfg.Promotion = nurapid.PredictiveBypass
-		cfg.Distance = nurapid.DeadOnArrival
-		cfg.Memoize = true
-		mem := memsys.NewMemory(cfg.BlockBytes)
-		c := nurapid.MustNew(cfg, m, mem)
-		rec := &eventRecorder{}
-		c.SetProbe(rec)
-		driveConflictHeavy(c, 2048, cfg.BlockBytes, 40, 4000)
-		if c.Counters().Get("bypasses") == 0 || c.Counters().Get("dead_fills") == 0 {
-			t.Fatal("workload too gentle: the predictor never bypassed a promotion or redirected a fill")
-		}
-		checkCanonicalOrder(t, "nurapid-predictive", rec.events, func(int16) bool { return false })
-	})
-
-	t.Run("uniform", func(t *testing.T) {
-		mem := memsys.NewMemory(uca.BlockBytes)
-		u := uca.NewIdeal(m, mem)
-		rec := &eventRecorder{}
-		u.SetProbe(rec)
-		driveConflictHeavy(u, u.Cache().Geometry().NumSets(), uca.BlockBytes, 40, 3000)
-		if u.Counters().Get("writebacks") == 0 {
-			t.Fatal("workload too gentle: no dirty evictions")
-		}
-		checkCanonicalOrder(t, "uniform", rec.events, func(int16) bool { return false })
-	})
-
-	t.Run("hierarchy", func(t *testing.T) {
-		mem := memsys.NewMemory(uca.BlockBytes)
-		h := uca.NewHierarchy(m, mem)
-		rec := &eventRecorder{}
-		h.SetProbe(rec)
-		driveConflictHeavy(h, h.L3().Geometry().NumSets(), uca.BlockBytes, 12, 3000)
-		if h.Counters().Get("misses") == 0 || h.Counters().Get("l3_hits") == 0 {
-			t.Fatal("workload too gentle: want both L3 hits and misses")
-		}
-		checkCanonicalOrder(t, "hierarchy", rec.events, func(g int16) bool { return g == 0 })
-	})
-
-	t.Run("dnuca", func(t *testing.T) {
-		mem := memsys.NewMemory(128)
-		d := nuca.MustNew(nuca.DefaultConfig(), m, mem)
-		rec := &eventRecorder{}
-		d.SetProbe(rec)
-		driveConflictHeavy(d, 4096, 128, 40, 3000)
-		if d.Counters().Get("promotions") == 0 {
-			t.Fatal("workload too gentle: no promotions")
-		}
-		checkCanonicalOrder(t, "dnuca", rec.events, func(int16) bool { return false })
-	})
+	}
 }

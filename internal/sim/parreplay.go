@@ -4,12 +4,10 @@
 // (app, seed) streams (each stream is independently seeded, so shards
 // need no coordination), and replay is embarrassingly parallel across
 // (app, org) jobs (each job builds a private L2 and memory). Within one
-// job, cache state cannot be split, so the request stream is replayed
-// in chunks that carry the completion clock sequentially (replayTrace)
-// — chunk boundaries respect the port-serialization contract, and the
-// per-job results merge deterministically by job index, reproducing the
-// serial ReplayResult and Fingerprint bytes exactly whatever the worker
-// count or completion order.
+// job, cache state cannot be split, so each replay is one sequential
+// ReplayTrace; the per-job results merge deterministically by job
+// index, reproducing the serial ReplayResult and Fingerprint bytes
+// exactly whatever the worker count or completion order.
 package sim
 
 import (
@@ -17,15 +15,8 @@ import (
 	"sync"
 
 	"nurapid/internal/cacti"
-	"nurapid/internal/memsys"
 	"nurapid/internal/workload"
 )
-
-// DefaultChunkRequests is the replay chunk size: large enough that the
-// batched AccessMany loop dominates chunking overhead, small enough
-// that a chunk's request slice stays cache- and allocator-friendly
-// (~2.5 MB at 40 bytes/request).
-const DefaultChunkRequests = 1 << 16
 
 // ReplayJob names one replay: app's request stream at Seed, budgeted at
 // N requests, driven through a fresh instance of Org.
@@ -41,10 +32,6 @@ type ReplayOptions struct {
 	// Workers bounds the pool; <= 1 replays serially on the calling
 	// goroutine, in job order.
 	Workers int
-	// ChunkRequests is the replay chunk size; <= 0 selects
-	// DefaultChunkRequests. The chunk size never changes results, only
-	// the granularity of the inner replay loop.
-	ChunkRequests int
 
 	// order permutes replay-task submission (a test hook: shuffled
 	// completion order must not change the merged results).
@@ -79,10 +66,6 @@ func ReplayAll(model *cacti.Model, jobs []ReplayJob, opts ReplayOptions) []*Repl
 	if len(jobs) == 0 {
 		return nil
 	}
-	chunk := opts.ChunkRequests
-	if chunk <= 0 {
-		chunk = DefaultChunkRequests
-	}
 
 	// Group jobs by stream so each trace is generated exactly once.
 	groups := make(map[string]*traceGroup)
@@ -104,7 +87,7 @@ func ReplayAll(model *cacti.Model, jobs []ReplayJob, opts ReplayOptions) []*Repl
 	for _, g := range ordered {
 		g := g
 		tasks = append(tasks, func() {
-			g.trace = extractChunked(g.app, g.seed, g.n, chunk)
+			g.trace = ExtractTraceSource(workload.MustNewGenerator(g.app, g.seed), g.n)
 			close(g.ready)
 		})
 	}
@@ -124,28 +107,11 @@ func ReplayAll(model *cacti.Model, jobs []ReplayJob, opts ReplayOptions) []*Repl
 		g := jobGroup[i]
 		tasks = append(tasks, func() {
 			<-g.ready
-			results[i] = replayTrace(model, job.Org, g.trace, chunk)
+			results[i] = ReplayTrace(model, job.Org, g.trace)
 		})
 	}
 	runPool(opts.Workers, tasks)
 	return results
-}
-
-// extractChunked generates one stream's trace through the chunked
-// TraceStream path and assembles the full Trace for its consumers. The
-// chunk concatenation is byte-identical to a one-shot extraction, so
-// the chunk size never leaks into results.
-func extractChunked(app workload.App, seed uint64, n int, chunk int) Trace {
-	s := NewTraceStream(app, seed, n)
-	reqs := make([]memsys.Req, 0, n)
-	for {
-		c := s.Next(chunk)
-		if c == nil {
-			break
-		}
-		reqs = append(reqs, c...)
-	}
-	return Trace{Reqs: reqs, TailGap: s.TailGap(), Instructions: s.Instructions()}
 }
 
 // runPool executes tasks on min(w, len(tasks)) goroutines, handing them

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -72,7 +71,7 @@ func TestExtractTraceTailGap(t *testing.T) {
 
 // TestReplayTraceAccountsTailGap pins that the trailing think time
 // reaches FinalClock (and therefore the fingerprint) through
-// ReplayTrace, while a zero tail leaves Replay's bytes untouched.
+// ReplayTrace.
 func TestReplayTraceAccountsTailGap(t *testing.T) {
 	app, ok := workload.ByName("mcf")
 	if !ok {
@@ -80,16 +79,11 @@ func TestReplayTraceAccountsTailGap(t *testing.T) {
 	}
 	model := cacti.Default()
 	org := NuRAPID(nurapid.DefaultConfig())
-	tr := ExtractTraceApp(app, 1, 2000)
+	tr := ExtractTraceSource(workload.MustNewGenerator(app, 1), 2000)
 	if tr.TailGap != 0 {
 		t.Fatalf("generator-backed trace has TailGap %d, want 0", tr.TailGap)
 	}
-	plain := Replay(model, org, tr.Reqs)
-	viaTrace := ReplayTrace(model, org, tr)
-	if plain.Fingerprint() != viaTrace.Fingerprint() {
-		t.Fatalf("zero-tail ReplayTrace fingerprint %#x differs from Replay %#x",
-			viaTrace.Fingerprint(), plain.Fingerprint())
-	}
+	plain := ReplayTrace(model, org, tr)
 	tailed := tr
 	tailed.TailGap = 97
 	withTail := ReplayTrace(model, org, tailed)
@@ -98,45 +92,6 @@ func TestReplayTraceAccountsTailGap(t *testing.T) {
 	}
 	if withTail.Fingerprint() == plain.Fingerprint() {
 		t.Fatal("tail gap did not reach the fingerprint")
-	}
-}
-
-// TestTraceStreamMatchesExtract pins the sharding contract of chunked
-// generation: the concatenation of a TraceStream's chunks must be
-// byte-identical to a one-shot ExtractTrace at every chunk size, so the
-// chunk size can never leak into replay results.
-func TestTraceStreamMatchesExtract(t *testing.T) {
-	app, ok := workload.ByName("applu")
-	if !ok {
-		t.Fatal("applu workload model missing")
-	}
-	const n = 5000
-	want := ExtractTrace(app, 1, n)
-	if len(want) != n {
-		t.Fatalf("one-shot extraction produced %d requests, want %d", len(want), n)
-	}
-	for _, chunk := range []int{1, 7, 1000, n, 10 * n} {
-		s := NewTraceStream(app, 1, n)
-		var got []memsys.Req
-		for {
-			c := s.Next(chunk)
-			if c == nil {
-				break
-			}
-			got = append(got, c...)
-		}
-		if !s.Done() {
-			t.Fatalf("chunk %d: stream not done after nil chunk", chunk)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("chunk %d: chunked extraction diverged from one-shot", chunk)
-		}
-		if s.TailGap() != 0 {
-			t.Fatalf("chunk %d: generator-backed stream has tail gap %d", chunk, s.TailGap())
-		}
-		if s.Instructions() < int64(n) {
-			t.Fatalf("chunk %d: %d instructions for %d requests", chunk, s.Instructions(), n)
-		}
 	}
 }
 
@@ -186,7 +141,7 @@ func TestReplayAllMatchesSerial(t *testing.T) {
 
 	want := make([]string, len(jobs))
 	for i, j := range jobs {
-		want[i] = replaySnapshotString(ReplayTrace(model, j.Org, ExtractTraceApp(j.App, j.Seed, j.N)))
+		want[i] = replaySnapshotString(ReplayTrace(model, j.Org, ExtractTraceSource(workload.MustNewGenerator(j.App, j.Seed), j.N)))
 	}
 
 	// A fixed non-trivial permutation: reversed pairs across the job
@@ -198,20 +153,17 @@ func TestReplayAllMatchesSerial(t *testing.T) {
 	}
 
 	for _, workers := range []int{1, 2, 4, 8} {
-		for _, chunk := range []int{0, 512, 1 << 16} {
-			opts := ReplayOptions{Workers: workers, ChunkRequests: chunk, order: shuffled}
-			got := ReplayAll(model, jobs, opts)
-			if len(got) != len(jobs) {
-				t.Fatalf("workers=%d chunk=%d: %d results for %d jobs", workers, chunk, len(got), len(jobs))
+		got := ReplayAll(model, jobs, ReplayOptions{Workers: workers, order: shuffled})
+		if len(got) != len(jobs) {
+			t.Fatalf("workers=%d: %d results for %d jobs", workers, len(got), len(jobs))
+		}
+		for i, res := range got {
+			if res == nil {
+				t.Fatalf("workers=%d: job %d missing result", workers, i)
 			}
-			for i, res := range got {
-				if res == nil {
-					t.Fatalf("workers=%d chunk=%d: job %d missing result", workers, chunk, i)
-				}
-				if s := replaySnapshotString(res); s != want[i] {
-					t.Fatalf("workers=%d chunk=%d: job %d diverged from serial\nserial:\n%s\npool:\n%s",
-						workers, chunk, i, want[i], s)
-				}
+			if s := replaySnapshotString(res); s != want[i] {
+				t.Fatalf("workers=%d: job %d diverged from serial\nserial:\n%s\npool:\n%s",
+					workers, i, want[i], s)
 			}
 		}
 	}

@@ -361,7 +361,7 @@ func TestTraceSweepVariantsProbed(t *testing.T) {
 		orgs[org] = true
 		return obs.NewCollector()
 	}))
-	res := r.runScaledVariant(r.Apps[0], 1.5, true)
+	res := r.Run(r.Apps[0], wireScaled(NuRAPID(nurapid.DefaultConfig()), "nurapid", 1.5))
 	if len(res.ObsMetrics) == 0 {
 		t.Fatal("sweep variant run lost its obs metrics")
 	}

@@ -27,7 +27,7 @@ import (
 // operation — a cheap stand-in for core think time. Deterministic for
 // a given (app, seed, n).
 func ExtractTrace(app workload.App, seed uint64, n int) []memsys.Req {
-	return ExtractTraceApp(app, seed, n).Reqs
+	return ExtractTraceSource(workload.MustNewGenerator(app, seed), n).Reqs
 }
 
 // Trace bundles an extracted request stream with the accounting the raw
@@ -49,109 +49,36 @@ type Trace struct {
 	Instructions int64
 }
 
-// ExtractTraceApp extracts app's request stream like ExtractTrace but
-// returns the full Trace, including the tail-gap and instruction
-// accounting.
-func ExtractTraceApp(app workload.App, seed uint64, n int) Trace {
-	return ExtractTraceSource(workload.MustNewGenerator(app, seed), n)
-}
-
 // ExtractTraceSource drains up to n requests from src. The request
 // bytes are identical to ExtractTrace over the same stream; the Trace
 // additionally carries the trailing think time of a source that ends
 // after its last memory operation, so bounded sources (trace files,
 // workload.Limit) lose no instruction accounting.
 func ExtractTraceSource(src workload.Source, n int) Trace {
-	s := NewSourceStream(src, n)
-	t := Trace{Reqs: s.Next(n)}
-	if t.Reqs == nil {
-		t.Reqs = []memsys.Req{}
-	}
-	t.TailGap = s.TailGap()
-	t.Instructions = s.Instructions()
-	return t
-}
-
-// TraceStream incrementally extracts an L2 request stream in chunks,
-// carrying the inter-request gap across chunk boundaries so the
-// concatenation of its chunks is byte-identical to a one-shot
-// ExtractTrace of the same source and budget (a tested guarantee).
-// The chunked form is what the parallel replay pipeline works in:
-// generation stays a single sequential stream (the generator is
-// stateful), while downstream replay proceeds chunk by chunk.
-type TraceStream struct {
-	src   workload.Source
-	left  int   // requests still to extract
-	gap   int64 // think time accumulated since the last request
-	insts int64 // instructions consumed so far
-	done  bool  // source exhausted or budget reached
-}
-
-// NewTraceStream opens a chunked extraction of app's request stream at
-// seed, budgeted at n requests.
-func NewTraceStream(app workload.App, seed uint64, n int) *TraceStream {
-	return NewSourceStream(workload.MustNewGenerator(app, seed), n)
-}
-
-// NewSourceStream opens a chunked extraction over an arbitrary
-// instruction source, budgeted at n requests.
-func NewSourceStream(src workload.Source, n int) *TraceStream {
 	if n < 0 {
 		panic(fmt.Sprintf("sim: negative trace budget %d", n))
 	}
-	return &TraceStream{src: src, left: n}
-}
-
-// Next extracts the next chunk of up to limit requests, or nil when the
-// stream is exhausted. Each returned slice is freshly allocated, so
-// chunks may be handed to concurrent consumers.
-func (s *TraceStream) Next(limit int) []memsys.Req {
-	if s.done || limit <= 0 {
-		return nil
-	}
-	if limit > s.left {
-		limit = s.left
-	}
-	reqs := make([]memsys.Req, 0, limit)
-	for len(reqs) < limit {
-		in, ok := s.src.Next()
+	t := Trace{Reqs: make([]memsys.Req, 0, n)}
+	for len(t.Reqs) < n {
+		in, ok := src.Next()
 		if !ok {
-			s.done = true
 			break
 		}
-		s.insts++
+		t.Instructions++
 		switch in.Kind {
 		case workload.Load, workload.Store:
-			reqs = append(reqs, memsys.Req{
+			t.Reqs = append(t.Reqs, memsys.Req{
 				Addr:  in.Addr,
 				Write: in.Kind == workload.Store,
-				Gap:   s.gap,
+				Gap:   t.TailGap,
 			})
-			s.gap = 0
+			t.TailGap = 0
 		default:
-			s.gap++
+			t.TailGap++
 		}
 	}
-	s.left -= len(reqs)
-	if s.left == 0 {
-		s.done = true
-	}
-	if len(reqs) == 0 {
-		return nil
-	}
-	return reqs
+	return t
 }
-
-// Done reports whether the stream has no further requests.
-func (s *TraceStream) Done() bool { return s.done }
-
-// TailGap returns the think time accumulated after the last extracted
-// request. It only settles once Done; mid-stream it is the gap carried
-// into the next chunk.
-func (s *TraceStream) TailGap() int64 { return s.gap }
-
-// Instructions returns the total instructions consumed so far.
-func (s *TraceStream) Instructions() int64 { return s.insts }
 
 // ReplayResult captures the organization-level outcome of one batched
 // trace replay.
@@ -182,52 +109,18 @@ func (r *ReplayResult) Snapshot() []stats.KV {
 	}
 }
 
-// Replay runs reqs through a fresh instance of org on the batched
-// path and returns the aggregate result. Deterministic for a given
-// (org, reqs, model).
-//
-//nurapid:coldpath
-func Replay(model *cacti.Model, org Organization, reqs []memsys.Req) *ReplayResult {
-	return ReplayTrace(model, org, Trace{Reqs: reqs})
-}
-
 // ReplayTrace replays a full Trace through a fresh instance of org:
-// the request stream runs on the batched path, and the trace's trailing
-// think time is added to FinalClock, so a bounded source's tail gap is
-// no longer silently dropped from the replay's end-to-end latency. For
-// a TailGap of zero the result is bit-identical to Replay.
+// the request stream runs on the batched path (one
+// memsys.AccessMany call), and the trace's trailing think time is added
+// to FinalClock, so a bounded source's tail gap is not silently dropped
+// from the replay's end-to-end latency. Deterministic for a given
+// (org, trace, model); ReplayAll runs the same job on a worker pool.
 //
 //nurapid:coldpath
 func ReplayTrace(model *cacti.Model, org Organization, t Trace) *ReplayResult {
-	return replayTrace(model, org, t, len(t.Reqs))
-}
-
-// replayTrace is the one replay job behind ReplayTrace and ReplayAll: a
-// fresh L2 and memory, t's requests driven through memsys.AccessMany in
-// chunks of at most chunk requests, t's tail gap, and the result
-// harvest. The completion clock is carried across chunk boundaries, and
-// because AccessMany's replay rule (now_i = DoneAt_{i-1} + Gap_{i-1})
-// threads one clock through the whole sequence, the chunked replay is
-// bit-identical to a single call at any chunk size — the boundary is
-// invisible to the organization's port and movement serialization.
-// Cache state cannot be split, so within one (app, org) replay chunks
-// stay strictly sequential.
-//
-//nurapid:coldpath
-func replayTrace(model *cacti.Model, org Organization, t Trace, chunk int) *ReplayResult {
-	if chunk <= 0 {
-		chunk = DefaultChunkRequests
-	}
 	mem := memsys.NewMemory(org.blockBytes())
 	l2 := org.Factory(model, mem)
-	now := int64(0)
-	for start := 0; start < len(t.Reqs); start += chunk {
-		end := start + chunk
-		if end > len(t.Reqs) {
-			end = len(t.Reqs)
-		}
-		now = memsys.AccessMany(l2, now, t.Reqs[start:end], nil)
-	}
+	now := memsys.AccessMany(l2, 0, t.Reqs, nil)
 	res := &ReplayResult{
 		Org:        org.Key,
 		Requests:   int64(len(t.Reqs)),

@@ -64,7 +64,7 @@ func TestReplayDeterminismGuard(t *testing.T) {
 	for _, org := range replayGuardOrgs() {
 		org := org
 		t.Run(org.Key, func(t *testing.T) {
-			got := Replay(model, org, reqs).Fingerprint()
+			got := ReplayTrace(model, org, Trace{Reqs: reqs}).Fingerprint()
 			if printGoldens {
 				fmt.Printf("\t%q: %#016x,\n", org.Key, got)
 				return

@@ -3,12 +3,11 @@ package sim
 import (
 	"fmt"
 
-	"nurapid/internal/cpu"
+	"nurapid/internal/cacti"
 	"nurapid/internal/memsys"
 	"nurapid/internal/nuca"
 	"nurapid/internal/nurapid"
 	"nurapid/internal/stats"
-	"nurapid/internal/workload"
 )
 
 // CapacitySweep extends the paper's design space along total cache
@@ -108,23 +107,20 @@ func (r *Runner) TechSweep() *Experiment {
 	t := stats.NewTable("Technology sweep: NuRAPID-4g cycles relative to D-NUCA (higher = NuRAPID faster)",
 		"benchmark", "wires 1.0x (70nm)", "wires 1.5x", "wires 2.0x")
 	scales := []float64{1.0, 1.5, 2.0}
-	var tasks []func()
-	for _, app := range r.Apps {
-		for _, s := range scales {
-			app, s := app, s
-			tasks = append(tasks,
-				func() { r.runScaledVariant(app, s, true) },
-				func() { r.runScaledVariant(app, s, false) })
-		}
+	nu := map[float64]Organization{}
+	dn := map[float64]Organization{}
+	var orgs []Organization
+	for _, s := range scales {
+		nu[s] = wireScaled(NuRAPID(nurapid.DefaultConfig()), "nurapid", s)
+		dn[s] = wireScaled(DNUCA(nuca.DefaultConfig()), "dnuca", s)
+		orgs = append(orgs, nu[s], dn[s])
 	}
-	r.fanOut(tasks)
+	r.Prefetch(r.Apps, orgs)
 	rel := map[float64][]float64{}
 	for _, app := range r.Apps {
 		row := []any{app.Name}
 		for _, s := range scales {
-			nu := r.runScaledVariant(app, s, true)
-			dn := r.runScaledVariant(app, s, false)
-			ratio := float64(dn.CPU.Cycles) / float64(nu.CPU.Cycles)
+			ratio := float64(r.Run(app, dn[s]).CPU.Cycles) / float64(r.Run(app, nu[s]).CPU.Cycles)
 			row = append(row, ratio)
 			rel[s] = append(rel[s], ratio)
 		}
@@ -139,41 +135,14 @@ func (r *Runner) TechSweep() *Experiment {
 		}}
 }
 
-// runScaledVariant runs one app on NuRAPID or D-NUCA built from a
-// wire-scaled model (singleflight-memoized like every other run).
-func (r *Runner) runScaledVariant(app workload.App, scale float64, isNurapid bool) *RunResult {
-	org := "dnuca"
-	if isNurapid {
-		org = "nurapid"
+// wireScaled rebuilds org against the runner's model with wire delay and
+// energy scaled by scale, keyed like "nurapid-wire1.50x". Scaling leaves
+// the L1 energy untouched, so the core model sees the same L1 either way.
+func wireScaled(org Organization, name string, scale float64) Organization {
+	factory := org.Factory
+	org.Key = fmt.Sprintf("%s-wire%.2fx", name, scale)
+	org.Factory = func(m *cacti.Model, mem *memsys.Memory) memsys.LowerLevel {
+		return factory(m.Scaled(scale), mem)
 	}
-	key := fmt.Sprintf("%s/techsweep-%s-%.2f", app.Name, org, scale)
-	label := fmt.Sprintf("%s-wire%.2fx", org, scale)
-	return runOnce(r, &r.memo, key, app.Name, label, func() (*RunResult, RunEvent) {
-		model := r.Model.Scaled(scale)
-		var l2 memsys.LowerLevel
-		var mem *memsys.Memory
-		if isNurapid {
-			cfg := nurapid.DefaultConfig()
-			mem = memsys.NewMemory(cfg.BlockBytes)
-			l2 = nurapid.MustNew(cfg, model, mem)
-		} else {
-			cfg := nuca.DefaultConfig()
-			mem = memsys.NewMemory(cfg.BlockBytes)
-			l2 = nuca.MustNew(cfg, model, mem)
-		}
-		probes := r.instrument(app.Name, label, l2)
-		core := cpu.MustNew(l2, cpu.WithL1EnergyNJ(model.L1NJ))
-		cres := core.Run(workload.MustNewGenerator(app, r.Seed), r.Instructions)
-		res := &RunResult{
-			App:         app.Name,
-			Org:         label,
-			CPU:         cres,
-			L2Dist:      l2.Distribution(),
-			L2EnergyNJ:  l2.EnergyNJ(),
-			MemEnergyNJ: mem.EnergyNJ(),
-			MemAccesses: mem.Accesses,
-		}
-		res.ObsMetrics = r.finishProbes(probes)
-		return res, res.finished(false)
-	})
+	return org
 }

@@ -151,7 +151,10 @@ func (t *TraceReader) Name() string { return t.name }
 // Count returns the number of records the trace declares.
 func (t *TraceReader) Count() uint64 { return t.count }
 
-// Err returns the first decode error encountered, if any.
+// Err returns the first decode error encountered, if any. It is nil
+// after the last declared record was decoded, and non-nil when the
+// stream ended or broke before that: a truncated or corrupt trace must
+// not pass for a shorter one.
 func (t *TraceReader) Err() error { return t.err }
 
 // Next implements Source.
@@ -159,30 +162,39 @@ func (t *TraceReader) Next() (Instr, bool) {
 	if t.err != nil || t.read >= t.count {
 		return Instr{}, false
 	}
-	flags, err := t.r.ReadByte()
+	in, err := t.decode()
 	if err != nil {
-		t.err = err
-		return Instr{}, false
-	}
-	var in Instr
-	in.Kind = Kind(flags &^ mispredictFlag)
-	in.Mispredicted = flags&mispredictFlag != 0
-	if in.Kind > Branch {
-		t.err = fmt.Errorf("workload: corrupt record kind %d", in.Kind)
-		return Instr{}, false
-	}
-	if err := binary.Read(t.r, binary.LittleEndian, &in.PC); err != nil {
-		t.err = err
-		return Instr{}, false
-	}
-	if in.Kind == Load || in.Kind == Store {
-		if err := binary.Read(t.r, binary.LittleEndian, &in.Addr); err != nil {
-			t.err = err
-			return Instr{}, false
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF // the header declared this record
 		}
+		t.err = fmt.Errorf("workload: trace record %d of %d: %w", t.read, t.count, err)
+		return Instr{}, false
 	}
 	t.read++
 	return in, true
+}
+
+// decode reads one record.
+func (t *TraceReader) decode() (Instr, error) {
+	var in Instr
+	flags, err := t.r.ReadByte()
+	if err != nil {
+		return in, err
+	}
+	in.Kind = Kind(flags &^ mispredictFlag)
+	in.Mispredicted = flags&mispredictFlag != 0
+	if in.Kind > Branch {
+		return in, fmt.Errorf("corrupt record kind %d", in.Kind)
+	}
+	if err := binary.Read(t.r, binary.LittleEndian, &in.PC); err != nil {
+		return in, err
+	}
+	if in.Kind == Load || in.Kind == Store {
+		if err := binary.Read(t.r, binary.LittleEndian, &in.Addr); err != nil {
+			return in, err
+		}
+	}
+	return in, nil
 }
 
 var _ Source = (*TraceReader)(nil)
