@@ -220,27 +220,51 @@ func (c *Cache) Geometry() Geometry { return c.arr.Geometry() }
 //nurapid:hotpath
 func (c *Cache) Array() *Array { return c.arr }
 
+// Probe is one tag lookup of a Cache: the set of an address and the way
+// holding it, if resident. A caller that must know whether an access
+// will hit before making it (the core's MSHR pre-check) probes once and
+// hands the probe to AccessProbed, instead of looking the tags up twice.
+type Probe struct {
+	set, way int
+	Hit      bool
+}
+
+// Probe looks addr up without side effects.
+//
+//nurapid:hotpath
+func (c *Cache) Probe(addr Addr) Probe {
+	way, hit := c.arr.Lookup(addr)
+	return Probe{set: c.arr.idx.SetIndex(addr), way: way, Hit: hit}
+}
+
 // Access performs a read or write of addr with allocate-on-miss and
 // writeback of dirty victims.
 //
 //nurapid:hotpath
 func (c *Cache) Access(addr Addr, write bool) Outcome {
+	way, hit := c.arr.Lookup(addr)
+	return c.AccessProbed(Probe{set: c.arr.idx.SetIndex(addr), way: way, Hit: hit}, addr, write)
+}
+
+// AccessProbed is Access with its tag lookup already made: p must be
+// c.Probe(addr), with no change to the cache in between.
+//
+//nurapid:hotpath
+func (c *Cache) AccessProbed(p Probe, addr Addr, write bool) Outcome {
 	c.Accesses++
-	idx := &c.arr.idx
-	set := idx.SetIndex(addr)
-	if way, hit := c.arr.Lookup(addr); hit {
+	if p.Hit {
 		c.Hits++
-		c.arr.Touch(set, way)
+		c.arr.Touch(p.set, p.way)
 		if write {
-			c.arr.Line(set, way).Dirty = true
+			c.arr.Line(p.set, p.way).Dirty = true
 		}
-		return Outcome{Hit: true, Way: way}
+		return Outcome{Hit: true, Way: p.way}
 	}
-	way := c.arr.VictimWay(set)
+	way := c.arr.VictimWay(p.set)
 	out := Outcome{Way: way}
-	if l := c.arr.Line(set, way); l.Valid {
+	if l := c.arr.Line(p.set, way); l.Valid {
 		out.Evicted = true
-		out.Victim = Eviction{Addr: c.geoAddrOf(set, l.Tag), Dirty: l.Dirty}
+		out.Victim = Eviction{Addr: c.geoAddrOf(p.set, l.Tag), Dirty: l.Dirty}
 		c.Evictions++
 	}
 	l := c.arr.Fill(addr, way)

@@ -12,65 +12,119 @@ import (
 )
 
 // recordingL2 forwards to an organization and logs the fields of every
-// request the core sets, so two runs can be compared request by request.
+// request the core sets, with the completion cycle the organization
+// returned, so two runs can be compared request by request.
 type recordingL2 struct {
 	memsys.LowerLevel
-	reqs []memsys.Req
+	reqs []loggedReq
+}
+
+type loggedReq struct {
+	req    memsys.Req
+	doneAt int64
 }
 
 func (r *recordingL2) Access(req memsys.Req) memsys.AccessResult {
-	r.reqs = append(r.reqs, memsys.Req{Now: req.Now, Addr: req.Addr, Write: req.Write, Core: req.Core})
-	return r.LowerLevel.Access(req)
+	res := r.LowerLevel.Access(req)
+	r.reqs = append(r.reqs, loggedReq{memsys.Req{Now: req.Now, Addr: req.Addr, Write: req.Write, Core: req.Core}, res.DoneAt})
+	return res
 }
 
 func isMem(k workload.Kind) bool { return k == workload.Load || k == workload.Store }
 
-// stepRun drives c through a plain Start/for-Step loop (no fast-forward)
-// and checks after every cycle that a pending instruction sits in the
-// current fetch block, the invariant skipIdle relies on. seen is called
-// after every Step that returned true.
-func stepRun(t *testing.T, c *CPU, src workload.Source, n int64, seen func(*CPU)) Result {
+// stepRun drives an armed core through a plain for-Step loop (no
+// fast-forward) and checks after every cycle that a pending instruction
+// has already made its fetch, the invariant skipIdle relies on. It
+// returns the Result and the number of Steps after which reached held
+// (reached may be nil).
+func stepRun(t *testing.T, c *CPU, reached func(*CPU) bool) (Result, int) {
 	t.Helper()
-	c.Start(src, n)
+	hits := 0
 	for c.Step() {
-		if c.hasPending && c.curFetchBlock != c.pending.PC>>c.fetchShift {
-			t.Fatalf("cycle %d: pending PC %#x outside current fetch block %#x",
-				c.cycle, c.pending.PC, c.curFetchBlock)
+		if c.hasPending && !pendingFetched(c) {
+			t.Fatalf("cycle %d: pending instruction %+v has not made its fetch", c.cycle, c.pending)
 		}
-		if seen != nil {
-			seen(c)
+		if reached != nil && reached(c) {
+			hits++
 		}
 	}
-	return c.Result()
+	return c.Result(), hits
 }
 
-// checkRunMatchesStep runs the same core configuration through Run and
-// through stepRun on fresh lower levels and sources, and fails unless
-// the Results and the lower-level request streams are identical. It
-// returns the step loop's Result.
-func checkRunMatchesStep(t *testing.T, mkL2 func() memsys.LowerLevel, mkSrc func() workload.Source,
-	n int64, cfg Config, seen func(*CPU)) Result {
+// pendingFetched reports whether the pending instruction's fetch is
+// done: on the live front end it sits in the current fetch block, on
+// the recorded one its transition bit has been consumed.
+func pendingFetched(c *CPU) bool {
+	if c.rd.s != nil {
+		return c.pending.flags&recFetch == 0
+	}
+	return c.fe.curFetchBlock == c.pending.PC>>c.fe.fetchShift
+}
+
+// record records mkSrc's first n instructions for a core built with cfg.
+func record(t testing.TB, mkSrc func() workload.Source, n int64, cfg Config) *Stream {
 	t.Helper()
-	fast := &recordingL2{LowerLevel: mkL2()}
+	s := &Stream{}
+	if err := s.Record(mkSrc(), n, cfg); err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// checkRunMatchesStep runs one core configuration four ways on fresh
+// lower levels and sources: a plain Step loop on the live front end
+// (the reference), Run, RunStream over a recording of the same source,
+// and a plain Step loop over that recording. It fails unless all four
+// Results (L1 counts and energy included) and lower-level request
+// streams are identical, and, when reached is non-nil, unless both Step
+// loops reach the case it names. It returns the reference Result.
+func checkRunMatchesStep(t *testing.T, mkL2 func() memsys.LowerLevel, mkSrc func() workload.Source,
+	n int64, cfg Config, reached func(*CPU) bool) Result {
+	t.Helper()
+	core := func(l2 memsys.LowerLevel) *CPU { return MustNew(l2, WithConfig(cfg), WithL1EnergyNJ(0.57)) }
+	s := record(t, mkSrc, n, cfg)
+
 	want := &recordingL2{LowerLevel: mkL2()}
-	got := MustNew(fast, WithConfig(cfg), WithL1EnergyNJ(0.57)).Run(mkSrc(), n)
-	ref := stepRun(t, MustNew(want, WithConfig(cfg), WithL1EnergyNJ(0.57)), mkSrc(), n, seen)
-	if got != ref {
-		t.Fatalf("Run result differs from the Step loop:\n run  %+v\n step %+v", got, ref)
+	live := core(want)
+	live.Start(mkSrc(), n)
+	ref, hits := stepRun(t, live, reached)
+	if reached != nil && hits == 0 {
+		t.Fatalf("live Step loop never reached the case (result %+v)", ref)
 	}
-	if len(fast.reqs) != len(want.reqs) {
-		t.Fatalf("Run issued %d lower-level requests, the Step loop %d", len(fast.reqs), len(want.reqs))
-	}
-	for i := range want.reqs {
-		if fast.reqs[i] != want.reqs[i] {
-			t.Fatalf("request %d: Run %+v, Step loop %+v", i, fast.reqs[i], want.reqs[i])
+	for _, v := range []struct {
+		name string
+		run  func(c *CPU) Result
+	}{
+		{"Run", func(c *CPU) Result { return c.Run(mkSrc(), n) }},
+		{"RunStream", func(c *CPU) Result { return c.RunStream(s) }},
+		{"recorded Step loop", func(c *CPU) Result {
+			c.StartStream(s)
+			res, hits := stepRun(t, c, reached)
+			if reached != nil && hits == 0 {
+				t.Fatalf("recorded Step loop never reached the case (result %+v)", res)
+			}
+			return res
+		}},
+	} {
+		got := &recordingL2{LowerLevel: mkL2()}
+		if res := v.run(core(got)); res != ref {
+			t.Fatalf("%s result differs from the live Step loop:\n %-5s %+v\n step  %+v", v.name, "got", res, ref)
+		}
+		if len(got.reqs) != len(want.reqs) {
+			t.Fatalf("%s issued %d lower-level requests, the live Step loop %d", v.name, len(got.reqs), len(want.reqs))
+		}
+		for i := range want.reqs {
+			if got.reqs[i] != want.reqs[i] {
+				t.Fatalf("%s request %d: %+v, live Step loop %+v", v.name, i, got.reqs[i], want.reqs[i])
+			}
 		}
 	}
 	return ref
 }
 
-// TestRunMatchesStepLoopOnFig6Apps holds Run to the plain Step loop on
-// the benchmark's five applications under NuRAPID and the base L2.
+// TestRunMatchesStepLoopOnFig6Apps holds Run, and the recorded front
+// end, to the plain live Step loop on the benchmark's five applications
+// under NuRAPID and the base L2.
 func TestRunMatchesStepLoopOnFig6Apps(t *testing.T) {
 	n := int64(100_000)
 	if testing.Short() {
@@ -115,7 +169,8 @@ func TestRunMatchesStepLoopOnFig6Apps(t *testing.T) {
 
 // TestRunMatchesStepLoopAtEveryStall drives stub-L2 streams that reach
 // each way dispatch blocks, and requires both that the stream reaches
-// the case (observed in the Step loop) and that Run matches it exactly.
+// the case (observed in the live and the recorded Step loops) and that
+// Run and the recorded front end match the live Step loop exactly.
 func TestRunMatchesStepLoopAtEveryStall(t *testing.T) {
 	const pc = 0x400000
 	loads := func(n int, stride uint64) []workload.Instr {
@@ -181,18 +236,9 @@ func TestRunMatchesStepLoopAtEveryStall(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			hit := 0
-			seen := func(c *CPU) {
-				if tc.reached(c) {
-					hit++
-				}
-			}
 			mkL2 := func() memsys.LowerLevel { return newStubL2(tc.latency) }
 			mkSrc := func() workload.Source { return &fixedSource{instrs: tc.instrs, loop: tc.loop} }
-			res := checkRunMatchesStep(t, mkL2, mkSrc, tc.n, tc.cfg, seen)
-			if hit == 0 {
-				t.Fatalf("stream never reached the %s case (result %+v)", tc.name, res)
-			}
+			checkRunMatchesStep(t, mkL2, mkSrc, tc.n, tc.cfg, tc.reached)
 		})
 	}
 }
@@ -215,41 +261,53 @@ func TestStaleMSHRMerge(t *testing.T) {
 	// Same 128-B block, different 32-B L1 block: an L1D miss.
 	instrs = append(instrs, workload.Instr{Kind: workload.Load, PC: pc, Addr: a + 32})
 
-	stub := newStubL2(latency)
-	stub.Record = true
-	c := MustNew(stub)
-	c.Start(&fixedSource{instrs: instrs}, int64(len(instrs)))
-	var staleDone, dispatchedAt int64 = -1, -1
-	for c.Step() {
-		if staleDone < 0 && c.l1d.Accesses == 2 {
-			last := c.tail - 1
-			if last < 0 {
-				last = c.cfg.ROB - 1
+	mkSrc := func() workload.Source { return &fixedSource{instrs: instrs} }
+	n := int64(len(instrs))
+	for _, fe := range []struct {
+		name  string
+		start func(c *CPU)
+	}{
+		{"live", func(c *CPU) { c.Start(mkSrc(), n) }},
+		{"recorded", func(c *CPU) { c.StartStream(record(t, mkSrc, n, DefaultConfig())) }},
+	} {
+		t.Run(fe.name, func(t *testing.T) {
+			stub := newStubL2(latency)
+			stub.Record = true
+			c := MustNew(stub)
+			fe.start(c)
+			var staleDone, dispatchedAt int64 = -1, -1
+			for c.Step() {
+				if staleDone < 0 && c.l1dAccesses == 2 {
+					last := c.tail - 1
+					if last < 0 {
+						last = c.cfg.ROB - 1
+					}
+					staleDone, dispatchedAt = c.rob[last].done, c.cycle-1
+				}
 			}
-			staleDone, dispatchedAt = c.rob[last].done, c.cycle-1
-		}
-	}
-	res := c.Result()
+			res := c.Result()
 
-	if res.L1DMisses != 2 {
-		t.Fatalf("L1D misses = %d, want 2", res.L1DMisses)
-	}
-	// One I-fetch miss and one data miss reach the lower level; the
-	// second data miss does not.
-	if len(stub.Reqs) != 2 || stub.Reqs[1].Addr != a {
-		t.Fatalf("lower-level requests %+v, want the I-fetch and the first load only", stub.Reqs)
-	}
-	firstFill := stub.Reqs[1].Now + latency + c.cfg.L1Latency
-	if staleDone != firstFill {
-		t.Fatalf("stale merge completes at %d, want the old fill time %d", staleDone, firstFill)
-	}
-	if dispatchedAt <= firstFill {
-		t.Fatalf("second load dispatched at %d, not after the first fill at %d", dispatchedAt, firstFill)
-	}
-	// Allocate expires the dead entry first, so the "merge" is counted
-	// as a fresh allocation carrying the old fill time.
-	if c.mshr.Allocations != 2 || c.mshr.Merges != 0 {
-		t.Fatalf("MSHR allocations=%d merges=%d, want 2 and 0", c.mshr.Allocations, c.mshr.Merges)
+			if res.L1DMisses != 2 {
+				t.Fatalf("L1D misses = %d, want 2", res.L1DMisses)
+			}
+			// One I-fetch miss and one data miss reach the lower level;
+			// the second data miss does not.
+			if len(stub.Reqs) != 2 || stub.Reqs[1].Addr != a {
+				t.Fatalf("lower-level requests %+v, want the I-fetch and the first load only", stub.Reqs)
+			}
+			firstFill := stub.Reqs[1].Now + latency + c.cfg.L1Latency
+			if staleDone != firstFill {
+				t.Fatalf("stale merge completes at %d, want the old fill time %d", staleDone, firstFill)
+			}
+			if dispatchedAt <= firstFill {
+				t.Fatalf("second load dispatched at %d, not after the first fill at %d", dispatchedAt, firstFill)
+			}
+			// Allocate expires the dead entry first, so the "merge" is
+			// counted as a fresh allocation carrying the old fill time.
+			if c.mshr.Allocations != 2 || c.mshr.Merges != 0 {
+				t.Fatalf("MSHR allocations=%d merges=%d, want 2 and 0", c.mshr.Allocations, c.mshr.Merges)
+			}
+		})
 	}
 }
 
@@ -272,4 +330,124 @@ func BenchmarkCPURun(b *testing.B) {
 		elapsed += time.Since(start)
 	}
 	b.ReportMetric(float64(elapsed.Nanoseconds())/float64(int64(b.N)*n), "ns/instr")
+}
+
+// BenchmarkCPURunStream is BenchmarkCPURun on the recorded front end:
+// the same applu run, recorded once outside the timer, so each
+// iteration times the back end alone — the per-organization cost of a
+// Runner job.
+func BenchmarkCPURunStream(b *testing.B) {
+	const n = 400_000
+	app, _ := workload.ByName("applu")
+	s := record(b, func() workload.Source { return workload.MustNewGenerator(app, 1) }, n, DefaultConfig())
+	var elapsed time.Duration
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		c := MustNew(newStubL2(20), WithL1EnergyNJ(0.57))
+		b.StartTimer()
+		start := time.Now()
+		if res := c.RunStream(s); res.Instructions != n {
+			b.Fatalf("committed %d of %d", res.Instructions, n)
+		}
+		elapsed += time.Since(start)
+	}
+	b.ReportMetric(float64(elapsed.Nanoseconds())/float64(int64(b.N)*n), "ns/instr")
+}
+
+// TestRunStreamAllocsFlatInN holds the back end to a fixed allocation
+// count once a stream is recorded: building the core and replaying a
+// stream allocates the same at 20 k and 200 k instructions, so the
+// per-instruction path allocates nothing.
+func TestRunStreamAllocsFlatInN(t *testing.T) {
+	app, _ := workload.ByName("art")
+	mkSrc := func() workload.Source { return workload.MustNewGenerator(app, 1) }
+	allocs := func(n int64) float64 {
+		s := record(t, mkSrc, n, DefaultConfig())
+		return testing.AllocsPerRun(3, func() {
+			if res := MustNew(newStubL2(20)).RunStream(s); res.Instructions != n {
+				t.Fatalf("committed %d of %d", res.Instructions, n)
+			}
+		})
+	}
+	short, long := allocs(20_000), allocs(200_000)
+	if long != short {
+		t.Fatalf("RunStream allocations grow with n: %.0f at 20k, %.0f at 200k instructions", short, long)
+	}
+}
+
+// TestRecordReusesBuffers pins the memory side of the design: recording
+// a second app into a Stream that already holds one allocates only the
+// cold front end, not new stream buffers, and replays as well as a
+// fresh recording would.
+func TestRecordReusesBuffers(t *testing.T) {
+	const n = 50_000
+	cfg := DefaultConfig()
+	gen := func(name string) func() workload.Source {
+		app, _ := workload.ByName(name)
+		return func() workload.Source { return workload.MustNewGenerator(app, 1) }
+	}
+	s := record(t, gen("mcf"), n, cfg)
+	fresh := record(t, gen("gzip"), n, cfg)
+	cold := testing.AllocsPerRun(1, func() {
+		if err := (&Stream{}).Record(gen("gzip")(), n, cfg); err != nil {
+			t.Fatal(err)
+		}
+	})
+	warm := testing.AllocsPerRun(1, func() {
+		if err := s.Record(gen("gzip")(), n, cfg); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if warm >= cold {
+		t.Fatalf("re-recording into a used Stream made %.0f allocations, a fresh one %.0f", warm, cold)
+	}
+	if got, want := MustNew(newStubL2(20)).RunStream(s), MustNew(newStubL2(20)).RunStream(fresh); got != want {
+		t.Fatalf("reused stream replays %+v, fresh recording %+v", got, want)
+	}
+}
+
+// TestStreamFormatEdges holds the recorded front end to the live one on
+// the inputs its compact format treats specially: addresses and PCs
+// beyond 32 bits (the wide side list), flag bytes without a code of
+// their own (a mispredicted ALU op; an I-miss; a dirty victim), and a
+// source that ends before the budget.
+func TestStreamFormatEdges(t *testing.T) {
+	const wide = 1 << 40
+	var instrs []workload.Instr
+	for i := 0; i < 3000; i++ {
+		// Mostly one fetch block; every 50th instruction jumps to a block
+		// of its own above 4 GB (an I-miss the first time round).
+		pc := uint64(0x400000 + (i%8)*4)
+		if i%50 == 0 {
+			pc = wide + uint64(i%200)*4096
+		}
+		// Conflict misses in the 64-KB L1D: stores in even sets (their
+		// victims turn dirty), loads in odd sets (clean victims, so the
+		// miss keeps its own code).
+		addr := uint64(0x10000000 + (i%4096)*64)
+		if i%3 == 0 {
+			addr += wide
+		}
+		switch i % 5 {
+		case 0:
+			instrs = append(instrs, workload.Instr{Kind: workload.Store, PC: pc, Addr: addr})
+		case 1:
+			instrs = append(instrs, workload.Instr{Kind: workload.Load, PC: pc, Addr: addr + 32})
+		case 2:
+			instrs = append(instrs, workload.Instr{Kind: workload.ALU, PC: pc, Mispredicted: true})
+		case 3:
+			instrs = append(instrs, workload.Instr{Kind: workload.Branch, PC: pc, Mispredicted: i%2 == 0})
+		default:
+			instrs = append(instrs, workload.Instr{Kind: workload.ALU, PC: pc})
+		}
+	}
+	mkSrc := func() workload.Source { return &fixedSource{instrs: instrs} }
+	s := record(t, mkSrc, 1<<20, DefaultConfig())
+	if len(s.wide) == 0 || len(s.rare) == 0 {
+		t.Fatalf("stream has %d wide addresses and %d escaped instructions; the test exercises neither", len(s.wide), len(s.rare))
+	}
+	res := checkRunMatchesStep(t, func() memsys.LowerLevel { return newStubL2(40) }, mkSrc, 1<<20, DefaultConfig(), nil)
+	if res.Instructions != int64(len(instrs)) {
+		t.Fatalf("committed %d of %d", res.Instructions, len(instrs))
+	}
 }

@@ -56,21 +56,29 @@ func (r *Runner) Ablation() *Experiment {
 	t := stats.NewTable("Ablations: design-choice sensitivity (averages over all applications)",
 		"variant", "rel perf", "g1 accesses", "L2 energy (nJ/1k instr)", "swaps")
 	metrics := map[string]float64{}
-	for _, v := range variants {
-		var rel, g1, enj []float64
-		var swaps int64
-		for _, app := range r.Apps {
-			rel = append(rel, r.RelPerf(app, v.org))
+	// App-major, so a serial runner records each app's front end once.
+	type sums struct {
+		rel, g1, enj []float64
+		swaps        int64
+	}
+	acc := make([]sums, len(variants))
+	for _, app := range r.Apps {
+		for i, v := range variants {
+			a := &acc[i]
+			a.rel = append(a.rel, r.RelPerf(app, v.org))
 			res := r.Run(app, v.org)
-			g1 = append(g1, res.L2Dist.HitFrac(0))
-			enj = append(enj, res.L2EnergyNJ*1000/float64(res.CPU.Instructions))
-			swaps += res.L2Ctrs.Get("promotions")
+			a.g1 = append(a.g1, res.L2Dist.HitFrac(0))
+			a.enj = append(a.enj, res.L2EnergyNJ*1000/float64(res.CPU.Instructions))
+			a.swaps += res.L2Ctrs.Get("promotions")
 		}
-		t.AddRow(v.label, mean(rel), stats.Percent(mean(g1)), mean(enj), fmt.Sprintf("%d", swaps))
+	}
+	for i, v := range variants {
+		a := acc[i]
+		t.AddRow(v.label, mean(a.rel), stats.Percent(mean(a.g1)), mean(a.enj), fmt.Sprintf("%d", a.swaps))
 		slug := slugify(v.label)
-		metrics["rel_"+slug] = mean(rel)
-		metrics["g1_"+slug] = mean(g1)
-		metrics["energy_"+slug] = mean(enj)
+		metrics["rel_"+slug] = mean(a.rel)
+		metrics["g1_"+slug] = mean(a.g1)
+		metrics["energy_"+slug] = mean(a.enj)
 	}
 	return &Experiment{ID: "ablation", Caption: "Design-choice ablations", Table: t, Metrics: metrics}
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"fmt"
 
 	"nurapid/internal/cmp"
@@ -86,7 +87,7 @@ func (r *Runner) cmpCores() int {
 // exactly as in single-core runs, under the cmp label.
 func (r *Runner) RunCMP(app workload.App, org Organization) *CMPRunResult {
 	label := r.cmpLabel(org)
-	return runOnce(r, &r.cmpMemo, app.Name+"/"+label, app.Name, label, func() (*CMPRunResult, RunEvent) {
+	return runOnce(r, &r.cmpMemo, app.Name+"/"+label, app.Name, label, func(context.Context) (*CMPRunResult, RunEvent) {
 		mem := memsys.NewMemory(org.blockBytes())
 		l2 := org.Factory(r.Model, mem)
 		sys, err := cmp.New(l2, cmp.Config{
@@ -146,7 +147,16 @@ func (r *Runner) instrumentCMP(app, label string, sys *cmp.System) []obs.Probe {
 // PrefetchCMP submits every (app, org) CMP pair to the worker pool and
 // blocks until all are simulated; a no-op for serial runners.
 func (r *Runner) PrefetchCMP(apps []workload.App, orgs []Organization) {
-	prefetch(r, apps, orgs, r.RunCMP)
+	if r.Workers <= 1 {
+		return
+	}
+	tasks := make([]func(), 0, len(apps)*len(orgs))
+	for _, app := range apps {
+		for _, org := range orgs {
+			tasks = append(tasks, func() { r.RunCMP(app, org) })
+		}
+	}
+	runPool(r.Workers, tasks)
 }
 
 // CMP compares the three shared-L2 organizations under multi-core load:

@@ -208,13 +208,16 @@ func (r *Runner) LRUStudy() *Experiment {
 	t := stats.NewTable("Sec 5.3.1: distance-replacement selection policy (avg first d-group accesses)",
 		"policy", "g1 accesses")
 	metrics := map[string]float64{}
-	for _, c := range combos {
-		var fr []float64
-		for _, app := range r.Apps {
-			fr = append(fr, r.Run(app, c.org).L2Dist.HitFrac(0))
+	// App-major, so a serial runner records each app's front end once.
+	fr := make([][]float64, len(combos))
+	for _, app := range r.Apps {
+		for i, c := range combos {
+			fr[i] = append(fr[i], r.Run(app, c.org).L2Dist.HitFrac(0))
 		}
-		t.AddRow(c.label, stats.Percent(mean(fr)))
-		metrics["g1_"+c.label] = mean(fr)
+	}
+	for i, c := range combos {
+		t.AddRow(c.label, stats.Percent(mean(fr[i])))
+		metrics["g1_"+c.label] = mean(fr[i])
 	}
 	return &Experiment{ID: "lru", Caption: "Random vs LRU distance replacement", Table: t, Metrics: metrics}
 }

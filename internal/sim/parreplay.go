@@ -11,7 +11,9 @@
 package sim
 
 import (
+	"context"
 	"fmt"
+	"runtime/pprof"
 	"sync"
 
 	"nurapid/internal/cacti"
@@ -38,58 +40,21 @@ type ReplayOptions struct {
 	order []int
 }
 
-// traceGroup shares one generated trace among every job that replays
-// the same (app, seed, n) stream: the producer task extracts the trace
-// once and closes ready; consumer tasks block on ready before
-// replaying. Producer tasks are always submitted ahead of consumer
-// tasks, so a pool worker blocked in a consumer always has its
-// producer already running (or finished) on another worker — the
-// pipeline cannot deadlock at any pool size.
-type traceGroup struct {
-	app   workload.App
-	seed  uint64
-	n     int
-	ready chan struct{}
-	trace Trace
-}
-
 // ReplayAll runs every job on a bounded worker pool and returns the
 // results indexed like jobs (the deterministic merge). Trace generation
-// is sharded per (app, seed, n) stream — jobs replaying the same stream
-// share one generation pass — and overlaps with the replay of streams
-// already generated. The results are byte-identical to calling
-// ReplayTrace serially per job, whatever Workers is; a tested,
+// is sharded per (app, seed, n) stream on the shared producer cache
+// (streams.go): jobs replaying the same stream share one generation
+// pass, submitted just ahead of the stream's first replay, and the
+// trace is recycled after its last. So generation overlaps with the
+// replay of streams already generated, and a few traces are held at a
+// time rather than all of them. The results are byte-identical to
+// calling ReplayTrace serially per job, whatever Workers is; a tested,
 // race-checked guarantee.
 //
 //nurapid:coldpath
 func ReplayAll(model *cacti.Model, jobs []ReplayJob, opts ReplayOptions) []*ReplayResult {
 	if len(jobs) == 0 {
 		return nil
-	}
-
-	// Group jobs by stream so each trace is generated exactly once.
-	groups := make(map[string]*traceGroup)
-	var ordered []*traceGroup
-	jobGroup := make([]*traceGroup, len(jobs))
-	for i, j := range jobs {
-		key := fmt.Sprintf("%s\x00%d\x00%d", j.App.Name, j.Seed, j.N)
-		g, ok := groups[key]
-		if !ok {
-			g = &traceGroup{app: j.App, seed: j.Seed, n: j.N, ready: make(chan struct{})}
-			groups[key] = g
-			ordered = append(ordered, g)
-		}
-		jobGroup[i] = g
-	}
-
-	results := make([]*ReplayResult, len(jobs))
-	tasks := make([]func(), 0, len(ordered)+len(jobs))
-	for _, g := range ordered {
-		g := g
-		tasks = append(tasks, func() {
-			g.trace = ExtractTraceSource(workload.MustNewGenerator(g.app, g.seed), g.n)
-			close(g.ready)
-		})
 	}
 	jobOrder := opts.order
 	if jobOrder == nil {
@@ -101,17 +66,37 @@ func ReplayAll(model *cacti.Model, jobs []ReplayJob, opts ReplayOptions) []*Repl
 		panic(fmt.Sprintf("sim: replay order permutation has %d entries for %d jobs",
 			len(jobOrder), len(jobs)))
 	}
+
+	// Every replay holds its trace from here until it finishes, so the
+	// last one recycles it; the first one's producer goes just ahead.
+	var traces producers[Trace]
+	results := make([]*ReplayResult, len(jobs))
+	tasks := make([]func(), 0, 2*len(jobs))
 	for _, i := range jobOrder {
-		i := i
-		job := jobs[i]
-		g := jobGroup[i]
+		i, job := i, jobs[i]
+		e, fresh := traces.plan(replayKey(job), 1)
+		if fresh {
+			tasks = append(tasks, func() {
+				traces.fill(context.Background(), e, "tracegen", func(reuse Trace) Trace {
+					return extractTrace(reuse, workload.MustNewGenerator(job.App, job.Seed), job.N)
+				})
+			})
+		}
 		tasks = append(tasks, func() {
-			<-g.ready
-			results[i] = ReplayTrace(model, job.Org, g.trace)
+			defer traces.release(e)
+			labels := pprof.Labels("app", job.App.Name, "org", job.Org.Key, "phase", "replay")
+			pprof.Do(context.Background(), labels, func(context.Context) {
+				results[i] = ReplayTrace(model, job.Org, e.wait())
+			})
 		})
 	}
 	runPool(opts.Workers, tasks)
 	return results
+}
+
+// replayKey names the trace a replay job reads.
+func replayKey(j ReplayJob) streamKey {
+	return streamKey{app: j.App, seed: j.Seed, n: int64(j.N)}
 }
 
 // runPool executes tasks on min(w, len(tasks)) goroutines, handing them

@@ -68,24 +68,32 @@ func (r *Runner) PredictorStudy() *Experiment {
 	t := stats.NewTable("Predictor family: placement/promotion ablations (averages over all applications + stream)",
 		"variant", "rel perf", "g1 accesses", "L2 energy (nJ/1k instr)", "bypasses", "dead fills", "memo hits")
 	metrics := map[string]float64{}
-	for _, v := range variants {
-		var rel, g1, enj []float64
-		var bypasses, deadFills, memoHits int64
-		for _, app := range apps {
-			rel = append(rel, r.RelPerf(app, v.org))
+	// App-major, so a serial runner records each app's front end once.
+	type sums struct {
+		rel, g1, enj                  []float64
+		bypasses, deadFills, memoHits int64
+	}
+	acc := make([]sums, len(variants))
+	for _, app := range apps {
+		for i, v := range variants {
+			a := &acc[i]
+			a.rel = append(a.rel, r.RelPerf(app, v.org))
 			res := r.Run(app, v.org)
-			g1 = append(g1, res.L2Dist.HitFrac(0))
-			enj = append(enj, res.L2EnergyNJ*1000/float64(res.CPU.Instructions))
-			bypasses += res.L2Ctrs.Get("bypasses")
-			deadFills += res.L2Ctrs.Get("dead_fills")
-			memoHits += res.L2Ctrs.Get("memo_hits")
+			a.g1 = append(a.g1, res.L2Dist.HitFrac(0))
+			a.enj = append(a.enj, res.L2EnergyNJ*1000/float64(res.CPU.Instructions))
+			a.bypasses += res.L2Ctrs.Get("bypasses")
+			a.deadFills += res.L2Ctrs.Get("dead_fills")
+			a.memoHits += res.L2Ctrs.Get("memo_hits")
 		}
-		t.AddRow(v.label, mean(rel), stats.Percent(mean(g1)), mean(enj),
-			fmt.Sprintf("%d", bypasses), fmt.Sprintf("%d", deadFills), fmt.Sprintf("%d", memoHits))
+	}
+	for i, v := range variants {
+		a := acc[i]
+		t.AddRow(v.label, mean(a.rel), stats.Percent(mean(a.g1)), mean(a.enj),
+			fmt.Sprintf("%d", a.bypasses), fmt.Sprintf("%d", a.deadFills), fmt.Sprintf("%d", a.memoHits))
 		slug := slugify(v.label)
-		metrics["rel_"+slug] = mean(rel)
-		metrics["g1_"+slug] = mean(g1)
-		metrics["energy_"+slug] = mean(enj)
+		metrics["rel_"+slug] = mean(a.rel)
+		metrics["g1_"+slug] = mean(a.g1)
+		metrics["energy_"+slug] = mean(a.enj)
 	}
 	return &Experiment{ID: "predictor", Caption: "Reuse-distance predictor ablations", Table: t, Metrics: metrics}
 }

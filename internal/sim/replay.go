@@ -55,10 +55,19 @@ type Trace struct {
 // after its last memory operation, so bounded sources (trace files,
 // workload.Limit) lose no instruction accounting.
 func ExtractTraceSource(src workload.Source, n int) Trace {
+	return extractTrace(Trace{}, src, n)
+}
+
+// extractTrace is ExtractTraceSource into reuse's request buffer, which
+// it overwrites (ReplayAll recycles traces through it).
+func extractTrace(reuse Trace, src workload.Source, n int) Trace {
 	if n < 0 {
 		panic(fmt.Sprintf("sim: negative trace budget %d", n))
 	}
-	t := Trace{Reqs: make([]memsys.Req, 0, n)}
+	t := Trace{Reqs: reuse.Reqs[:0]}
+	if cap(t.Reqs) < n {
+		t.Reqs = make([]memsys.Req, 0, n)
+	}
 	for len(t.Reqs) < n {
 		in, ok := src.Next()
 		if !ok {

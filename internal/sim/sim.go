@@ -4,8 +4,10 @@
 package sim
 
 import (
+	"context"
 	"fmt"
 	"io"
+	"runtime/pprof"
 	"sort"
 	"sync"
 	"time"
@@ -174,6 +176,29 @@ type Runner struct {
 	mu      sync.Mutex
 	memo    map[string]*memoCell[*RunResult]
 	cmpMemo map[string]*memoCell[*CMPRunResult]
+
+	// streams overrides the process-wide front-end cache (frontEnds);
+	// nil uses it. Tests set a private one to observe its bookkeeping.
+	streams *producers[*cpu.Stream]
+}
+
+// frontEnds holds the recorded front ends (cpu.Stream) that single-core
+// runs replay: one per (app, seed, n), produced once for every
+// organization the app runs on. A stream depends on nothing else — not
+// the Runner's model or organizations, and every Runner uses the Table 1
+// core — so the cache is shared by all Runners in the process: a
+// program that builds a Runner per experiment (or per benchmark
+// iteration) reuses the same buffers instead of allocating a stream per
+// Runner. It holds at most the serial slot's stream and maxFree spares
+// when no run is in flight.
+var frontEnds producers[*cpu.Stream]
+
+// frontEnds returns the Runner's front-end cache.
+func (r *Runner) frontEnds() *producers[*cpu.Stream] {
+	if r.streams != nil {
+		return r.streams
+	}
+	return &frontEnds
 }
 
 // memoCell is one singleflight slot: the once gates the single
@@ -213,10 +238,12 @@ func (r *Runner) now() time.Duration {
 // concurrent duplicates included, and emits start/finish events around
 // that one execution; job returns the result and its finish event's
 // metrics, and runOnce stamps the identity and the clock's elapsed
-// time. A panic inside job is recovered, latched on the cell, and
-// re-raised from every caller of the key — releasing concurrent
-// singleflight waiters with the real failure instead of a nil result.
-func runOnce[T any](r *Runner, memo *map[string]*memoCell[T], key, app, org string, job func() (T, RunEvent)) T {
+// time, less the job's fin.FrontEnd. The job runs under pprof labels
+// {app, org, phase=run}, carried by its ctx. A panic inside job is
+// recovered, latched on the cell, and re-raised from every caller of
+// the key — releasing concurrent singleflight waiters with the real
+// failure instead of a nil result.
+func runOnce[T any](r *Runner, memo *map[string]*memoCell[T], key, app, org string, job func(ctx context.Context) (T, RunEvent)) T {
 	r.mu.Lock()
 	if *memo == nil {
 		*memo = make(map[string]*memoCell[T])
@@ -236,8 +263,14 @@ func runOnce[T any](r *Runner, memo *map[string]*memoCell[T], key, app, org stri
 		}()
 		r.emit(RunEvent{Kind: RunStart, App: app, Org: org})
 		start := r.now()
-		res, fin := job()
-		fin.Kind, fin.App, fin.Org, fin.Elapsed = RunFinish, app, org, r.now()-start
+		var (
+			res T
+			fin RunEvent
+		)
+		pprof.Do(context.Background(), pprof.Labels("app", app, "org", org, "phase", "run"), func(ctx context.Context) {
+			res, fin = job(ctx)
+		})
+		fin.Kind, fin.App, fin.Org, fin.Elapsed = RunFinish, app, org, r.now()-start-fin.FrontEnd
 		c.res = res
 		r.emit(fin)
 	})
@@ -252,15 +285,23 @@ func (res *RunResult) finished(hasAPKI bool) RunEvent {
 	return RunEvent{IPC: res.CPU.IPC, APKI: res.CPU.APKI, HasAPKI: hasAPKI, Metrics: res.Snapshot()}
 }
 
-// Run simulates app on org, memoized on (app, org key).
+// Run simulates app on org, memoized on (app, org key). The core
+// replays app's recorded front end (cpu.Stream), which every
+// organization shares: a prefetched stream when Prefetch planned one,
+// otherwise the one recorded on demand into the cache's slot, where it
+// stays until a run of another app needs the slot. The result is
+// identical to running the core on the live front end.
 func (r *Runner) Run(app workload.App, org Organization) *RunResult {
-	return runOnce(r, &r.memo, app.Name+"/"+org.Key, app.Name, org.Key, func() (*RunResult, RunEvent) {
+	return runOnce(r, &r.memo, app.Name+"/"+org.Key, app.Name, org.Key, func(ctx context.Context) (*RunResult, RunEvent) {
 		mem := memsys.NewMemory(org.blockBytes())
 		l2 := org.Factory(r.Model, mem)
 		probes := r.instrument(app.Name, org.Key, l2)
 		core := cpu.MustNew(l2, cpu.WithL1EnergyNJ(r.Model.L1NJ))
-		gen := workload.MustNewGenerator(app, r.Seed)
-		cres := core.Run(gen, r.Instructions)
+		t0 := r.now()
+		fe := r.frontEnds().get(ctx, r.streamKey(app), "front-end", r.recorder(app))
+		defer r.frontEnds().release(fe)
+		frontEnd := r.now() - t0
+		cres := core.RunStream(fe.val)
 
 		params := energy.DefaultParams(r.Model)
 		bd := params.Collect(cres.Cycles, cres.Instructions,
@@ -284,44 +325,70 @@ func (r *Runner) Run(app workload.App, org Organization) *RunResult {
 			res.L2GroupAccesses = nc.GroupAccesses()
 		}
 		res.ObsMetrics = r.finishProbes(probes)
-		return res, res.finished(true)
+		fin := res.finished(true)
+		fin.FrontEnd = frontEnd
+		return res, fin
 	})
 }
 
-// Prefetch submits every (app, org) pair to the worker pool and blocks
-// until all are simulated. With Workers <= 1 it is a no-op: the serial
-// runner executes each simulation on demand, in table-assembly order,
-// exactly as before the pool existed. Each experiment calls Prefetch
-// with its full run set up front, then assembles its table from
-// memoized results in deterministic order.
-func (r *Runner) Prefetch(apps []workload.App, orgs []Organization) {
-	prefetch(r, apps, orgs, r.Run)
+// streamKey names app's front-end stream.
+func (r *Runner) streamKey(app workload.App) streamKey {
+	return streamKey{app: app, seed: r.Seed, n: r.Instructions}
 }
 
-// prefetch fans run out over every (app, org) pair; the one fan-out
-// behind Prefetch and PrefetchCMP.
-func prefetch[T any](r *Runner, apps []workload.App, orgs []Organization, run func(workload.App, Organization) T) {
-	tasks := make([]func(), 0, len(apps)*len(orgs))
-	for _, app := range apps {
-		for _, org := range orgs {
-			app, org := app, org
-			tasks = append(tasks, func() { run(app, org) })
+// recorder records app's front end for the paper's Table 1 core into a
+// recycled stream (or a new one).
+func (r *Runner) recorder(app workload.App) func(*cpu.Stream) *cpu.Stream {
+	return func(s *cpu.Stream) *cpu.Stream {
+		if s == nil {
+			s = &cpu.Stream{}
 		}
+		if err := s.Record(workload.MustNewGenerator(app, r.Seed), r.Instructions, cpu.DefaultConfig()); err != nil {
+			panic(fmt.Sprintf("sim: recording %s: %v", app.Name, err))
+		}
+		return s
 	}
-	r.fanOut(tasks)
 }
 
-// fanOut runs tasks on min(Workers, len(tasks)) goroutines and waits
-// for all of them; with Workers <= 1 it does nothing (serial callers
-// compute on demand). Tasks are handed out in submission order, but
-// completion order is unspecified. A panicking task no longer takes the
-// process down from an anonymous worker goroutine: runPool recovers it,
-// lets the remaining tasks finish (releasing their singleflight
-// waiters), and re-raises the lowest-index panic here, on the
-// Prefetch/fan-out caller's goroutine.
-func (r *Runner) fanOut(tasks []func()) {
+// Prefetch submits every (app, org) pair not yet memoized to the
+// worker pool and blocks until all are simulated. With Workers <= 1 it
+// is a no-op: the serial runner executes each simulation on demand, in
+// table-assembly order, exactly as before the pool existed. Each
+// experiment calls Prefetch with its full run set up front, then
+// assembles its table from memoized results in deterministic order.
+//
+// Tasks go out app by app: one task recording the app's front end,
+// then its organizations' runs, which replay it; the last of them
+// retires the stream. So the pool holds at most Workers+1 streams, and
+// each run's RunEvent.Elapsed stays the cost of its own organization.
+func (r *Runner) Prefetch(apps []workload.App, orgs []Organization) {
 	if r.Workers <= 1 {
 		return
+	}
+	var tasks []func()
+	for _, app := range apps {
+		var todo []Organization
+		r.mu.Lock()
+		for _, org := range orgs {
+			if r.memo[app.Name+"/"+org.Key] == nil {
+				todo = append(todo, org)
+			}
+		}
+		r.mu.Unlock()
+		if len(todo) == 0 {
+			continue
+		}
+		streams := r.frontEnds()
+		fe, fresh := streams.plan(r.streamKey(app), len(todo))
+		if fresh {
+			tasks = append(tasks, func() { streams.fill(context.Background(), fe, "front-end", r.recorder(app)) })
+		}
+		for _, org := range todo {
+			tasks = append(tasks, func() {
+				defer streams.release(fe)
+				r.Run(app, org)
+			})
+		}
 	}
 	runPool(r.Workers, tasks)
 }
