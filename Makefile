@@ -19,11 +19,12 @@ race:
 # runner — plus the sharded trace-gen / parallel replay pipeline
 # (ReplayAll at 1/2/4/8 workers byte-identical to serial, shared trace
 # generation, tail-gap accounting), the shared producer cache's stream
-# lifecycle (one stream serial, at most workers+1 pooled, each retired
-# after its last consumer), pool panic latching, and the singleflight,
-# observer, and probe/trace machinery, under -race.
+# lifecycle (one recording per app at every worker count, one stream
+# held serially, at most workers+1 pooled, each retired after its last
+# consumer), pool panic latching at every worker count, and the
+# singleflight, observer, and probe/trace machinery, under -race.
 race-runner:
-	$(GO) test -race -count=1 -run 'TestParallel|TestSingleflight|TestPrefetch|TestStream|TestSerialPrefetch|TestReplayAll|TestReplayTrace|TestExtractTrace|TestRunPool|TestRunPanic|TestPaperRunSet|TestTextObserver|TestObserver|TestClock|TestProbe|TestTrace' ./internal/sim/
+	$(GO) test -race -count=1 -run 'TestParallel|TestSingleflight|TestPrefetch|TestStream|TestReplayAll|TestReplayTrace|TestExtractTrace|TestRunPool|TestRunPanic|TestPaperRunSet|TestTextObserver|TestObserver|TestClock|TestProbe|TestTrace' ./internal/sim/
 
 # lint = custom analyzers (determinism, panicstyle, statsreg, hotpath +
 # the directives meta-check) + go vet via the multichecker, the compiler

@@ -48,9 +48,9 @@ func ParseSharing(s string) (Sharing, error) {
 	}
 }
 
-// defaultPrivateStride separates private per-core address spaces by
-// 64 GB — far above any generated working set, so streams never alias.
-const defaultPrivateStride = uint64(1) << 36
+// privateStride separates private per-core address spaces by 64 GB —
+// far above any generated working set, so streams never alias.
+const privateStride = uint64(1) << 36
 
 // Config parameterizes a CMP system.
 type Config struct {
@@ -61,14 +61,8 @@ type Config struct {
 	// Queue configures the shared-L2 bank queues; the zero value means
 	// DefaultQueueConfig(Cores).
 	Queue QueueConfig
-	// CPU configures each core; the zero value means
-	// cpu.DefaultConfig().
-	CPU cpu.Config
 	// L1EnergyNJ is the per-L1-access energy charged by each core.
 	L1EnergyNJ float64
-	// PrivateStride is the per-core address offset under Private
-	// sharing; zero means 64 GB.
-	PrivateStride uint64
 }
 
 // System is N cores in lockstep over one shared lower level.
@@ -102,10 +96,6 @@ func New(l2 memsys.LowerLevel, cfg Config) (*System, error) {
 	if qcfg.Cores < cfg.Cores {
 		return nil, fmt.Errorf("cmp: Queue.Cores = %d < Cores = %d", qcfg.Cores, cfg.Cores)
 	}
-	ccfg := cfg.CPU
-	if ccfg == (cpu.Config{}) {
-		ccfg = cpu.DefaultConfig()
-	}
 	queue, err := NewQueue(l2, qcfg)
 	if err != nil {
 		return nil, err
@@ -116,7 +106,6 @@ func New(l2 memsys.LowerLevel, cfg Config) (*System, error) {
 	for i := range s.fronts {
 		s.fronts[i] = coreFront{sys: s, core: i}
 		c, err := cpu.New(&s.fronts[i],
-			cpu.WithConfig(ccfg),
 			cpu.WithL1EnergyNJ(cfg.L1EnergyNJ),
 			cpu.WithCoreID(i))
 		if err != nil {
@@ -156,12 +145,8 @@ func (s *System) Cores() []*cpu.CPU { return s.cores }
 // the configured sharing pattern. Shared hands every core a generator
 // with the identical seed (identical streams, truly shared blocks);
 // Private perturbs each core's seed and offsets its address space by
-// PrivateStride so streams never alias.
+// privateStride so streams never alias.
 func (s *System) Sources(app workload.App, seed uint64) ([]workload.Source, error) {
-	stride := s.cfg.PrivateStride
-	if stride == 0 {
-		stride = defaultPrivateStride
-	}
 	srcs := make([]workload.Source, len(s.cores))
 	for i := range srcs {
 		switch s.cfg.Sharing {
@@ -176,7 +161,7 @@ func (s *System) Sources(app workload.App, seed uint64) ([]workload.Source, erro
 			if err != nil {
 				return nil, err
 			}
-			srcs[i] = &offsetSource{src: g, offset: uint64(i) * stride}
+			srcs[i] = &offsetSource{src: g, offset: uint64(i) * privateStride}
 		default:
 			return nil, fmt.Errorf("cmp: unknown sharing pattern %d", s.cfg.Sharing)
 		}
@@ -207,7 +192,7 @@ func (s *System) Run(srcs []workload.Source, maxInstrPerCore int64) Result {
 			if finished[i] {
 				continue
 			}
-			if s.cores[i].Done() || !s.cores[i].Step() {
+			if !s.cores[i].Step() {
 				finished[i] = true
 				running--
 			}

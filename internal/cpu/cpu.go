@@ -188,9 +188,6 @@ func MustNew(l2 memsys.LowerLevel, opts ...Option) *CPU {
 	return c
 }
 
-// CoreID returns the id stamped on this core's lower-level requests.
-func (c *CPU) CoreID() int { return c.coreID }
-
 // Run executes up to maxInstr instructions from src (or until the source
 // ends) on the live front end and returns the run summary. It is Start +
 // Step-to-completion + Result, except that after each Step the clock
@@ -358,11 +355,6 @@ func (c *CPU) Step() bool {
 	}
 	c.cycle++
 	return true
-}
-
-// Done reports whether the core has finished its Start-ed run.
-func (c *CPU) Done() bool {
-	return c.halted || c.committed >= c.maxInstr
 }
 
 // Result summarizes the run so far.

@@ -20,30 +20,9 @@ const DefaultEpochAccesses = 4096
 //   - KindDemote is occupancy-neutral: the incoming block replaces the
 //     victim in place, and the victim's landing is the chain's next
 //     KindDemote or final KindPlace.
-//
-// The sampler is core-aware: besides the aggregate stream it keys a
-// second set of epoch streams by (core, group), attributing each
-// movement to the core of the access window it belongs to (the
-// canonical order guarantees the preceding KindAccess names the
-// requestor). Single-core runs see exactly the historical aggregate
-// behavior — the per-core streams surface in Snapshot only when more
-// than one core appears — so CMP traces no longer merge per-core
-// occupancy behavior silently.
 type Sampler struct {
 	name    string
 	epoch   int64
-	inEpoch int64
-	occ     []int64
-	samples [][]int64
-
-	cur     int16 // requesting core of the current access window
-	perCore []coreEpochs
-}
-
-// coreEpochs is one core's private epoch stream: its own access count
-// drives its epoch clock, and only movements from its access windows
-// land in its occupancy view.
-type coreEpochs struct {
 	inEpoch int64
 	occ     []int64
 	samples [][]int64
@@ -66,55 +45,24 @@ func (s *Sampler) grow(g int) {
 	}
 }
 
-// core returns core c's epoch stream, growing the table as new cores
-// appear in the trace.
-func (s *Sampler) core(c int) *coreEpochs {
-	for len(s.perCore) <= c {
-		s.perCore = append(s.perCore, coreEpochs{})
-	}
-	return &s.perCore[c]
-}
-
 // Emit implements Probe.
 func (s *Sampler) Emit(e Event) {
 	switch e.Kind {
 	case KindAccess:
-		s.cur = e.Core
 		s.inEpoch++
 		if s.inEpoch >= s.epoch {
 			s.inEpoch = 0
 			s.samples = append(s.samples, s.Occupancy())
 		}
-		c := s.core(int(e.Core))
-		c.inEpoch++
-		if c.inEpoch >= s.epoch {
-			c.inEpoch = 0
-			c.samples = append(c.samples, append([]int64(nil), c.occ...))
-		}
 	case KindPlace:
 		s.grow(int(e.Group))
 		s.occ[e.Group]++
-		c := s.core(int(s.cur))
-		c.grow(int(e.Group))
-		c.occ[e.Group]++
 	case KindEvict:
 		s.grow(int(e.Group))
 		s.occ[e.Group]--
-		c := s.core(int(s.cur))
-		c.grow(int(e.Group))
-		c.occ[e.Group]--
 	case KindPromote:
 		s.grow(int(e.From))
 		s.occ[e.From]--
-		c := s.core(int(s.cur))
-		c.grow(int(e.From))
-		c.occ[e.From]--
-	}
-}
-
-func (c *coreEpochs) grow(g int) {
-	for len(c.occ) <= g {
-		c.occ = append(c.occ, 0)
 	}
 }
 
@@ -141,30 +89,9 @@ func (s *Sampler) Occupancy() []int64 {
 	return out
 }
 
-// NumCores returns how many cores the trace has named so far (at least
-// 1 once any access was seen: single-core streams carry core 0).
-func (s *Sampler) NumCores() int { return len(s.perCore) }
-
-// CoreOccupancy returns core c's current per-group occupancy view —
-// the net frames its own access windows placed minus freed.
-func (s *Sampler) CoreOccupancy(c int) []int64 {
-	out := make([]int64, len(s.perCore[c].occ))
-	copy(out, s.perCore[c].occ)
-	return out
-}
-
-// CoreNumSamples returns how many epoch samples core c recorded; its
-// epoch clock counts only its own accesses.
-func (s *Sampler) CoreNumSamples(c int) int { return len(s.perCore[c].samples) }
-
-// CoreSample returns core c's epoch i per-group occupancy view.
-func (s *Sampler) CoreSample(c, i int) []int64 { return s.perCore[c].samples[i] }
-
 // Snapshot emits the epoch geometry, sample count, and current
 // occupancy per group (statsreg convention: every counter field must
-// appear here). inEpoch is the partially filled current epoch. The
-// per-core streams are emitted only when more than one core appeared,
-// so single-core snapshots are unchanged from the pre-CMP format.
+// appear here). inEpoch is the partially filled current epoch.
 func (s *Sampler) Snapshot() []stats.KV {
 	out := []stats.KV{
 		{Name: s.name + "_epoch_accesses", Value: float64(s.epoch)},
@@ -176,22 +103,6 @@ func (s *Sampler) Snapshot() []stats.KV {
 			Name:  s.name + "_dgroup_" + itoa(g),
 			Value: float64(n),
 		})
-	}
-	if len(s.perCore) > 1 {
-		for c := range s.perCore {
-			ce := &s.perCore[c]
-			pre := s.name + "_core" + itoa(c)
-			out = append(out,
-				stats.KV{Name: pre + "_epoch_fill", Value: float64(ce.inEpoch)},
-				stats.KV{Name: pre + "_samples", Value: float64(len(ce.samples))},
-			)
-			for g, n := range ce.occ {
-				out = append(out, stats.KV{
-					Name:  pre + "_dgroup_" + itoa(g),
-					Value: float64(n),
-				})
-			}
-		}
 	}
 	return out
 }

@@ -51,18 +51,17 @@ func (r *Runner) Ablation() *Experiment {
 	for _, v := range variants {
 		prefetch = append(prefetch, v.org)
 	}
-	r.Prefetch(r.Apps, prefetch)
+	r.Prefetch(r.apps, prefetch)
 
 	t := stats.NewTable("Ablations: design-choice sensitivity (averages over all applications)",
 		"variant", "rel perf", "g1 accesses", "L2 energy (nJ/1k instr)", "swaps")
 	metrics := map[string]float64{}
-	// App-major, so a serial runner records each app's front end once.
 	type sums struct {
 		rel, g1, enj []float64
 		swaps        int64
 	}
 	acc := make([]sums, len(variants))
-	for _, app := range r.Apps {
+	for _, app := range r.apps {
 		for i, v := range variants {
 			a := &acc[i]
 			a.rel = append(a.rel, r.RelPerf(app, v.org))

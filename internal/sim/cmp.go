@@ -18,13 +18,13 @@ import (
 // shared lower level. The single-core experiments (the paper's tables
 // and figures) ignore it.
 func WithCores(n int) Option {
-	return func(r *Runner) { r.Cores = n }
+	return func(r *Runner) { r.cores = n }
 }
 
 // WithSharing selects the CMP workload sharing pattern (cmp.Shared or
 // cmp.Private).
 func WithSharing(s cmp.Sharing) Option {
-	return func(r *Runner) { r.Sharing = s }
+	return func(r *Runner) { r.sharing = s }
 }
 
 // CMPRunResult captures one multi-core run: the cmp system's own
@@ -68,14 +68,14 @@ func (r *CMPRunResult) Snapshot() []stats.KV {
 // cmpLabel names a CMP run in observer events and memo keys, e.g.
 // "cmp4-shared-nurapid-4g-next-random".
 func (r *Runner) cmpLabel(org Organization) string {
-	return fmt.Sprintf("cmp%d-%s-%s", r.cmpCores(), r.Sharing, org.Key)
+	return fmt.Sprintf("cmp%d-%s-%s", r.cmpCores(), r.sharing, org.Key)
 }
 
 // cmpCores returns the configured core count, defaulting to 2 so a
 // plain NewRunner() can run the CMP experiment meaningfully.
 func (r *Runner) cmpCores() int {
-	if r.Cores >= 1 {
-		return r.Cores
+	if r.cores >= 1 {
+		return r.cores
 	}
 	return 2
 }
@@ -89,11 +89,11 @@ func (r *Runner) RunCMP(app workload.App, org Organization) *CMPRunResult {
 	label := r.cmpLabel(org)
 	return runOnce(r, &r.cmpMemo, app.Name+"/"+label, app.Name, label, func(context.Context) (*CMPRunResult, RunEvent) {
 		mem := memsys.NewMemory(org.blockBytes())
-		l2 := org.Factory(r.Model, mem)
+		l2 := org.Factory(r.model, mem)
 		sys, err := cmp.New(l2, cmp.Config{
 			Cores:      r.cmpCores(),
-			Sharing:    r.Sharing,
-			L1EnergyNJ: r.Model.L1NJ,
+			Sharing:    r.sharing,
+			L1EnergyNJ: r.model.L1NJ,
 			Queue: cmp.QueueConfig{
 				Banks:      8,
 				BlockBytes: org.blockBytes(),
@@ -106,11 +106,11 @@ func (r *Runner) RunCMP(app workload.App, org Organization) *CMPRunResult {
 			panic(fmt.Sprintf("sim: cmp system construction failed: %v", err))
 		}
 		probes := r.instrumentCMP(app.Name, label, sys)
-		srcs, err := sys.Sources(app, r.Seed)
+		srcs, err := sys.Sources(app, r.seed)
 		if err != nil {
 			panic(fmt.Sprintf("sim: cmp sources failed: %v", err))
 		}
-		cres := sys.Run(srcs, r.Instructions)
+		cres := sys.Run(srcs, r.instructions)
 
 		res := &CMPRunResult{
 			App:          app.Name,
@@ -144,19 +144,17 @@ func (r *Runner) instrumentCMP(app, label string, sys *cmp.System) []obs.Probe {
 	return ps
 }
 
-// PrefetchCMP submits every (app, org) CMP pair to the worker pool and
-// blocks until all are simulated; a no-op for serial runners.
+// PrefetchCMP simulates every (app, org) CMP pair on the worker pool,
+// app by app, and blocks until all are done. CMP cores run the live
+// front end, so there is no stream to plan.
 func (r *Runner) PrefetchCMP(apps []workload.App, orgs []Organization) {
-	if r.Workers <= 1 {
-		return
-	}
 	tasks := make([]func(), 0, len(apps)*len(orgs))
 	for _, app := range apps {
 		for _, org := range orgs {
 			tasks = append(tasks, func() { r.RunCMP(app, org) })
 		}
 	}
-	runPool(r.Workers, tasks)
+	runPool(r.workers, tasks)
 }
 
 // CMP compares the three shared-L2 organizations under multi-core load:
@@ -167,15 +165,15 @@ func (r *Runner) PrefetchCMP(apps []workload.App, orgs []Organization) {
 // WithCores/WithSharing.
 func (r *Runner) CMP() *Experiment {
 	orgs := []Organization{Base(), DNUCA(nuca.DefaultConfig()), NuRAPID(nurapid.DefaultConfig())}
-	r.PrefetchCMP(r.Apps, orgs)
+	r.PrefetchCMP(r.apps, orgs)
 	cores := r.cmpCores()
 	t := stats.NewTable(
-		fmt.Sprintf("CMP: %d cores, %s workloads, shared L2", cores, r.Sharing),
+		fmt.Sprintf("CMP: %d cores, %s workloads, shared L2", cores, r.sharing),
 		"benchmark", "org", "agg IPC", "fairness", "stall/ka", "invals")
 	chart := vis.NewBarChart(fmt.Sprintf("Aggregate IPC at %d cores (mean over apps)", cores), "IPC")
 	metrics := map[string]float64{}
 	sumIPC := map[string]float64{}
-	for _, app := range r.Apps {
+	for _, app := range r.apps {
 		for _, org := range orgs {
 			res := r.RunCMP(app, org)
 			var accesses, stalls int64
@@ -196,13 +194,13 @@ func (r *Runner) CMP() *Experiment {
 		}
 	}
 	for _, org := range orgs {
-		mean := sumIPC[org.Key] / float64(len(r.Apps))
+		mean := sumIPC[org.Key] / float64(len(r.apps))
 		chart.AddRow(org.Key, mean)
 		metrics["mean_ipc_"+org.Key] = mean
 	}
 	return &Experiment{
 		ID:      "cmp",
-		Caption: fmt.Sprintf("Shared-L2 organizations at %d cores (%s)", cores, r.Sharing),
+		Caption: fmt.Sprintf("Shared-L2 organizations at %d cores (%s)", cores, r.sharing),
 		Table:   t,
 		Chart:   chart,
 		Metrics: metrics,

@@ -42,7 +42,7 @@ func (r *Runner) Fig4() *Experiment {
 	saCfg.Placement = nurapid.SetAssociative
 	sa := NuRAPID(saCfg)
 	da := NuRAPID(nurapidCfg(4, nurapid.NextFastest, nurapid.RandomDistance))
-	r.Prefetch(r.Apps, []Organization{sa, da})
+	r.Prefetch(r.apps, []Organization{sa, da})
 
 	t := stats.NewTable("Figure 4: d-group access distribution, set-associative (a) vs distance-associative (b) placement",
 		"benchmark", "a:g1", "a:g2", "a:g3+4", "a:miss", "b:g1", "b:g2", "b:g3+4", "b:miss")
@@ -53,7 +53,7 @@ func (r *Runner) Fig4() *Experiment {
 			stats.Percent(sf[0]), stats.Percent(sf[1]), stats.Percent(sf[2]+sf[3]), stats.Percent(sf[4]),
 			stats.Percent(df[0]), stats.Percent(df[1]), stats.Percent(df[2]+df[3]), stats.Percent(df[4]))
 	}
-	for _, app := range r.Apps {
+	for _, app := range r.apps {
 		s, d := r.Run(app, sa), r.Run(app, da)
 		row(app.Name, s, d)
 		saF = append(saF, s.L2Dist.Fracs())
@@ -92,11 +92,11 @@ func (r *Runner) Fig5() *Experiment {
 		{"next-fastest", NuRAPID(nurapidCfg(4, nurapid.NextFastest, nurapid.RandomDistance))},
 		{"fastest", NuRAPID(nurapidCfg(4, nurapid.Fastest, nurapid.RandomDistance))},
 	}
-	r.Prefetch(r.Apps, []Organization{orgs[0].org, orgs[1].org, orgs[2].org})
+	r.Prefetch(r.apps, []Organization{orgs[0].org, orgs[1].org, orgs[2].org})
 	t := stats.NewTable("Figure 5: d-group access distribution per promotion policy",
 		"benchmark", "policy", "g1", "g2", "g3", "g4", "miss")
 	fracs := map[string][][]float64{}
-	for _, app := range r.Apps {
+	for _, app := range r.apps {
 		for _, o := range orgs {
 			res := r.Run(app, o.org)
 			f := res.L2Dist.Fracs()
@@ -140,13 +140,13 @@ func (r *Runner) Fig6() *Experiment {
 	for _, o := range orgs {
 		prefetch = append(prefetch, o.org)
 	}
-	r.Prefetch(r.Apps, prefetch)
+	r.Prefetch(r.apps, prefetch)
 	t := stats.NewTable("Figure 6: performance relative to base L2/L3 hierarchy",
 		"benchmark", "demotion-only", "next-fastest", "fastest", "ideal")
 	rel := map[string][]float64{}
 	relHigh := map[string][]float64{}
 	relLow := map[string][]float64{}
-	for _, app := range r.Apps {
+	for _, app := range r.apps {
 		row := []any{app.Name}
 		for _, o := range orgs {
 			p := r.RelPerf(app, o.org)
@@ -204,13 +204,12 @@ func (r *Runner) LRUStudy() *Experiment {
 	for i, c := range combos {
 		prefetch[i] = c.org
 	}
-	r.Prefetch(r.Apps, prefetch)
+	r.Prefetch(r.apps, prefetch)
 	t := stats.NewTable("Sec 5.3.1: distance-replacement selection policy (avg first d-group accesses)",
 		"policy", "g1 accesses")
 	metrics := map[string]float64{}
-	// App-major, so a serial runner records each app's front end once.
 	fr := make([][]float64, len(combos))
-	for _, app := range r.Apps {
+	for _, app := range r.apps {
 		for i, c := range combos {
 			fr[i] = append(fr[i], r.Run(app, c.org).L2Dist.HitFrac(0))
 		}
@@ -225,12 +224,12 @@ func (r *Runner) LRUStudy() *Experiment {
 // Fig7 shows the access distribution of 2-, 4-, and 8-d-group NuRAPIDs
 // (paper Figure 7): first-group accesses, remaining-group hits, misses.
 func (r *Runner) Fig7() *Experiment {
-	r.Prefetch(r.Apps, groupCountOrgs())
+	r.Prefetch(r.apps, groupCountOrgs())
 	t := stats.NewTable("Figure 7: d-group access distribution for 2, 4, and 8 d-groups",
 		"benchmark", "2g:g1", "2g:rest", "2g:miss", "4g:g1", "4g:rest", "4g:miss",
 		"8g:g1", "8g:rest", "8g:miss")
 	g1 := map[int][]float64{}
-	for _, app := range r.Apps {
+	for _, app := range r.apps {
 		row := []any{app.Name}
 		for _, n := range []int{2, 4, 8} {
 			res := r.Run(app, NuRAPID(nurapidCfg(n, nurapid.NextFastest, nurapid.RandomDistance)))
@@ -266,12 +265,12 @@ func (r *Runner) Fig7() *Experiment {
 // relative to the base hierarchy (paper Figure 8), and reports the
 // promotion-swap ratio between the 8- and 4-d-group configurations.
 func (r *Runner) Fig8() *Experiment {
-	r.Prefetch(r.Apps, append([]Organization{Base()}, groupCountOrgs()...))
+	r.Prefetch(r.apps, append([]Organization{Base()}, groupCountOrgs()...))
 	t := stats.NewTable("Figure 8: performance of 2, 4, and 8 d-groups relative to base",
 		"benchmark", "2 d-groups", "4 d-groups", "8 d-groups")
 	rel := map[int][]float64{}
 	var swaps4, swaps8 int64
-	for _, app := range r.Apps {
+	for _, app := range r.apps {
 		row := []any{app.Name}
 		for _, n := range []int{2, 4, 8} {
 			org := NuRAPID(nurapidCfg(n, nurapid.NextFastest, nurapid.RandomDistance))
@@ -314,11 +313,11 @@ func (r *Runner) Fig9() *Experiment {
 	dn := DNUCA(nuca.DefaultConfig())
 	n4 := NuRAPID(nurapidCfg(4, nurapid.NextFastest, nurapid.RandomDistance))
 	n8 := NuRAPID(nurapidCfg(8, nurapid.NextFastest, nurapid.RandomDistance))
-	r.Prefetch(r.Apps, []Organization{Base(), dn, n4, n8})
+	r.Prefetch(r.apps, []Organization{Base(), dn, n4, n8})
 	t := stats.NewTable("Figure 9: performance relative to base (D-NUCA ss-performance vs NuRAPID)",
 		"benchmark", "D-NUCA", "NuRAPID 4g", "NuRAPID 8g")
 	var rd, r4, r8 []float64
-	for _, app := range r.Apps {
+	for _, app := range r.apps {
 		pd, p4, p8 := r.RelPerf(app, dn), r.RelPerf(app, n4), r.RelPerf(app, n8)
 		t.AddRow(app.Name, pd, p4, p8)
 		rd = append(rd, pd)
@@ -361,12 +360,12 @@ func (r *Runner) Fig10() *Experiment {
 	dnCfg.Policy = nuca.SSEnergy
 	dn := DNUCA(dnCfg)
 	n4 := NuRAPID(nurapidCfg(4, nurapid.NextFastest, nurapid.RandomDistance))
-	r.Prefetch(r.Apps, []Organization{Base(), dn, n4})
+	r.Prefetch(r.apps, []Organization{Base(), dn, n4})
 	t := stats.NewTable("Figure 10: L2 dynamic energy (nJ per 1000 instructions)",
 		"benchmark", "base L2/L3", "D-NUCA (ss-energy)", "NuRAPID 4g", "NuRAPID/D-NUCA")
 	var ratios, reds, perBase, perDN, perNu []float64
 	var nuAcc, dnAcc int64
-	for _, app := range r.Apps {
+	for _, app := range r.apps {
 		b := r.Run(app, Base())
 		d := r.Run(app, dn)
 		n := r.Run(app, n4)
@@ -415,11 +414,11 @@ func (r *Runner) Fig11() *Experiment {
 	dnCfg.Policy = nuca.SSEnergy
 	dnEnergy := DNUCA(dnCfg)
 	n4 := NuRAPID(nurapidCfg(4, nurapid.NextFastest, nurapid.RandomDistance))
-	r.Prefetch(r.Apps, []Organization{Base(), dnPerf, dnEnergy, n4})
+	r.Prefetch(r.apps, []Organization{Base(), dnPerf, dnEnergy, n4})
 	t := stats.NewTable("Figure 11: processor energy-delay relative to base",
 		"benchmark", "D-NUCA (ss-perf)", "D-NUCA (ss-energy)", "NuRAPID 4g")
 	var rp, re, rn []float64
-	for _, app := range r.Apps {
+	for _, app := range r.apps {
 		b := r.Run(app, Base())
 		rel := func(o Organization) float64 {
 			res := r.Run(app, o)
@@ -511,10 +510,10 @@ func paperRunSet() []Organization {
 // All runs every experiment in paper order, then the ablations. The
 // whole campaign's run set is prefetched in one pool pass first, so a
 // parallel runner keeps every worker busy across experiment boundaries
-// instead of draining the pool at each experiment's barrier; with a
-// serial runner the prefetch is a no-op and runs stay lazy.
+// instead of draining the pool at each experiment's barrier, and each
+// app's front end is recorded once for the whole campaign.
 func (r *Runner) All() []*Experiment {
-	r.Prefetch(r.Apps, paperRunSet())
+	r.Prefetch(r.apps, paperRunSet())
 	return []*Experiment{
 		r.Table1(), r.Table2(), r.Table3(), r.Table4(),
 		r.Fig4(), r.Fig5(), r.Fig6(), r.LRUStudy(),

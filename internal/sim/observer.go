@@ -35,9 +35,10 @@ func (k EventKind) String() string {
 // when the Runner has a clock (WithClock), the run's wall time.
 //
 // Events fire once per executed simulation: memoized and
-// singleflight-deduplicated calls observe nothing. Under a parallel
-// Runner (WithWorkers > 1) events arrive in completion order, which is
-// not deterministic; only the rendered experiment output is.
+// singleflight-deduplicated calls observe nothing. A serial Runner
+// emits them in prefetch order (app by app); under a parallel Runner
+// (WithWorkers > 1) they arrive in completion order, which is not
+// deterministic; only the rendered experiment output is.
 type RunEvent struct {
 	Kind EventKind
 	App  string // application name

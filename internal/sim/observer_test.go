@@ -40,7 +40,7 @@ func TestTextObserverFormat(t *testing.T) {
 func TestTextObserverMatchesLegacyProgress(t *testing.T) {
 	var buf bytes.Buffer
 	r := smallRunner(t, WithInstructions(60_000), WithObserver(TextObserver(&buf)))
-	app := r.Apps[0]
+	app := r.apps[0]
 	res := r.Run(app, Base())
 	want := fmt.Sprintf("ran %-8s on %-32s IPC=%.3f APKI=%.1f\n",
 		app.Name, "base", res.CPU.IPC, res.CPU.APKI)
@@ -61,8 +61,8 @@ func TestClockStampsElapsed(t *testing.T) {
 		run               func(r *Runner)
 		elapsed, frontEnd time.Duration
 	}{
-		{"single-core", func(r *Runner) { r.Run(r.Apps[0], Base()) }, 2 * time.Millisecond, time.Millisecond},
-		{"cmp", func(r *Runner) { r.RunCMP(r.Apps[0], Base()) }, time.Millisecond, 0},
+		{"single-core", func(r *Runner) { r.Run(r.apps[0], Base()) }, 2 * time.Millisecond, time.Millisecond},
+		{"cmp", func(r *Runner) { r.RunCMP(r.apps[0], Base()) }, time.Millisecond, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var ticks time.Duration

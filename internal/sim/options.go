@@ -15,11 +15,11 @@ type Option func(*Runner)
 // roster, serial execution — overridden by the given options.
 func NewRunner(opts ...Option) *Runner {
 	r := &Runner{
-		Model:        cacti.Default(),
-		Instructions: 2_000_000,
-		Seed:         1,
-		Apps:         workload.Apps(),
-		Workers:      1,
+		model:        cacti.Default(),
+		instructions: 2_000_000,
+		seed:         1,
+		apps:         workload.Apps(),
+		workers:      1,
 	}
 	for _, o := range opts {
 		o(r)
@@ -29,30 +29,30 @@ func NewRunner(opts ...Option) *Runner {
 
 // WithInstructions sets the number of instructions simulated per run.
 func WithInstructions(n int64) Option {
-	return func(r *Runner) { r.Instructions = n }
+	return func(r *Runner) { r.instructions = n }
 }
 
 // WithSeed sets the workload seed. Rendered output is a pure function of
 // the seed (and the run parameters), regardless of worker count.
 func WithSeed(seed uint64) Option {
-	return func(r *Runner) { r.Seed = seed }
+	return func(r *Runner) { r.seed = seed }
 }
 
 // WithWorkers bounds the worker pool that executes prefetched runs.
-// n <= 1 selects the serial runner; experiments then execute each
-// simulation on demand, in the order the tables are assembled.
+// n <= 1 is a pool of one, which runs every task inline, in submission
+// order; the schedule and the rendered output are the same at every n.
 func WithWorkers(n int) Option {
-	return func(r *Runner) { r.Workers = n }
+	return func(r *Runner) { r.workers = n }
 }
 
 // WithModel substitutes the physical timing/energy model.
 func WithModel(m *cacti.Model) Option {
-	return func(r *Runner) { r.Model = m }
+	return func(r *Runner) { r.model = m }
 }
 
 // WithApps replaces the application roster.
 func WithApps(apps ...workload.App) Option {
-	return func(r *Runner) { r.Apps = apps }
+	return func(r *Runner) { r.apps = apps }
 }
 
 // WithObserver attaches an observer for run lifecycle events. The

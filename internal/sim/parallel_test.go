@@ -55,7 +55,7 @@ func TestSingleflightConcurrentRun(t *testing.T) {
 		}
 	})
 	r := smallRunner(t, WithInstructions(60_000), WithObserver(obs))
-	app := r.Apps[0]
+	app := r.apps[0]
 
 	const callers = 16
 	results := make([]*RunResult, callers)
@@ -94,34 +94,17 @@ func TestPrefetchWarmsMemo(t *testing.T) {
 	})
 	r := smallRunner(t, WithInstructions(60_000), WithWorkers(4), WithObserver(obs))
 	orgs := []Organization{Base(), Ideal()}
-	r.Prefetch(r.Apps, orgs)
-	want := len(r.Apps) * len(orgs)
+	r.Prefetch(r.apps, orgs)
+	want := len(r.apps) * len(orgs)
 	if finishes != want {
 		t.Fatalf("prefetch executed %d runs, want %d", finishes, want)
 	}
-	for _, app := range r.Apps {
+	for _, app := range r.apps {
 		for _, org := range orgs {
 			r.Run(app, org)
 		}
 	}
 	if finishes != want {
 		t.Fatalf("memoized Run re-executed: %d events, want %d", finishes, want)
-	}
-}
-
-// TestSerialPrefetchIsLazy pins the serial runner's behaviour: with
-// Workers <= 1, Prefetch defers to on-demand execution so progress
-// events keep today's table-assembly order.
-func TestSerialPrefetchIsLazy(t *testing.T) {
-	events := 0
-	r := smallRunner(t, WithInstructions(60_000),
-		WithObserver(ObserverFunc(func(RunEvent) { events++ })))
-	r.Prefetch(r.Apps, []Organization{Base()})
-	if events != 0 {
-		t.Fatalf("serial Prefetch executed %d events, want 0 (lazy)", events)
-	}
-	r.Run(r.Apps[0], Base())
-	if events != 2 {
-		t.Fatalf("on-demand run emitted %d events, want start+finish", events)
 	}
 }

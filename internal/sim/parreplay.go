@@ -101,59 +101,53 @@ func replayKey(j ReplayJob) streamKey {
 
 // runPool executes tasks on min(w, len(tasks)) goroutines, handing them
 // out in submission order; with w <= 1 it runs them inline, in order,
-// on the calling goroutine. A task that panics no longer kills the
-// process from an anonymous worker goroutine: the panic is recovered,
-// the one with the lowest submission index is latched (so which panic
-// wins is deterministic under any completion order), the remaining
-// tasks still run — releasing every singleflight waiter — and the
+// on the calling goroutine. Either way a task that panics does not stop
+// the rest: the panic is recovered, the one with the lowest submission
+// index is latched (so which panic wins is deterministic under any
+// completion order), the remaining tasks still run — filling every
+// planned stream and releasing every singleflight waiter — and the
 // latched panic is re-raised on the caller's goroutine after the pool
 // drains.
 func runPool(w int, tasks []func()) {
-	if w > len(tasks) {
-		w = len(tasks)
-	}
-	if w <= 1 {
-		for _, t := range tasks {
-			t()
-		}
-		return
-	}
-	type indexedTask struct {
-		i  int
-		fn func()
-	}
-	ch := make(chan indexedTask)
 	var (
-		wg       sync.WaitGroup
 		mu       sync.Mutex
 		panicIdx = -1
 		panicVal any
 	)
-	wg.Add(w)
-	for i := 0; i < w; i++ {
-		go func() {
-			defer wg.Done()
-			for t := range ch {
-				func() {
-					defer func() {
-						if p := recover(); p != nil {
-							mu.Lock()
-							if panicIdx == -1 || t.i < panicIdx {
-								panicIdx, panicVal = t.i, p
-							}
-							mu.Unlock()
-						}
-					}()
-					t.fn()
-				}()
+	run := func(i int) {
+		defer func() {
+			if p := recover(); p != nil {
+				mu.Lock()
+				if panicIdx == -1 || i < panicIdx {
+					panicIdx, panicVal = i, p
+				}
+				mu.Unlock()
 			}
 		}()
+		tasks[i]()
 	}
-	for i, t := range tasks {
-		ch <- indexedTask{i: i, fn: t}
+	if w = min(w, len(tasks)); w <= 1 {
+		for i := range tasks {
+			run(i)
+		}
+	} else {
+		next := make(chan int)
+		var wg sync.WaitGroup
+		wg.Add(w)
+		for range w {
+			go func() {
+				defer wg.Done()
+				for i := range next {
+					run(i)
+				}
+			}()
+		}
+		for i := range tasks {
+			next <- i
+		}
+		close(next)
+		wg.Wait()
 	}
-	close(ch)
-	wg.Wait()
 	if panicIdx != -1 {
 		panic(fmt.Sprintf("sim: pooled task %d panicked: %v", panicIdx, panicVal))
 	}

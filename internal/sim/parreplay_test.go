@@ -5,8 +5,10 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"nurapid/internal/cacti"
+	"nurapid/internal/cpu"
 	"nurapid/internal/memsys"
 	"nurapid/internal/nuca"
 	"nurapid/internal/nurapid"
@@ -224,7 +226,7 @@ func TestRunPanicReleasesSingleflight(t *testing.T) {
 						starts++
 					}
 				})))
-			app := r.Apps[0]
+			app := r.apps[0]
 
 			const callers = 8
 			panics := make([]string, callers)
@@ -258,40 +260,65 @@ func TestRunPanicReleasesSingleflight(t *testing.T) {
 	}
 }
 
-// TestPrefetchPanicPropagates seeds a panic into one task of a
-// parallel Prefetch and checks the pool finishes the remaining tasks,
+// TestPrefetchPanicPropagates seeds a panic into one task of Prefetch,
+// serial and pooled, and checks the pool finishes the remaining tasks,
 // then re-raises the failure from Prefetch on the caller's goroutine —
-// instead of the pre-fix behaviour, where the panic killed the process
-// from an anonymous worker goroutine mid-fan-out.
+// instead of killing the process from an anonymous worker goroutine
+// mid-fan-out. Draining matters for the shared stream cache too: a
+// stream Prefetch planned but never filled would block a later
+// Runner's run of that app forever.
 func TestPrefetchPanicPropagates(t *testing.T) {
-	finishes := 0
-	r := smallRunner(t, WithInstructions(60_000), WithWorkers(4),
-		WithObserver(ObserverFunc(func(e RunEvent) {
-			if e.Kind == RunFinish {
-				finishes++
-			}
-		})))
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			finishes := 0
+			r := smallRunner(t, WithInstructions(60_000), WithWorkers(workers),
+				WithObserver(ObserverFunc(func(e RunEvent) {
+					if e.Kind == RunFinish {
+						finishes++
+					}
+				})))
+			streams := &producers[*cpu.Stream]{}
+			r.streams = streams
 
-	var caught string
-	func() {
-		defer func() {
-			if p := recover(); p != nil {
-				caught = fmt.Sprint(p)
-			}
-		}()
-		r.Prefetch(r.Apps, []Organization{Base(), panickingOrg(), Ideal()})
-	}()
+			var caught string
+			func() {
+				defer func() {
+					if p := recover(); p != nil {
+						caught = fmt.Sprint(p)
+					}
+				}()
+				r.Prefetch(r.apps, []Organization{Base(), panickingOrg(), Ideal()})
+			}()
 
-	if caught == "" {
-		t.Fatal("Prefetch swallowed the task panic")
-	}
-	if !strings.Contains(caught, "seeded test panic") {
-		t.Fatalf("Prefetch panic %q does not carry the seeded failure", caught)
-	}
-	// Every healthy (app, org) pair still ran: the pool drained instead
-	// of dying mid-flight.
-	if want := len(r.Apps) * 2; finishes != want {
-		t.Fatalf("pool finished %d healthy runs before re-raising, want %d", finishes, want)
+			if caught == "" {
+				t.Fatal("Prefetch swallowed the task panic")
+			}
+			if !strings.Contains(caught, "seeded test panic") {
+				t.Fatalf("Prefetch panic %q does not carry the seeded failure", caught)
+			}
+			// Every healthy (app, org) pair still ran: the pool drained
+			// instead of dying mid-flight.
+			if want := len(r.apps) * 2; finishes != want {
+				t.Fatalf("pool finished %d healthy runs before re-raising, want %d", finishes, want)
+			}
+			if filled, _, live := streamState(streams); filled != 0 || len(live) != 0 {
+				t.Fatalf("after the failed Prefetch %d streams held, live keys %v; want none", filled, live)
+			}
+
+			// A fresh Runner on the same cache runs the last planned app.
+			later := smallRunner(t, WithInstructions(60_000))
+			later.streams = streams
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				later.Run(r.apps[len(r.apps)-1], NuRAPID(nurapid.DefaultConfig()))
+			}()
+			select {
+			case <-done:
+			case <-time.After(time.Minute):
+				t.Fatal("a later Runner's Run blocked on a stream the failed Prefetch planned")
+			}
+		})
 	}
 }
 
@@ -321,18 +348,18 @@ func TestRunPoolPanicIsDeterministic(t *testing.T) {
 }
 
 // TestPaperRunSetCoversAll pins the union prefetch against drift: after
-// prefetching paperRunSet, rendering the whole campaign must execute no
-// further simulations. An experiment gaining an organization missing
-// from the union would start a run here.
+// prefetching paperRunSet on a serial Runner, rendering the whole
+// campaign must execute no further simulations. An experiment gaining
+// an organization missing from the union would start a run here.
 func TestPaperRunSetCoversAll(t *testing.T) {
 	starts := 0
-	r := smallRunner(t, WithInstructions(60_000), WithWorkers(2),
+	r := smallRunner(t, WithInstructions(60_000),
 		WithObserver(ObserverFunc(func(e RunEvent) {
 			if e.Kind == RunStart {
 				starts++
 			}
 		})))
-	r.Prefetch(r.Apps, paperRunSet())
+	r.Prefetch(r.apps, paperRunSet())
 	prefetched := starts
 	if prefetched == 0 {
 		t.Fatal("union prefetch executed nothing")

@@ -58,7 +58,7 @@ func (r *Runner) PredictorStudy() *Experiment {
 			c.Memoize = true
 		}),
 	}
-	apps := append(append([]workload.App(nil), r.Apps...), workload.Streaming())
+	apps := append(append([]workload.App(nil), r.apps...), workload.Streaming())
 	prefetch := []Organization{Base()}
 	for _, v := range variants {
 		prefetch = append(prefetch, v.org)
@@ -68,7 +68,6 @@ func (r *Runner) PredictorStudy() *Experiment {
 	t := stats.NewTable("Predictor family: placement/promotion ablations (averages over all applications + stream)",
 		"variant", "rel perf", "g1 accesses", "L2 energy (nJ/1k instr)", "bypasses", "dead fills", "memo hits")
 	metrics := map[string]float64{}
-	// App-major, so a serial runner records each app's front end once.
 	type sums struct {
 		rel, g1, enj                  []float64
 		bypasses, deadFills, memoHits int64

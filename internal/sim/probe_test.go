@@ -51,9 +51,9 @@ func TestProbeObserverParallelDelivery(t *testing.T) {
 
 	r := smallRunner(t, WithWorkers(4), WithObserver(obsv))
 	orgs := []Organization{Base(), NuRAPID(nurapid.DefaultConfig())}
-	r.Prefetch(r.Apps, orgs)
+	r.Prefetch(r.apps, orgs)
 	// Re-running everything must observe nothing new (memoized).
-	for _, app := range r.Apps {
+	for _, app := range r.apps {
 		for _, org := range orgs {
 			r.Run(app, org)
 		}
@@ -62,8 +62,8 @@ func TestProbeObserverParallelDelivery(t *testing.T) {
 	if overlaps != 0 {
 		t.Fatalf("%d overlapping Observe calls; delivery must be serialized", overlaps)
 	}
-	if len(pairs) != len(r.Apps)*len(orgs) {
-		t.Fatalf("observed %d runs, want %d", len(pairs), len(r.Apps)*len(orgs))
+	if len(pairs) != len(r.apps)*len(orgs) {
+		t.Fatalf("observed %d runs, want %d", len(pairs), len(r.apps)*len(orgs))
 	}
 	for key, p := range pairs {
 		if p.starts != 1 || p.finishes != 1 {
@@ -98,12 +98,7 @@ func TestTraceDeterminismFixedSeed(t *testing.T) {
 		m := &memProbe{}
 		r := smallRunner(t, WithWorkers(workers), WithProbe(m.factory))
 		orgs := []Organization{NuRAPID(nurapid.DefaultConfig()), Base()}
-		r.Prefetch(r.Apps, orgs)
-		for _, app := range r.Apps { // serial runners compute on demand
-			for _, org := range orgs {
-				r.Run(app, org)
-			}
-		}
+		r.Prefetch(r.apps, orgs)
 		if err := r.ProbeErr(); err != nil {
 			t.Fatal(err)
 		}
@@ -140,12 +135,7 @@ func TestCMPTraceDeterminism(t *testing.T) {
 		r := smallRunner(t, WithWorkers(workers), WithProbe(m.factory),
 			WithCores(2), WithSharing(cmp.Shared))
 		orgs := []Organization{org, Base()}
-		r.PrefetchCMP(r.Apps, orgs)
-		for _, app := range r.Apps { // serial runners compute on demand
-			for _, o := range orgs {
-				r.RunCMP(app, o)
-			}
-		}
+		r.PrefetchCMP(r.apps, orgs)
 		if err := r.ProbeErr(); err != nil {
 			t.Fatal(err)
 		}
@@ -232,7 +222,7 @@ func TestTraceMatchesCounters(t *testing.T) {
 			return c
 		}))
 	sawDemotions := false
-	for _, app := range r.Apps {
+	for _, app := range r.apps {
 		res := r.Run(app, NuRAPID(cfg))
 		c := colls[app.Name]
 		if c == nil {
@@ -280,11 +270,11 @@ func TestTraceProbeDisabledResultsIdentical(t *testing.T) {
 	}))
 	nilProbed := smallRunner(t, WithProbe(func(app, org string) obs.Probe { return nil }))
 	for _, r := range []*Runner{bare, probed, nilProbed} {
-		for _, app := range r.Apps {
+		for _, app := range r.apps {
 			r.Run(app, NuRAPID(nurapid.DefaultConfig()))
 		}
 	}
-	for _, app := range bare.Apps {
+	for _, app := range bare.apps {
 		org := NuRAPID(nurapid.DefaultConfig())
 		a := bare.Run(app, org)
 		b := probed.Run(app, org)
@@ -312,7 +302,7 @@ func TestTraceProbeDisabledResultsIdentical(t *testing.T) {
 func TestTraceWithTraceWritesFiles(t *testing.T) {
 	dir := t.TempDir()
 	r := smallRunner(t, WithTrace(dir))
-	app := r.Apps[0]
+	app := r.apps[0]
 	org := NuRAPID(nurapid.DefaultConfig())
 	res := r.Run(app, org)
 	if err := r.ProbeErr(); err != nil {
@@ -344,7 +334,7 @@ func TestTraceWithTraceWritesFiles(t *testing.T) {
 	}
 
 	bad := smallRunner(t, WithTrace(filepath.Join(dir, "missing", "nested")))
-	bad.Run(bad.Apps[0], Base())
+	bad.Run(bad.apps[0], Base())
 	if bad.ProbeErr() == nil {
 		t.Fatal("unwritable trace dir must latch ProbeErr")
 	}
@@ -361,7 +351,7 @@ func TestTraceSweepVariantsProbed(t *testing.T) {
 		orgs[org] = true
 		return obs.NewCollector()
 	}))
-	res := r.Run(r.Apps[0], wireScaled(NuRAPID(nurapid.DefaultConfig()), "nurapid", 1.5))
+	res := r.Run(r.apps[0], wireScaled(NuRAPID(nurapid.DefaultConfig()), "nurapid", 1.5))
 	if len(res.ObsMetrics) == 0 {
 		t.Fatal("sweep variant run lost its obs metrics")
 	}
@@ -381,7 +371,7 @@ func TestTraceRunEventMetricsNames(t *testing.T) {
 				metrics = e.Metrics
 			}
 		})))
-	r.Run(r.Apps[0], Base())
+	r.Run(r.apps[0], Base())
 	want := map[string]bool{"energy_delay": false, "cpu_instructions": false, "obs_accesses": false}
 	for _, kv := range metrics {
 		if _, ok := want[kv.Name]; ok {

@@ -138,31 +138,30 @@ func (r *RunResult) Snapshot() []stats.KV {
 
 // Runner executes and memoizes simulations so experiments sharing a
 // configuration (every figure needs the base runs) pay for it once.
+// NewRunner and its options set its configuration.
 //
 // A Runner is safe for concurrent use: the memo is singleflight — the
 // first caller for a (app, org) key executes the simulation, concurrent
 // callers for the same key block until that one result is ready, and
-// later callers get it instantly. With Workers > 1 the experiments
-// prefetch their full run set onto a bounded worker pool and then
-// assemble tables from completed results in deterministic order, so the
-// rendered output is byte-identical to a serial run at the same seed.
-//
-// Configure the exported fields before the first Run (or use the
-// NewRunner options); they must not change afterwards.
+// later callers get it instantly. Each experiment prefetches its full
+// run set onto the worker pool (WithWorkers; a pool of one runs its
+// tasks inline, in submission order) and then assembles its table from
+// completed results in deterministic order, so the rendered output is
+// byte-identical at every worker count for the same seed.
 type Runner struct {
-	Model        *cacti.Model
-	Instructions int64
-	Seed         uint64
-	Apps         []workload.App
+	model        *cacti.Model
+	instructions int64
+	seed         uint64
+	apps         []workload.App
 
-	// Workers bounds the pool executing prefetched runs; <= 1 is serial.
-	Workers int
+	// workers bounds the pool executing prefetched runs.
+	workers int
 
-	// Cores is the core count for CMP runs (RunCMP / the cmp
+	// cores is the core count for CMP runs (RunCMP / the cmp
 	// experiment); <= 0 means 2. Single-core experiments ignore it.
-	Cores int
-	// Sharing is the CMP workload sharing pattern (zero value: shared).
-	Sharing cmp.Sharing
+	cores int
+	// sharing is the CMP workload sharing pattern (zero value: shared).
+	sharing cmp.Sharing
 
 	observer Observer
 	obsMu    sync.Mutex
@@ -189,8 +188,7 @@ type Runner struct {
 // core — so the cache is shared by all Runners in the process: a
 // program that builds a Runner per experiment (or per benchmark
 // iteration) reuses the same buffers instead of allocating a stream per
-// Runner. It holds at most the serial slot's stream and maxFree spares
-// when no run is in flight.
+// Runner. With no run in flight it holds at most maxFree spare buffers.
 var frontEnds producers[*cpu.Stream]
 
 // frontEnds returns the Runner's front-end cache.
@@ -287,23 +285,22 @@ func (res *RunResult) finished(hasAPKI bool) RunEvent {
 
 // Run simulates app on org, memoized on (app, org key). The core
 // replays app's recorded front end (cpu.Stream), which every
-// organization shares: a prefetched stream when Prefetch planned one,
-// otherwise the one recorded on demand into the cache's slot, where it
-// stays until a run of another app needs the slot. The result is
-// identical to running the core on the live front end.
+// organization shares: the stream Prefetch planned for the app, or
+// else one recorded for this run alone. The result is identical to
+// running the core on the live front end.
 func (r *Runner) Run(app workload.App, org Organization) *RunResult {
 	return runOnce(r, &r.memo, app.Name+"/"+org.Key, app.Name, org.Key, func(ctx context.Context) (*RunResult, RunEvent) {
 		mem := memsys.NewMemory(org.blockBytes())
-		l2 := org.Factory(r.Model, mem)
+		l2 := org.Factory(r.model, mem)
 		probes := r.instrument(app.Name, org.Key, l2)
-		core := cpu.MustNew(l2, cpu.WithL1EnergyNJ(r.Model.L1NJ))
+		core := cpu.MustNew(l2, cpu.WithL1EnergyNJ(r.model.L1NJ))
 		t0 := r.now()
 		fe := r.frontEnds().get(ctx, r.streamKey(app), "front-end", r.recorder(app))
 		defer r.frontEnds().release(fe)
 		frontEnd := r.now() - t0
 		cres := core.RunStream(fe.val)
 
-		params := energy.DefaultParams(r.Model)
+		params := energy.DefaultParams(r.model)
 		bd := params.Collect(cres.Cycles, cres.Instructions,
 			cres.L1DAccesses+cres.L1IAccesses, l2.EnergyNJ(), mem.EnergyNJ())
 
@@ -333,7 +330,7 @@ func (r *Runner) Run(app workload.App, org Organization) *RunResult {
 
 // streamKey names app's front-end stream.
 func (r *Runner) streamKey(app workload.App) streamKey {
-	return streamKey{app: app, seed: r.Seed, n: r.Instructions}
+	return streamKey{app: app, seed: r.seed, n: r.instructions}
 }
 
 // recorder records app's front end for the paper's Table 1 core into a
@@ -343,28 +340,24 @@ func (r *Runner) recorder(app workload.App) func(*cpu.Stream) *cpu.Stream {
 		if s == nil {
 			s = &cpu.Stream{}
 		}
-		if err := s.Record(workload.MustNewGenerator(app, r.Seed), r.Instructions, cpu.DefaultConfig()); err != nil {
+		if err := s.Record(workload.MustNewGenerator(app, r.seed), r.instructions, cpu.DefaultConfig()); err != nil {
 			panic(fmt.Sprintf("sim: recording %s: %v", app.Name, err))
 		}
 		return s
 	}
 }
 
-// Prefetch submits every (app, org) pair not yet memoized to the
-// worker pool and blocks until all are simulated. With Workers <= 1 it
-// is a no-op: the serial runner executes each simulation on demand, in
-// table-assembly order, exactly as before the pool existed. Each
-// experiment calls Prefetch with its full run set up front, then
-// assembles its table from memoized results in deterministic order.
+// Prefetch simulates every (app, org) pair not yet memoized on the
+// worker pool and blocks until all are done. Each experiment calls it
+// with its full run set up front, then assembles its table from
+// memoized results in deterministic order.
 //
 // Tasks go out app by app: one task recording the app's front end,
 // then its organizations' runs, which replay it; the last of them
-// retires the stream. So the pool holds at most Workers+1 streams, and
-// each run's RunEvent.Elapsed stays the cost of its own organization.
+// retires the stream. So the pool holds at most workers+1 streams (one
+// on a serial Runner), each app is recorded once, and each run's
+// RunEvent.Elapsed stays the cost of its own organization.
 func (r *Runner) Prefetch(apps []workload.App, orgs []Organization) {
-	if r.Workers <= 1 {
-		return
-	}
 	var tasks []func()
 	for _, app := range apps {
 		var todo []Organization
@@ -390,7 +383,7 @@ func (r *Runner) Prefetch(apps []workload.App, orgs []Organization) {
 			})
 		}
 	}
-	runPool(r.Workers, tasks)
+	runPool(r.workers, tasks)
 }
 
 // RelPerf returns org's performance relative to the base hierarchy for

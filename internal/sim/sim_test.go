@@ -27,7 +27,7 @@ func smallRunner(t *testing.T, opts ...Option) *Runner {
 
 func TestRunMemoizes(t *testing.T) {
 	r := smallRunner(t)
-	app := r.Apps[0]
+	app := r.apps[0]
 	a := r.Run(app, Base())
 	b := r.Run(app, Base())
 	if a != b {
@@ -38,8 +38,8 @@ func TestRunMemoizes(t *testing.T) {
 func TestRunDeterminism(t *testing.T) {
 	r1 := smallRunner(t)
 	r2 := smallRunner(t)
-	a := r1.Run(r1.Apps[0], NuRAPID(nurapid.DefaultConfig()))
-	b := r2.Run(r2.Apps[0], NuRAPID(nurapid.DefaultConfig()))
+	a := r1.Run(r1.apps[0], NuRAPID(nurapid.DefaultConfig()))
+	b := r2.Run(r2.apps[0], NuRAPID(nurapid.DefaultConfig()))
 	if a.CPU.Cycles != b.CPU.Cycles || a.L2EnergyNJ != b.L2EnergyNJ {
 		t.Fatalf("runs not deterministic: %d vs %d cycles", a.CPU.Cycles, b.CPU.Cycles)
 	}
@@ -47,14 +47,14 @@ func TestRunDeterminism(t *testing.T) {
 
 func TestRelPerfBaseIsOne(t *testing.T) {
 	r := smallRunner(t)
-	if p := r.RelPerf(r.Apps[0], Base()); p != 1.0 {
+	if p := r.RelPerf(r.apps[0], Base()); p != 1.0 {
 		t.Fatalf("RelPerf(base) = %v, want 1", p)
 	}
 }
 
 func TestRunResultPopulated(t *testing.T) {
 	r := smallRunner(t)
-	res := r.Run(r.Apps[0], NuRAPID(nurapid.DefaultConfig()))
+	res := r.Run(r.apps[0], NuRAPID(nurapid.DefaultConfig()))
 	if res.CPU.Instructions != 120_000 {
 		t.Fatalf("instructions = %d", res.CPU.Instructions)
 	}
@@ -117,10 +117,10 @@ func TestTable2MatchesAnchors(t *testing.T) {
 func TestTable3ReportsAllApps(t *testing.T) {
 	r := smallRunner(t)
 	e := r.Table3()
-	if e.Table.NumRows() != len(r.Apps) {
-		t.Fatalf("table3 rows = %d, want %d", e.Table.NumRows(), len(r.Apps))
+	if e.Table.NumRows() != len(r.apps) {
+		t.Fatalf("table3 rows = %d, want %d", e.Table.NumRows(), len(r.apps))
 	}
-	for _, app := range r.Apps {
+	for _, app := range r.apps {
 		if e.Metrics["apki_"+app.Name] <= 0 {
 			t.Fatalf("APKI for %s missing", app.Name)
 		}
@@ -140,7 +140,7 @@ func TestTable4MatchesAnchors(t *testing.T) {
 func TestFig4Shape(t *testing.T) {
 	r := smallRunner(t)
 	e := r.Fig4()
-	if e.Table.NumRows() != len(r.Apps)+1 {
+	if e.Table.NumRows() != len(r.apps)+1 {
 		t.Fatalf("fig4 rows = %d", e.Table.NumRows())
 	}
 	// Distance-associative placement must serve at least as many
@@ -155,7 +155,7 @@ func TestFig5MissesPolicyIndependent(t *testing.T) {
 	r := smallRunner(t)
 	_ = r.Fig5()
 	// The same app under the three policies must show identical misses.
-	app := r.Apps[0]
+	app := r.apps[0]
 	orgs := []Organization{
 		NuRAPID(nurapidCfg(4, nurapid.DemotionOnly, nurapid.RandomDistance)),
 		NuRAPID(nurapidCfg(4, nurapid.NextFastest, nurapid.RandomDistance)),
@@ -278,8 +278,8 @@ func TestObserverSeesEachRunOnce(t *testing.T) {
 		}
 	})
 	r := smallRunner(t, WithObserver(obs))
-	r.Run(r.Apps[0], Base())
-	r.Run(r.Apps[0], Base()) // memoized: no second event pair
+	r.Run(r.apps[0], Base())
+	r.Run(r.apps[0], Base()) // memoized: no second event pair
 	if starts != 1 || finishes != 1 {
 		t.Fatalf("events = %d starts, %d finishes, want 1 each", starts, finishes)
 	}

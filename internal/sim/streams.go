@@ -52,24 +52,21 @@ func (e *shared[T]) wait() T {
 // the next producer reuses, so a campaign's streams stop allocating
 // once the buffers have grown.
 //
-// Two ways in:
-//   - Pooled: plan registers a stream and its consumer count before any
-//     task runs; the caller submits one producer task (fill) ahead of
-//     the consumers, each of which releases the stream when done. A
-//     consumer blocked in wait always has its producer already handed
-//     to a worker, so the pool cannot deadlock, and with tasks handed
-//     out app by app at most workers+1 streams hold buffers at once.
-//   - On demand: get produces a stream inline when none is live, and
-//     keeps it in a one-stream slot until a different key is asked
-//     for, so a serial caller that runs an app's organizations back to
-//     back holds one stream and produces it once.
+// Planned streams are the schedule: plan registers a stream and its
+// consumer count before any task runs, and the caller submits one
+// producer task (fill) ahead of the consumers, each of which releases
+// the stream when done. A consumer blocked in wait always has its
+// producer already handed to a worker, so the pool cannot deadlock, and
+// with tasks handed out app by app at most workers+1 streams hold
+// buffers at once. get hands a consumer its stream: the planned one
+// when live, or else one produced inline for that caller.
 type producers[T any] struct {
-	mu     sync.Mutex
-	live   map[streamKey]*shared[T]
-	slot   *shared[T] // the on-demand stream, held until the next miss
-	free   []T
-	filled int // streams holding a value now
-	peak   int // most streams ever holding a value at once (a test hook)
+	mu       sync.Mutex
+	live     map[streamKey]*shared[T]
+	free     []T
+	filled   int // streams holding a value now
+	peak     int // most streams ever holding a value at once (a test hook)
+	produced int // streams ever produced (a test hook)
 }
 
 // plan registers consumers more holders of key's stream, creating it if
@@ -86,20 +83,17 @@ func (p *producers[T]) plan(key streamKey, consumers int) (e *shared[T], fresh b
 }
 
 // get returns key's stream, produced, with one hold the caller must
-// release. A live stream (planned or in the slot) is shared; otherwise
-// the stream is produced on the calling goroutine and takes the slot.
-// If producing it panicked, get drops the caller's hold and re-raises.
+// release. A live stream (planned, or being produced for another
+// caller) is shared; otherwise the stream is produced on the calling
+// goroutine for this caller, and retired on the last release. If
+// producing it panicked, get drops the caller's hold and re-raises.
 func (p *producers[T]) get(ctx context.Context, key streamKey, phase string, produce func(reuse T) T) *shared[T] {
 	p.mu.Lock()
 	e, ok := p.live[key]
 	if ok {
 		e.refs++
 	} else {
-		if p.slot != nil {
-			p.releaseLocked(p.slot)
-		}
-		e = p.addLocked(key, 2) // the caller's hold and the slot's
-		p.slot = e
+		e = p.addLocked(key, 1)
 	}
 	p.mu.Unlock()
 	if !ok {
@@ -135,6 +129,7 @@ func (p *producers[T]) fill(ctx context.Context, e *shared[T], phase string, pro
 	}
 	p.filled++
 	p.peak = max(p.peak, p.filled)
+	p.produced++
 	p.mu.Unlock()
 
 	defer func() {
@@ -165,18 +160,14 @@ func (p *producers[T]) releaseLocked(e *shared[T]) {
 		return
 	}
 	delete(p.live, e.key)
-	if p.slot == e {
-		p.slot = nil
-	}
 	if e.done {
 		p.retireLocked(e)
 	} // else fill retires it once produced
 }
 
 // maxFree bounds the free list: a released stream is recycled by the
-// next producer, so one or two spares cover both the serial slot and a
-// pool retiring one stream while producing the next; more would only
-// hold memory.
+// next producer, so one or two spares cover a pool retiring one stream
+// while producing the next; more would only hold memory.
 const maxFree = 2
 
 // retireLocked recycles a produced stream nobody holds.

@@ -9,6 +9,7 @@ import (
 
 	"nurapid/internal/cacti"
 	"nurapid/internal/cpu"
+	"nurapid/internal/nuca"
 	"nurapid/internal/nurapid"
 	"nurapid/internal/workload"
 )
@@ -24,33 +25,82 @@ func streamState[T any](p *producers[T]) (filled, peak int, live []string) {
 	return p.filled, p.peak, live
 }
 
-// TestStreamSerialRunnerHoldsOne pins the serial path's memory budget:
-// running app after app, organization after organization, the Runner
-// holds one front-end stream, records it once per app, and reuses its
-// buffers for the next app.
+// produced reads how many streams p has produced so far.
+func produced[T any](p *producers[T]) int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.produced
+}
+
+// TestStreamSerialRunnerHoldsOne pins the serial schedule's memory
+// budget: a serial Runner's Prefetch records each app once, holds one
+// front-end stream at a time, records every app into the same buffer,
+// and retires it after the app's last run; a Run outside any plan holds
+// its own stream only while it runs.
 func TestStreamSerialRunnerHoldsOne(t *testing.T) {
-	r := smallRunner(t, WithInstructions(60_000))
+	var r *Runner
+	buffers := map[*cpu.Stream]bool{}
+	r = smallRunner(t, WithInstructions(60_000), WithObserver(ObserverFunc(func(e RunEvent) {
+		if e.Kind != RunStart {
+			return
+		}
+		app, _ := workload.ByName(e.App)
+		r.streams.mu.Lock()
+		if fe := r.streams.live[r.streamKey(app)]; fe != nil {
+			buffers[fe.val] = true
+		}
+		r.streams.mu.Unlock()
+	})))
 	r.streams = &producers[*cpu.Stream]{}
 	orgs := []Organization{Base(), NuRAPID(nurapid.DefaultConfig()), Ideal()}
-	for _, app := range r.Apps {
-		var first *shared[*cpu.Stream]
-		for _, org := range orgs {
-			r.Run(app, org)
-			if filled, peak, _ := streamState(r.streams); filled != 1 || peak != 1 {
-				t.Fatalf("%s/%s: %d streams held, peak %d; want 1 and 1", app.Name, org.Key, filled, peak)
-			}
-			slot := r.streams.slot
-			if slot == nil || slot.key != r.streamKey(app) {
-				t.Fatalf("%s/%s: slot holds %v, want the app's stream", app.Name, org.Key, slot)
-			}
-			if first == nil {
-				first = slot
-			} else if slot != first {
-				t.Fatalf("%s/%s: stream recorded again for a later organization", app.Name, org.Key)
-			}
+	r.Prefetch(r.apps, orgs)
+	filled, peak, live := streamState(r.streams)
+	if filled != 0 || peak != 1 || len(live) != 0 {
+		t.Fatalf("after a serial Prefetch: %d streams held, peak %d, live %v; want 0, 1, none", filled, peak, live)
+	}
+	if got := produced(r.streams); got != len(r.apps) {
+		t.Fatalf("recorded %d streams for %d apps", got, len(r.apps))
+	}
+	if len(buffers) != 1 {
+		t.Fatalf("runs replayed %d distinct stream buffers, want the one buffer reused for every app", len(buffers))
+	}
+
+	// Outside any plan, each Run records its own stream and retires it.
+	app := r.apps[0]
+	r.Run(app, DNUCA(nuca.DefaultConfig()))
+	if filled, peak, live := streamState(r.streams); filled != 0 || peak != 1 || len(live) != 0 {
+		t.Fatalf("after an unplanned Run: %d streams held, peak %d, live %v; want 0, 1, none", filled, peak, live)
+	}
+	if got := produced(r.streams); got != len(r.apps)+1 {
+		t.Fatalf("an unplanned Run recorded %d streams, want 1", got-len(r.apps))
+	}
+}
+
+// TestStreamRecordedOncePerApp pins the one schedule end to end: on a
+// serial Runner, All() and every experiment ByID records each distinct
+// app's front end exactly once, however many organizations it runs on.
+// CMP runs keep the live front end and record none.
+func TestStreamRecordedOncePerApp(t *testing.T) {
+	ids := []string{"all", "table1", "table2", "table3", "table4", "fig4", "fig5", "fig6", "lru",
+		"fig7", "fig8", "fig9", "fig10", "fig11", "ablation", "predictor",
+		"sweep-capacity", "sweep-block", "sweep-tech", "cmp"}
+	for _, id := range ids {
+		r := smallRunner(t, WithInstructions(30_000))
+		r.streams = &producers[*cpu.Stream]{}
+		if id == "all" {
+			r.All()
+		} else if _, err := r.ByID(id); err != nil {
+			t.Fatal(err)
 		}
-		if len(r.streams.free) != 0 {
-			t.Fatalf("%s: %d idle streams on the free list, want the slot's buffer reused", app.Name, len(r.streams.free))
+		apps := map[string]bool{}
+		for key := range r.memo {
+			apps[key[:strings.IndexByte(key, '/')]] = true
+		}
+		if got := produced(r.streams); got != len(apps) {
+			t.Errorf("%s: recorded %d front ends for %d distinct apps", id, got, len(apps))
+		}
+		if filled, peak, live := streamState(r.streams); filled != 0 || peak > 1 || len(live) != 0 {
+			t.Errorf("%s: %d streams held, peak %d, live %v; want 0, at most 1, none", id, filled, peak, live)
 		}
 	}
 }
@@ -77,7 +127,7 @@ func TestStreamPrefetchLifecycle(t *testing.T) {
 					r.streams.mu.Unlock()
 				})))
 			r.streams = &producers[*cpu.Stream]{}
-			r.Prefetch(r.Apps, orgs)
+			r.Prefetch(r.apps, orgs)
 			if len(missing) > 0 {
 				t.Fatalf("runs started without their app's stream live: %v", missing)
 			}
@@ -90,7 +140,7 @@ func TestStreamPrefetchLifecycle(t *testing.T) {
 			}
 			// The memo is complete: assembling results runs nothing and
 			// records nothing.
-			for _, app := range r.Apps {
+			for _, app := range r.apps {
 				for _, org := range orgs {
 					r.Run(app, org)
 				}
@@ -172,34 +222,39 @@ func TestStreamReplayAllRecycles(t *testing.T) {
 }
 
 // TestStreamSharedAcrossRunners pins the process-wide cache: a second
-// Runner over the same (app, seed, n) replays the stream the first one
-// recorded, while an app model that only shares the name gets its own
-// stream — and every result matches a Runner with a private cache.
+// Runner over the same (app, seed, n) records into the buffer the first
+// one retired to the free list, while an app model that only shares the
+// name gets its own stream — and every result matches a Runner with a
+// private cache.
 func TestStreamSharedAcrossRunners(t *testing.T) {
 	fresh := func(app workload.App, org Organization) *RunResult {
 		r := smallRunner(t, WithInstructions(60_000))
 		r.streams = &producers[*cpu.Stream]{}
 		return r.Run(app, org)
 	}
-	app := smallRunner(t).Apps[0]
+	lastFree := func() *cpu.Stream {
+		frontEnds.mu.Lock()
+		defer frontEnds.mu.Unlock()
+		if n := len(frontEnds.free); n > 0 {
+			return frontEnds.free[n-1]
+		}
+		return nil
+	}
+	app := smallRunner(t).apps[0]
 	twin := app
 	twin.HotFrac /= 2 // same name, different model
 
 	smallRunner(t, WithInstructions(60_000)).Run(app, Base())
-	frontEnds.mu.Lock()
-	recorded := frontEnds.slot
-	frontEnds.mu.Unlock()
-	if recorded == nil || recorded.key.app != app {
-		t.Fatalf("slot holds %v after a run of %s", recorded, app.Name)
+	retired := lastFree()
+	if filled, _, live := streamState(&frontEnds); filled != 0 || len(live) != 0 || retired == nil {
+		t.Fatalf("after a run of %s: %d streams held, live %v, free-list top %p; want its stream retired", app.Name, filled, live, retired)
 	}
+	before := produced(&frontEnds)
 	if got, want := smallRunner(t, WithInstructions(60_000)).Run(app, Ideal()).CPU, fresh(app, Ideal()).CPU; got != want {
-		t.Fatalf("shared-stream run %+v differs from a fresh recording's %+v", got, want)
+		t.Fatalf("a later Runner's run %+v differs from a fresh recording's %+v", got, want)
 	}
-	frontEnds.mu.Lock()
-	reused := frontEnds.slot == recorded
-	frontEnds.mu.Unlock()
-	if !reused {
-		t.Fatal("a second Runner re-recorded a stream the slot already held")
+	if produced(&frontEnds) != before+1 || lastFree() != retired {
+		t.Fatal("a later Runner did not record into the buffer the free list held")
 	}
 	if got, want := smallRunner(t, WithInstructions(60_000)).Run(twin, Base()).CPU, fresh(twin, Base()).CPU; got != want {
 		t.Fatalf("same-named app model replayed %+v, want its own stream's %+v", got, want)
@@ -211,11 +266,12 @@ func TestStreamSharedAcrossRunners(t *testing.T) {
 
 // TestStreamConcurrentRunners drives the process-wide cache from
 // several goroutines at once, each with its own serial Runner walking
-// the apps in a different order, so the shared slot is contended and
-// re-recorded. Every result must equal a run on a private cache.
+// the apps in a different order, so live streams are shared and the
+// free list is contended. Every result must equal a run on a private
+// cache.
 func TestStreamConcurrentRunners(t *testing.T) {
 	orgs := []Organization{Base(), Ideal()}
-	apps := smallRunner(t).Apps
+	apps := smallRunner(t).apps
 	want := map[string]cpu.Result{}
 	ref := smallRunner(t, WithInstructions(30_000))
 	ref.streams = &producers[*cpu.Stream]{}

@@ -33,9 +33,9 @@ func (r *Runner) CapacitySweep() *Experiment {
 		orgs = append(orgs, org)
 		byMB[c.mb] = org
 	}
-	r.Prefetch(r.Apps, orgs)
+	r.Prefetch(r.apps, orgs)
 	rel := map[int][]float64{}
-	for _, app := range r.Apps {
+	for _, app := range r.apps {
 		row := []any{app.Name}
 		for _, c := range capacities {
 			p := r.RelPerf(app, byMB[c.mb])
@@ -72,10 +72,10 @@ func (r *Runner) BlockSweep() *Experiment {
 		byBlock[bb] = NuRAPID(cfg)
 		orgs = append(orgs, byBlock[bb])
 	}
-	r.Prefetch(r.Apps, orgs)
+	r.Prefetch(r.apps, orgs)
 	ipc := map[int][]float64{}
 	miss := map[int][]float64{}
-	for _, app := range r.Apps {
+	for _, app := range r.apps {
 		for _, bb := range blocks {
 			res := r.Run(app, byBlock[bb])
 			t.AddRow(app.Name, fmt.Sprintf("%d B", bb),
@@ -115,9 +115,9 @@ func (r *Runner) TechSweep() *Experiment {
 		dn[s] = wireScaled(DNUCA(nuca.DefaultConfig()), "dnuca", s)
 		orgs = append(orgs, nu[s], dn[s])
 	}
-	r.Prefetch(r.Apps, orgs)
+	r.Prefetch(r.apps, orgs)
 	rel := map[float64][]float64{}
-	for _, app := range r.Apps {
+	for _, app := range r.apps {
 		row := []any{app.Name}
 		for _, s := range scales {
 			ratio := float64(r.Run(app, dn[s]).CPU.Cycles) / float64(r.Run(app, nu[s]).CPU.Cycles)

@@ -8,7 +8,7 @@ func TestCapacitySweep(t *testing.T) {
 	if e.ID != "sweep-capacity" {
 		t.Fatalf("id = %q", e.ID)
 	}
-	if e.Table.NumRows() != len(r.Apps)+1 {
+	if e.Table.NumRows() != len(r.apps)+1 {
 		t.Fatalf("rows = %d", e.Table.NumRows())
 	}
 	for _, k := range []string{"rel_4mb", "rel_8mb", "rel_16mb"} {
@@ -30,7 +30,7 @@ func TestBlockSweep(t *testing.T) {
 	if e.ID != "sweep-block" {
 		t.Fatalf("id = %q", e.ID)
 	}
-	if e.Table.NumRows() != 3*len(r.Apps)+3 {
+	if e.Table.NumRows() != 3*len(r.apps)+3 {
 		t.Fatalf("rows = %d", e.Table.NumRows())
 	}
 	for _, k := range []string{"ipc_64", "ipc_128", "ipc_256"} {
@@ -88,5 +88,5 @@ func TestScaledModelPanicsOnBadFactor(t *testing.T) {
 			t.Fatal("must panic")
 		}
 	}()
-	smallRunner(t).Model.Scaled(0)
+	smallRunner(t).model.Scaled(0)
 }

@@ -28,7 +28,7 @@ func (r *Runner) Table1() *Experiment {
 
 // Table2 regenerates the paper's cache-energy table from the cacti model.
 func (r *Runner) Table2() *Experiment {
-	m := r.Model
+	m := r.model
 	t := stats.NewTable("Table 2: Example cache energies in nJ", "operation", "energy (nJ)")
 	p4 := floorplan.NewLShapedPlan(8, 4)
 	p8 := floorplan.NewLShapedPlan(8, 8)
@@ -66,11 +66,11 @@ func (r *Runner) Table2() *Experiment {
 // Table3 reports the application roster with the Table 3 anchors next to
 // the measured base-case IPC and L2 accesses per kilo-instruction.
 func (r *Runner) Table3() *Experiment {
-	r.Prefetch(r.Apps, []Organization{Base()})
+	r.Prefetch(r.apps, []Organization{Base()})
 	t := stats.NewTable("Table 3: Applications and L2 load (base case)",
 		"benchmark", "type", "class", "paper IPC", "IPC", "paper APKI", "APKI")
 	metrics := map[string]float64{}
-	for _, app := range r.Apps {
+	for _, app := range r.apps {
 		res := r.Run(app, Base())
 		typ := "Int"
 		if app.FP {
@@ -87,7 +87,7 @@ func (r *Runner) Table3() *Experiment {
 // Table4 regenerates the latency table: per-megabyte access latency for
 // the three NuRAPID configurations and the D-NUCA average.
 func (r *Runner) Table4() *Experiment {
-	m := r.Model
+	m := r.model
 	t := stats.NewTable("Table 4: Cache latencies in cycles",
 		"capacity", "2 d-groups", "4 d-groups", "8 d-groups", "D-NUCA (avg)")
 	lat := map[int][]int{}
