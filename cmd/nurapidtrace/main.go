@@ -13,15 +13,15 @@
 //	nurapidtrace -epoch 1024 run.jsonl      # finer occupancy timeline
 //	nurapidtrace < run.jsonl                # read one trace from stdin
 //
-// CMP traces (experiments -cmp -trace traces) carry queue-side events —
-// enqueue, issue, inval — that the single-core report ignores; -cmp
-// switches to the contention report built on the windowed time-series
-// registry:
+// CMP traces (experiments -cmp -trace traces) also carry queue-side
+// events — enqueue, issue, inval. A trace with enqueue or issue events
+// gets the contention report built on the windowed time-series registry
+// instead of the single-core tables; no flag selects it:
 //
-//	nurapidtrace -cmp traces/mcf__cmp2-shared-nurapid-4g-next-random.jsonl
-//	nurapidtrace -cmp -window 4096 run.jsonl   # finer timeline windows
+//	nurapidtrace traces/mcf__cmp2-shared-nurapid-4g-next-random.jsonl
+//	nurapidtrace -window 4096 run.jsonl   # finer CMP timeline windows
 //
-// The -cmp report renders the per-core latency-breakdown table, the
+// The CMP report renders the per-core latency-breakdown table, the
 // per-bank contention summary, the bank-wait heatmap (one row per
 // active window, one column per bank), and the queue-depth timeline.
 // The timeline tables retain the last 64 active windows; evicted
@@ -45,20 +45,13 @@ func main() {
 	var (
 		csv    = flag.Bool("csv", false, "emit CSV instead of aligned text")
 		epoch  = flag.Int64("epoch", obs.DefaultEpochAccesses, "occupancy sample epoch, in accesses")
-		cmp    = flag.Bool("cmp", false, "render the CMP contention report (queue/bank/coherence events)")
 		window = flag.Int64("window", obs.DefaultWindowCycles, "CMP timeline window, in cycles")
 	)
 	flag.Parse()
 
-	render := func(w io.Writer, name string, r io.Reader) error {
-		if *cmp {
-			return reportCMP(w, name, r, *window, *csv)
-		}
-		return report(w, name, r, *epoch, *csv)
-	}
 	inputs := flag.Args()
 	if len(inputs) == 0 {
-		if err := render(os.Stdout, "<stdin>", os.Stdin); err != nil {
+		if err := report(os.Stdout, "<stdin>", os.Stdin, *epoch, *window, *csv); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
@@ -73,7 +66,7 @@ func main() {
 		if i > 0 {
 			fmt.Println()
 		}
-		err = render(os.Stdout, path, f)
+		err = report(os.Stdout, path, f, *epoch, *window, *csv)
 		f.Close()
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "%s: %v\n", path, err)
@@ -82,84 +75,51 @@ func main() {
 	}
 }
 
-// report decodes one trace and renders its aggregate tables.
+// report decodes one trace and renders its aggregate tables: the CMP
+// contention report when the trace carries queue-side events (enqueue
+// or issue, which only a CMP run emits), the single-core report
+// otherwise. The CMP report's time-series registry runs without a
+// latency profile (a trace does not carry the organization's timing
+// model), so per-core latency comes from observed hit latencies and
+// the waterfall stays with the live harvest (experiments -cmp,
+// obs_ts_wf_* metrics).
 //
 // Degenerate inputs are handled gracefully rather than fatally: an
 // empty trace and a mid-record truncation both still render the report
-// for whatever was decoded (headers-only tables when nothing was), and
-// then return a clear error so the process exits non-zero — a
-// truncated measurement campaign must not look like a successful one.
-func report(w io.Writer, name string, r io.Reader, epoch int64, csv bool) error {
+// for whatever was decoded (headers-only single-core tables when
+// nothing was), and then return a clear error so the process exits
+// non-zero — a truncated measurement campaign must not look like a
+// successful one.
+func report(w io.Writer, name string, r io.Reader, epoch, window int64, csv bool) error {
 	coll := obs.NewCollector()
 	samp := obs.NewSampler("occupancy", epoch)
-	events := 0
+	ts := obs.NewTimeSeries("ts", window)
+	events, queued := 0, false
 	decErr := obs.DecodeTrace(r, func(e obs.Event) error {
 		events++
+		queued = queued || e.Kind == obs.KindEnqueue || e.Kind == obs.KindIssue
 		coll.Emit(e)
 		samp.Emit(e)
-		return nil
-	})
-	tables := []*stats.Table{
-		countersTable(name, coll.Counters()),
-		histTable("demotion-chain depth (links per placement)", "depth", coll.ChainDepth()),
-		histTable("hit latency (cycles)", "cycles", coll.HitLatency()),
-		groupHitsTable(coll.GroupHits()),
-		occupancyTable(samp),
-	}
-	for i, t := range tables {
-		if i > 0 {
-			if _, err := fmt.Fprintln(w); err != nil {
-				return err
-			}
-		}
-		var err error
-		if csv {
-			err = t.WriteCSV(w)
-		} else {
-			err = t.WriteText(w)
-		}
-		if err != nil {
-			return err
-		}
-	}
-	if decErr != nil {
-		return fmt.Errorf("truncated or corrupt trace (%d events decoded): %w", events, decErr)
-	}
-	if events == 0 {
-		return fmt.Errorf("empty trace: no events decoded")
-	}
-	return nil
-}
-
-// reportCMP decodes one trace into the windowed time-series registry
-// and renders the CMP contention report. No latency profile is
-// installed (a trace does not carry the organization's timing model),
-// so the registry runs in histogram/contention mode: per-core latency
-// comes from observed hit latencies, and the waterfall stays with the
-// live harvest (experiments -cmp, obs_ts_wf_* metrics).
-//
-// Degenerate inputs follow report's contract: truncated traces render
-// the decoded prefix and then error.
-func reportCMP(w io.Writer, name string, r io.Reader, window int64, csv bool) error {
-	coll := obs.NewCollector()
-	ts := obs.NewTimeSeries("ts", window)
-	events := 0
-	decErr := obs.DecodeTrace(r, func(e obs.Event) error {
-		events++
-		coll.Emit(e)
 		ts.Emit(e)
 		return nil
 	})
 	ts.Flush()
-	tables := []*stats.Table{
-		countersTable(name, coll.Counters()),
-		coreBreakdownTable(ts),
-		bankContentionTable(ts),
-		bankHeatmapTable(ts, "queue wait per bank (cycles)",
-			func(ws obs.WindowStat) []int64 { return ws.PerBankWaitCycles }),
-		bankHeatmapTable(ts, "queue-depth high-water mark per bank",
-			func(ws obs.WindowStat) []int64 { return ws.PerBankDepthHWM }),
-		windowTable(ts),
+	tables := []*stats.Table{countersTable(name, coll.Counters())}
+	if queued {
+		tables = append(tables,
+			coreBreakdownTable(ts),
+			bankContentionTable(ts),
+			bankHeatmapTable(ts, "queue wait per bank (cycles)",
+				func(ws obs.WindowStat) []int64 { return ws.PerBankWaitCycles }),
+			bankHeatmapTable(ts, "queue-depth high-water mark per bank",
+				func(ws obs.WindowStat) []int64 { return ws.PerBankDepthHWM }),
+			windowTable(ts))
+	} else {
+		tables = append(tables,
+			histTable("demotion-chain depth (links per placement)", "depth", coll.ChainDepth()),
+			histTable("hit latency (cycles)", "cycles", coll.HitLatency()),
+			groupHitsTable(coll.GroupHits()),
+			occupancyTable(samp))
 	}
 	for i, t := range tables {
 		if i > 0 {

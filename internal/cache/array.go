@@ -1,10 +1,6 @@
 package cache
 
-import (
-	"fmt"
-
-	"nurapid/internal/mathx"
-)
+import "fmt"
 
 // Line is one tag-array entry. Aux is an opaque per-line payload for the
 // owning organization — NuRAPID stores its forward pointer there.
@@ -15,41 +11,38 @@ type Line struct {
 	Aux   int64
 }
 
-// Array is a set-associative tag array with pluggable replacement. It
-// holds no data; organizations pair it with their own data-array model.
+// Array is a set-associative tag array with true-LRU replacement, the
+// policy of every cache the paper models. It holds no data;
+// organizations pair it with their own data-array model.
 //
-// The address mapping is precomputed into an Index and true-LRU
-// replacement (the common case on every hot path) is devirtualized, so
-// a steady-state Lookup/Touch/Fill cycle performs no divisions and no
-// interface dispatch.
+// The address mapping is precomputed into an Index and recency is a
+// per-line last-use stamp, so a steady-state Lookup/Touch/Fill cycle
+// performs no divisions.
 type Array struct {
-	geo   Geometry
-	idx   Index
-	lines []Line
-	repl  replacer
-	lru   *lruReplacer // non-nil iff policy == LRU: bypasses the interface
+	geo    Geometry
+	idx    Index
+	lines  []Line
+	clock  uint64
+	stamps []uint64 // last-use stamp per line; the LRU victim has the smallest
 }
 
-// NewArray builds a tag array. rng is consulted only by Random
-// replacement and may be nil otherwise.
-func NewArray(geo Geometry, policy ReplPolicy, rng *mathx.RNG) (*Array, error) {
+// NewArray builds a tag array.
+func NewArray(geo Geometry) (*Array, error) {
 	if err := geo.Validate(); err != nil {
 		return nil, err
 	}
-	a := &Array{
-		geo:   geo,
-		idx:   geo.Index(),
-		lines: make([]Line, geo.NumBlocks()),
-		repl:  newReplacer(policy, geo.NumSets(), geo.Assoc, rng),
-	}
-	a.lru, _ = a.repl.(*lruReplacer)
-	return a, nil
+	return &Array{
+		geo:    geo,
+		idx:    geo.Index(),
+		lines:  make([]Line, geo.NumBlocks()),
+		stamps: make([]uint64, geo.NumBlocks()),
+	}, nil
 }
 
 // MustNewArray is NewArray that panics on configuration errors; for
 // static configurations validated by tests.
-func MustNewArray(geo Geometry, policy ReplPolicy, rng *mathx.RNG) *Array {
-	a, err := NewArray(geo, policy, rng)
+func MustNewArray(geo Geometry) *Array {
+	a, err := NewArray(geo)
 	if err != nil {
 		panic(err)
 	}
@@ -98,14 +91,12 @@ func (a *Array) FindTag(set int, tag uint64) (way int, hit bool) {
 //
 //nurapid:hotpath
 func (a *Array) Touch(set, way int) {
-	if a.lru != nil {
-		a.lru.Touch(set, way)
-		return
-	}
-	a.repl.Touch(set, way)
+	a.clock++
+	a.stamps[set*a.idx.assoc+way] = a.clock
 }
 
-// VictimWay picks the way to evict from set, preferring invalid ways.
+// VictimWay picks the way to evict from set: an invalid way if there is
+// one, else the least recently used.
 //
 //nurapid:hotpath
 func (a *Array) VictimWay(set int) int {
@@ -115,10 +106,13 @@ func (a *Array) VictimWay(set int) int {
 			return w
 		}
 	}
-	if a.lru != nil {
-		return a.lru.Victim(set)
+	victim, best := 0, a.stamps[base]
+	for w := 1; w < a.idx.assoc; w++ {
+		if s := a.stamps[base+w]; s < best {
+			victim, best = w, s
+		}
 	}
-	return a.repl.Victim(set)
+	return victim
 }
 
 // Line returns the entry at (set, way) for inspection or mutation.
@@ -178,7 +172,6 @@ type Eviction struct {
 // heap-allocated pointer.
 type Outcome struct {
 	Hit     bool
-	Way     int      // way that served or received the block
 	Evicted bool     // a valid block was displaced
 	Victim  Eviction // the displaced block; meaningful only when Evicted
 }
@@ -188,15 +181,11 @@ type Outcome struct {
 // by composition inside the NUCA organizations.
 type Cache struct {
 	arr *Array
-
-	Accesses  int64
-	Hits      int64
-	Evictions int64
 }
 
-// NewCache builds a cache with the given geometry and replacement.
-func NewCache(geo Geometry, policy ReplPolicy, rng *mathx.RNG) (*Cache, error) {
-	arr, err := NewArray(geo, policy, rng)
+// NewCache builds a cache with the given geometry.
+func NewCache(geo Geometry) (*Cache, error) {
+	arr, err := NewArray(geo)
 	if err != nil {
 		return nil, err
 	}
@@ -204,8 +193,8 @@ func NewCache(geo Geometry, policy ReplPolicy, rng *mathx.RNG) (*Cache, error) {
 }
 
 // MustNewCache is NewCache that panics on configuration errors.
-func MustNewCache(geo Geometry, policy ReplPolicy, rng *mathx.RNG) *Cache {
-	c, err := NewCache(geo, policy, rng)
+func MustNewCache(geo Geometry) *Cache {
+	c, err := NewCache(geo)
 	if err != nil {
 		panic(err)
 	}
@@ -251,21 +240,18 @@ func (c *Cache) Access(addr Addr, write bool) Outcome {
 //
 //nurapid:hotpath
 func (c *Cache) AccessProbed(p Probe, addr Addr, write bool) Outcome {
-	c.Accesses++
 	if p.Hit {
-		c.Hits++
 		c.arr.Touch(p.set, p.way)
 		if write {
 			c.arr.Line(p.set, p.way).Dirty = true
 		}
-		return Outcome{Hit: true, Way: p.way}
+		return Outcome{Hit: true}
 	}
 	way := c.arr.VictimWay(p.set)
-	out := Outcome{Way: way}
+	var out Outcome
 	if l := c.arr.Line(p.set, way); l.Valid {
 		out.Evicted = true
 		out.Victim = Eviction{Addr: c.geoAddrOf(p.set, l.Tag), Dirty: l.Dirty}
-		c.Evictions++
 	}
 	l := c.arr.Fill(addr, way)
 	if write {
@@ -306,12 +292,4 @@ func (c *Cache) Invalidate(addr Addr) (dropped, dirty bool) {
 func (c *Cache) Contains(addr Addr) bool {
 	_, hit := c.arr.Lookup(addr)
 	return hit
-}
-
-// HitRate returns hits/accesses, or 0 before any access.
-func (c *Cache) HitRate() float64 {
-	if c.Accesses == 0 {
-		return 0
-	}
-	return float64(c.Hits) / float64(c.Accesses)
 }

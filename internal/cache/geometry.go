@@ -1,7 +1,7 @@
 // Package cache provides the generic set-associative building blocks the
 // three L2 organizations (conventional, D-NUCA, NuRAPID) are assembled
-// from: address geometry, tag arrays with pluggable replacement, whole
-// caches with dirty-victim writeback, and MSHR files.
+// from: address geometry, true-LRU tag arrays, whole caches with
+// dirty-victim writeback, and MSHR files.
 package cache
 
 import (

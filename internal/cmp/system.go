@@ -105,9 +105,7 @@ func New(l2 memsys.LowerLevel, cfg Config) (*System, error) {
 	s.cores = make([]*cpu.CPU, cfg.Cores)
 	for i := range s.fronts {
 		s.fronts[i] = coreFront{sys: s, core: i}
-		c, err := cpu.New(&s.fronts[i],
-			cpu.WithL1EnergyNJ(cfg.L1EnergyNJ),
-			cpu.WithCoreID(i))
+		c, err := cpu.New(&s.fronts[i], cpu.WithL1EnergyNJ(cfg.L1EnergyNJ))
 		if err != nil {
 			return nil, err
 		}

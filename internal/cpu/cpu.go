@@ -113,12 +113,11 @@ type op struct {
 // for each instruction's L1 outcomes, live from the L1s (Run, Start) or
 // from a recorded Stream (RunStream, StartStream).
 type CPU struct {
-	cfg    Config
-	fe     frontEnd
-	mshr   *cache.MSHRFile
-	l2     memsys.LowerLevel
-	l1NJ   float64
-	coreID int
+	cfg  Config
+	fe   frontEnd
+	mshr *cache.MSHRFile
+	l2   memsys.LowerLevel
+	l1NJ float64
 
 	rob        []robEntry
 	head, tail int
@@ -159,13 +158,9 @@ func WithConfig(cfg Config) Option { return func(c *CPU) { c.cfg = cfg } }
 // ports; default 0 — timing only).
 func WithL1EnergyNJ(nj float64) Option { return func(c *CPU) { c.l1NJ = nj } }
 
-// WithCoreID sets the id stamped on every lower-level request this core
-// issues (memsys.Req.Core; default 0). Shared organizations use it for
-// per-core attribution.
-func WithCoreID(id int) Option { return func(c *CPU) { c.coreID = id } }
-
 // New builds a CPU around the given lower-level cache; options default
-// to the paper's Table 1 core with zero L1 energy and core id 0.
+// to the paper's Table 1 core with zero L1 energy. Every lower-level
+// request carries core 0; a CMP front end (internal/cmp) restamps it.
 func New(l2 memsys.LowerLevel, opts ...Option) (*CPU, error) {
 	c := &CPU{cfg: DefaultConfig(), l2: l2}
 	for _, o := range opts {
@@ -549,5 +544,5 @@ func (c *CPU) dispatch(in *op) bool {
 //nurapid:hotpath
 func (c *CPU) l2Request(addr uint64, write bool) int64 {
 	c.l2Accesses++
-	return c.l2.Access(memsys.Req{Now: c.cycle, Addr: addr, Write: write, Core: c.coreID}).DoneAt
+	return c.l2.Access(memsys.Req{Now: c.cycle, Addr: addr, Write: write}).DoneAt
 }

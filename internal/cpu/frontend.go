@@ -31,11 +31,11 @@ type frontEnd struct {
 
 // newFrontEnd builds cold L1s for a validated cfg.
 func newFrontEnd(cfg Config) (frontEnd, error) {
-	l1d, err := cache.NewCache(cfg.L1Geometry, cache.LRU, nil)
+	l1d, err := cache.NewCache(cfg.L1Geometry)
 	if err != nil {
 		return frontEnd{}, err
 	}
-	l1i, err := cache.NewCache(cfg.L1Geometry, cache.LRU, nil)
+	l1i, err := cache.NewCache(cfg.L1Geometry)
 	if err != nil {
 		return frontEnd{}, err
 	}

@@ -339,7 +339,7 @@ func New(cfg Config, m *cacti.Model, mem *memsys.Memory) (*Cache, error) {
 		}
 	}
 
-	tags, err := cache.NewArray(geo, cache.LRU, nil)
+	tags, err := cache.NewArray(geo)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,10 @@
 package obs
 
-import "nurapid/internal/stats"
+import (
+	"strconv"
+
+	"nurapid/internal/stats"
+)
 
 // chainDepthBuckets bounds the chain-depth histogram: NuRAPID chains
 // are at most nGroups-1 links (conservation, paper Sec. 2.2) and the
@@ -109,25 +113,9 @@ func (c *Collector) Snapshot() []stats.KV {
 	out = append(out, c.hitLat.Snapshot()...)
 	for g, n := range c.groups {
 		out = append(out, stats.KV{
-			Name:  "dgroup_" + itoa(g) + "_hits",
+			Name:  "dgroup_" + strconv.Itoa(g) + "_hits",
 			Value: float64(n),
 		})
 	}
 	return out
-}
-
-// itoa is a tiny non-negative integer formatter so Snapshot stays off
-// fmt on the (cold) snapshot path.
-func itoa(v int) string {
-	if v == 0 {
-		return "0"
-	}
-	var buf [20]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return string(buf[i:])
 }

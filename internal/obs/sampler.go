@@ -1,6 +1,10 @@
 package obs
 
-import "nurapid/internal/stats"
+import (
+	"strconv"
+
+	"nurapid/internal/stats"
+)
 
 // DefaultEpochAccesses is the Sampler's default epoch length: one
 // occupancy sample per 4096 cache accesses keeps a 2M-instruction run's
@@ -100,7 +104,7 @@ func (s *Sampler) Snapshot() []stats.KV {
 	}
 	for g, n := range s.occ {
 		out = append(out, stats.KV{
-			Name:  s.name + "_dgroup_" + itoa(g),
+			Name:  s.name + "_dgroup_" + strconv.Itoa(g),
 			Value: float64(n),
 		})
 	}

@@ -1,6 +1,10 @@
 package obs
 
-import "nurapid/internal/stats"
+import (
+	"strconv"
+
+	"nurapid/internal/stats"
+)
 
 // DefaultWindowCycles is the TimeSeries' default epoch length: 65536
 // cycles keeps a 2M-instruction CMP run's timeline within the ring.
@@ -164,6 +168,7 @@ type TimeSeries struct {
 
 	cores []tsCore
 	banks []tsBank
+	fair  []float64 // Jain-index scratch, one entry per core, reused
 
 	wfComps        [NumWaterfall]int64
 	wfAccesses     int64
@@ -404,30 +409,22 @@ func (ts *TimeSeries) closeWindow(w *tsWindow) {
 }
 
 func (ts *TimeSeries) windowFairness(w *tsWindow) float64 {
-	n := len(ts.cores)
-	if n == 0 {
-		return 1
-	}
-	var sum, sumSq float64
-	for i := 0; i < n; i++ {
+	ts.fair = ts.fair[:0]
+	for i := range ts.cores {
 		var x float64
 		if i < len(w.perCore) {
 			x = float64(w.perCore[i])
 		}
-		sum += x
-		sumSq += x * x
+		ts.fair = append(ts.fair, x)
 	}
-	if sumSq == 0 {
-		return 1
-	}
-	return sum * sum / (float64(n) * sumSq)
+	return stats.JainIndex(ts.fair)
 }
 
 func (ts *TimeSeries) growCores(core int) {
 	for len(ts.cores) <= core {
 		i := len(ts.cores)
 		ts.cores = append(ts.cores, tsCore{
-			lat: stats.NewHistogram(ts.name+"_core"+itoa(i)+"_lat", tsLatBuckets, tsLatWidth),
+			lat: stats.NewHistogram(ts.name+"_core"+strconv.Itoa(i)+"_lat", tsLatBuckets, tsLatWidth),
 		})
 	}
 }
@@ -436,7 +433,7 @@ func (ts *TimeSeries) growBanks(bank int) {
 	for len(ts.banks) <= bank {
 		i := len(ts.banks)
 		ts.banks = append(ts.banks, tsBank{
-			wait: stats.NewHistogram(ts.name+"_bank"+itoa(i)+"_wait", tsWaitBuckets, tsWaitWidth),
+			wait: stats.NewHistogram(ts.name+"_bank"+strconv.Itoa(i)+"_wait", tsWaitBuckets, tsWaitWidth),
 		})
 	}
 }
@@ -522,16 +519,11 @@ func (ts *TimeSeries) Windows() []WindowStat {
 // Fairness returns Jain's index over the cores' all-time access
 // counts.
 func (ts *TimeSeries) Fairness() float64 {
-	var sum, sumSq float64
+	ts.fair = ts.fair[:0]
 	for i := range ts.cores {
-		x := float64(ts.cores[i].accesses)
-		sum += x
-		sumSq += x * x
+		ts.fair = append(ts.fair, float64(ts.cores[i].accesses))
 	}
-	if len(ts.cores) == 0 || sumSq == 0 {
-		return 1
-	}
-	return sum * sum / (float64(len(ts.cores)) * sumSq)
+	return stats.JainIndex(ts.fair)
 }
 
 // Snapshot emits the registry's aggregates (statsreg convention: every
@@ -568,7 +560,7 @@ func (ts *TimeSeries) Snapshot() []stats.KV {
 	out = append(out, stats.KV{Name: ts.name + "_fairness_window", Value: winFair / float64(closed)})
 	for i := range ts.cores {
 		c := &ts.cores[i]
-		pre := ts.name + "_core" + itoa(i)
+		pre := ts.name + "_core" + strconv.Itoa(i)
 		out = append(out,
 			stats.KV{Name: pre + "_accesses", Value: float64(c.accesses)},
 			stats.KV{Name: pre + "_hits", Value: float64(c.hits)},
@@ -581,7 +573,7 @@ func (ts *TimeSeries) Snapshot() []stats.KV {
 	}
 	for i := range ts.banks {
 		b := &ts.banks[i]
-		pre := ts.name + "_bank" + itoa(i)
+		pre := ts.name + "_bank" + strconv.Itoa(i)
 		out = append(out,
 			stats.KV{Name: pre + "_enqueues", Value: float64(b.enqueues)},
 			stats.KV{Name: pre + "_wait_cycles", Value: float64(b.waitCycles)},

@@ -5,8 +5,6 @@
 package uca
 
 import (
-	"fmt"
-
 	"nurapid/internal/cache"
 	"nurapid/internal/cacti"
 	"nurapid/internal/memsys"
@@ -52,50 +50,19 @@ type uniformHot struct {
 	writebacks int64
 }
 
-// UniformConfig parameterizes a Uniform cache.
-type UniformConfig struct {
-	Name      string
-	Geometry  cache.Geometry
-	HitLat    int64
-	TagLat    int64
-	Occupancy int64
-	AccessNJ  float64
-}
-
-// NewUniform builds a uniform cache backed by mem.
-func NewUniform(cfg UniformConfig, mem *memsys.Memory) (*Uniform, error) {
-	c, err := cache.NewCache(cfg.Geometry, cache.LRU, nil)
-	if err != nil {
-		return nil, err
-	}
-	return &Uniform{
-		name:      cfg.Name,
-		c:         c,
-		hitLat:    cfg.HitLat,
-		tagLat:    cfg.TagLat,
-		occupancy: cfg.Occupancy,
-		accessNJ:  cfg.AccessNJ,
-		mem:       mem,
-		dist:      stats.NewDistribution(cfg.Name),
-	}, nil
-}
-
 // NewIdeal builds the paper's ideal bound: an 8-MB, 8-way cache in which
 // every hit completes at the fastest 4-d-group latency (14 cycles).
 func NewIdeal(m *cacti.Model, mem *memsys.Memory) *Uniform {
-	geo := cache.Geometry{CapacityBytes: 8 << 20, BlockBytes: BlockBytes, Assoc: 8}
-	u, err := NewUniform(UniformConfig{
-		Name:      "ideal",
-		Geometry:  geo,
-		HitLat:    14,
-		TagLat:    int64(m.TagCycles),
-		Occupancy: 4, // pipelined single port, like NuRAPID's
-		AccessNJ:  m.DataAccessNJ(2),
-	}, mem)
-	if err != nil {
-		panic(fmt.Sprintf("uca: ideal configuration invalid: %v", err)) // static, cannot fail
+	return &Uniform{
+		name:      "ideal",
+		c:         cache.MustNewCache(cache.Geometry{CapacityBytes: 8 << 20, BlockBytes: BlockBytes, Assoc: 8}),
+		hitLat:    14,
+		tagLat:    int64(m.TagCycles),
+		occupancy: 4, // pipelined single port, like NuRAPID's
+		accessNJ:  m.DataAccessNJ(2),
+		mem:       mem,
+		dist:      stats.NewDistribution("ideal"),
 	}
-	return u
 }
 
 // Name implements memsys.LowerLevel.
@@ -210,8 +177,8 @@ type hierarchyHot struct {
 // NewHierarchy builds the base L2/L3 configuration with energies from the
 // cacti model.
 func NewHierarchy(m *cacti.Model, mem *memsys.Memory) *Hierarchy {
-	l2 := cache.MustNewCache(cache.Geometry{CapacityBytes: 1 << 20, BlockBytes: BlockBytes, Assoc: 8}, cache.LRU, nil)
-	l3 := cache.MustNewCache(cache.Geometry{CapacityBytes: 8 << 20, BlockBytes: BlockBytes, Assoc: 8}, cache.LRU, nil)
+	l2 := cache.MustNewCache(cache.Geometry{CapacityBytes: 1 << 20, BlockBytes: BlockBytes, Assoc: 8})
+	l3 := cache.MustNewCache(cache.Geometry{CapacityBytes: 8 << 20, BlockBytes: BlockBytes, Assoc: 8})
 	return &Hierarchy{
 		l2:    l2,
 		l3:    l3,

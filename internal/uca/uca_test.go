@@ -3,7 +3,6 @@ package uca
 import (
 	"testing"
 
-	"nurapid/internal/cache"
 	"nurapid/internal/cacti"
 	"nurapid/internal/memsys"
 )
@@ -84,12 +83,6 @@ func TestIdealDistributionAndEnergy(t *testing.T) {
 	}
 	if u.EnergyNJ() <= 0 {
 		t.Fatal("energy must accumulate")
-	}
-}
-
-func TestNewUniformRejectsBadGeometry(t *testing.T) {
-	if _, err := NewUniform(UniformConfig{Geometry: cache.Geometry{}}, memsys.NewMemory(128)); err == nil {
-		t.Fatal("bad geometry must be rejected")
 	}
 }
 
