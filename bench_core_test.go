@@ -113,18 +113,13 @@ func numSetsOf(cfg core.Config) int {
 	return int(cfg.CapacityBytes) / cfg.BlockBytes / cfg.Assoc
 }
 
-// BenchmarkCoreDNUCA measures the D-NUCA baseline under both
-// smart-search policies.
+// BenchmarkCoreDNUCA measures the paper's 8-MB D-NUCA baseline under
+// both smart-search policies.
 func BenchmarkCoreDNUCA(b *testing.B) {
 	for _, pol := range []nuca.SearchPolicy{nuca.SSPerformance, nuca.SSEnergy} {
 		b.Run(pol.String(), func(b *testing.B) {
-			cfg := nuca.DefaultConfig()
-			cfg.CapacityBytes = 2 << 20
-			mem := memsys.NewMemory(cfg.BlockBytes)
-			cfg.Policy = pol
-			c := nuca.MustNew(cfg, cacti.Default(), mem)
-			numSets := int(cfg.CapacityBytes) / cfg.BlockBytes / cfg.Assoc
-			benchCache(b, c, cfg.BlockBytes, numSets)
+			c := nuca.MustNew(nuca.Config{Policy: pol}, cacti.Default(), memsys.NewMemory(nuca.BlockBytes))
+			benchCache(b, c, nuca.BlockBytes, (8<<20)/nuca.BlockBytes/16) // 8 MB, 16-way
 		})
 	}
 }

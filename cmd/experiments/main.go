@@ -61,14 +61,10 @@ func main() {
 		httpAddr   = flag.String("http", "", "serve expvar and pprof diagnostics on this address (e.g. localhost:6060)")
 		selfcheck  = flag.Bool("selfcheck", false, "differentially check nurapid against its executable spec first")
 		replay     = flag.String("replay", "", "replay an application's L2 trace through the batched path instead of running experiments")
-		cmpMode    = flag.Bool("cmp", false, "run the multi-core CMP experiment (shorthand for -experiment cmp)")
 		cores      = flag.Int("cores", 2, "cores sharing one L2 in CMP runs")
 		sharing    = flag.String("sharing", "shared", "CMP workload pattern: shared or private")
 	)
 	flag.Parse()
-	if *cmpMode {
-		*experiment = "cmp"
-	}
 	sharingPattern, err := cmp.ParseSharing(*sharing)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)

@@ -13,7 +13,7 @@
 //	nurapidtrace -epoch 1024 run.jsonl      # finer occupancy timeline
 //	nurapidtrace < run.jsonl                # read one trace from stdin
 //
-// CMP traces (experiments -cmp -trace traces) also carry queue-side
+// CMP traces (experiments -experiment cmp -trace traces) also carry queue-side
 // events — enqueue, issue, inval. A trace with enqueue or issue events
 // gets the contention report built on the windowed time-series registry
 // instead of the single-core tables; no flag selects it:
@@ -81,7 +81,7 @@ func main() {
 // otherwise. The CMP report's time-series registry runs without a
 // latency profile (a trace does not carry the organization's timing
 // model), so per-core latency comes from observed hit latencies and
-// the waterfall stays with the live harvest (experiments -cmp,
+// the waterfall stays with the live harvest (experiments -experiment cmp,
 // obs_ts_wf_* metrics).
 //
 // Degenerate inputs are handled gracefully rather than fatally: an

@@ -99,20 +99,50 @@ func (a *Array) Touch(set, way int) {
 // one, else the least recently used.
 //
 //nurapid:hotpath
-func (a *Array) VictimWay(set int) int {
+func (a *Array) VictimWay(set int) int { return a.VictimWayIn(set, 0, a.idx.assoc) }
+
+// VictimWayIn is VictimWay restricted to ways [lo, hi) of set: the first
+// invalid way in the range, else the range's least recently used (the
+// first on equal stamps). Organizations that bind ways to latency
+// groups (D-NUCA) pick victims within one group.
+//
+//nurapid:hotpath
+func (a *Array) VictimWayIn(set, lo, hi int) int {
 	base := set * a.idx.assoc
-	for w := 0; w < a.idx.assoc; w++ {
+	for w := lo; w < hi; w++ {
 		if !a.lines[base+w].Valid {
 			return w
 		}
 	}
-	victim, best := 0, a.stamps[base]
-	for w := 1; w < a.idx.assoc; w++ {
+	victim, best := lo, a.stamps[base+lo]
+	for w := lo + 1; w < hi; w++ {
 		if s := a.stamps[base+w]; s < best {
 			victim, best = w, s
 		}
 	}
 	return victim
+}
+
+// Swap exchanges the lines at ways w1 and w2 of set together with their
+// recency stamps, so each block keeps its own last use and the victim
+// order follows the blocks, not the ways.
+//
+//nurapid:hotpath
+func (a *Array) Swap(set, w1, w2 int) {
+	i, j := set*a.idx.assoc+w1, set*a.idx.assoc+w2
+	a.lines[i], a.lines[j] = a.lines[j], a.lines[i]
+	a.stamps[i], a.stamps[j] = a.stamps[j], a.stamps[i]
+}
+
+// Set returns the lines of one set, way by way. The slice aliases the
+// array: it is a view for owners that scan a whole set on their hot
+// path (D-NUCA's partial-tag search), and writes through it change the
+// array.
+//
+//nurapid:hotpath
+func (a *Array) Set(set int) []Line {
+	base := set * a.idx.assoc
+	return a.lines[base : base+a.idx.assoc : base+a.idx.assoc]
 }
 
 // Line returns the entry at (set, way) for inspection or mutation.
@@ -177,8 +207,9 @@ type Outcome struct {
 }
 
 // Cache is a complete single-level cache: tag array plus fill/writeback
-// behavior. It is used directly for the L1s and the baseline L2/L3, and
-// by composition inside the NUCA organizations.
+// behavior, used for the L1s and the baseline L2/L3. The NUCA
+// organizations compose an Array instead, with their own fill and
+// placement rules.
 type Cache struct {
 	arr *Array
 }

@@ -161,6 +161,135 @@ func TestArrayFindTagMatchesLookup(t *testing.T) {
 	}
 }
 
+func TestArrayVictimWayInStaysInRange(t *testing.T) {
+	g := smallGeo()
+	a := MustNewArray(g)
+	setStride := Addr(g.NumSets() * g.BlockBytes)
+	for w := 0; w < 3; w++ {
+		a.Fill(Addr(w)*setStride, w) // ways 0..2 of set 0, way 0 oldest; way 3 invalid
+	}
+	cases := []struct{ lo, hi, want int }{
+		{0, 3, 0}, // the invalid way 3 lies outside the range
+		{1, 3, 1}, // the older way 0 lies outside the range
+		{2, 4, 3}, // the invalid way inside beats the older valid way 2
+		{3, 4, 3},
+		{0, 4, 3}, // VictimWay's range
+	}
+	for _, c := range cases {
+		if v := a.VictimWayIn(0, c.lo, c.hi); v != c.want {
+			t.Errorf("VictimWayIn(0, %d, %d) = %d, want %d", c.lo, c.hi, v, c.want)
+		}
+	}
+	if a.VictimWay(0) != a.VictimWayIn(0, 0, g.Assoc) {
+		t.Error("VictimWay must be VictimWayIn over the whole set")
+	}
+	a.Fill(3*setStride, 3)
+	a.Touch(0, 2)
+	if v := a.VictimWayIn(0, 2, 4); v != 3 {
+		t.Errorf("after touching way 2, VictimWayIn(0, 2, 4) = %d, want 3", v)
+	}
+	a.Invalidate(0, 0)
+	if v := a.VictimWayIn(0, 1, 4); v != 1 {
+		t.Errorf("with way 0 invalid, VictimWayIn(0, 1, 4) = %d, want 1", v)
+	}
+}
+
+func TestArraySwapMovesRecencyWithBlocks(t *testing.T) {
+	g := smallGeo()
+	a := MustNewArray(g)
+	setStride := Addr(g.NumSets() * g.BlockBytes)
+	for w := 0; w < 4; w++ {
+		a.Fill(Addr(w)*setStride, w) // block w in way w; block 0 is the LRU
+	}
+	a.Line(0, 0).Dirty = true
+	a.Line(0, 0).Aux = 9
+	a.Swap(0, 0, 3)
+	if way, hit := a.Lookup(0); !hit || way != 3 {
+		t.Fatalf("block 0 at way %d (hit=%v), want way 3", way, hit)
+	}
+	if way, hit := a.Lookup(3 * setStride); !hit || way != 0 {
+		t.Fatalf("block 3 at way %d (hit=%v), want way 0", way, hit)
+	}
+	if l := a.Line(0, 3); !l.Dirty || l.Aux != 9 {
+		t.Fatal("Swap must move Dirty and Aux with the block")
+	}
+	// The LRU block moved to way 3, so the victim follows it there; the
+	// most recent block moved to way 0, which is now the last choice.
+	wantOrder := []int{3, 1, 2, 0}
+	for _, want := range wantOrder {
+		v := a.VictimWay(0)
+		if v != want {
+			t.Fatalf("victim = %d, want %d (order %v)", v, want, wantOrder)
+		}
+		a.Touch(0, v)
+	}
+	if v := a.VictimWay(1); v != 0 {
+		t.Fatalf("Swap in set 0 disturbed set 1: victim %d", v)
+	}
+}
+
+func TestArrayStampsNeverExceedClock(t *testing.T) {
+	g := smallGeo()
+	a := MustNewArray(g)
+	rng := mathx.NewRNG(11)
+	for i := 0; i < 5000; i++ {
+		set, way := rng.Intn(g.NumSets()), rng.Intn(g.Assoc)
+		base := set * g.Assoc
+		switch rng.Intn(4) {
+		case 0:
+			a.Touch(set, way)
+			if a.stamps[base+way] != a.clock {
+				t.Fatalf("op %d: Touch stamped %d, clock %d", i, a.stamps[base+way], a.clock)
+			}
+		case 1:
+			addr := Addr(rng.Intn(1 << 16))
+			set = a.Index().SetIndex(addr)
+			a.Fill(addr, way)
+			if s := a.stamps[set*g.Assoc+way]; s != a.clock {
+				t.Fatalf("op %d: Fill stamped %d, clock %d", i, s, a.clock)
+			}
+		case 2:
+			other := rng.Intn(g.Assoc)
+			s1, s2 := a.stamps[base+way], a.stamps[base+other]
+			a.Swap(set, way, other)
+			if a.stamps[base+way] != s2 || a.stamps[base+other] != s1 {
+				t.Fatalf("op %d: Swap did not exchange stamps", i)
+			}
+		case 3:
+			a.Invalidate(set, way)
+		}
+		for j, s := range a.stamps {
+			if s > a.clock {
+				t.Fatalf("op %d: line %d stamp %d beyond clock %d", i, j, s, a.clock)
+			}
+		}
+	}
+}
+
+func TestArraySetAliasesLines(t *testing.T) {
+	g := smallGeo()
+	a := MustNewArray(g)
+	lines := a.Set(1)
+	if len(lines) != g.Assoc || cap(lines) != g.Assoc {
+		t.Fatalf("Set(1) has len %d cap %d, want %d and %d", len(lines), cap(lines), g.Assoc, g.Assoc)
+	}
+	lines[2] = Line{Valid: true, Tag: 5}
+	if l := a.Line(1, 2); !l.Valid || l.Tag != 5 {
+		t.Fatal("a write through Set must reach the array")
+	}
+	addr := a.Geometry().AddrOf(1, 7)
+	a.Fill(addr, 0)
+	if !lines[0].Valid || lines[0].Tag != 7 {
+		t.Fatal("Set must see a later Fill of its set")
+	}
+	if w, hit := a.FindTag(1, 5); !hit || w != 2 {
+		t.Fatalf("FindTag(1, 5) = (%d, %v), want (2, true)", w, hit)
+	}
+	if a.Set(0)[2].Valid || a.Set(2)[2].Valid {
+		t.Fatal("Set(1) must not alias its neighbours")
+	}
+}
+
 func TestCacheBasicHitMiss(t *testing.T) {
 	c := MustNewCache(smallGeo())
 	o := c.Access(0x100, false)

@@ -36,7 +36,7 @@ func (s Sharing) String() string {
 	}
 }
 
-// ParseSharing maps the -cmp flag spellings to a Sharing.
+// ParseSharing maps the -sharing flag spellings to a Sharing.
 func ParseSharing(s string) (Sharing, error) {
 	switch s {
 	case "shared":

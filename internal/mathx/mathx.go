@@ -1,7 +1,5 @@
 package mathx
 
-import "math"
-
 // Clamp limits v to the closed interval [lo, hi].
 func Clamp(v, lo, hi float64) float64 {
 	if v < lo {
@@ -42,11 +40,6 @@ func Log2(v int64) int {
 	return n
 }
 
-// CeilDiv returns ceil(a/b) for positive b.
-func CeilDiv(a, b int64) int64 {
-	return (a + b - 1) / b
-}
-
 // Mean returns the arithmetic mean of xs, or 0 for an empty slice.
 func Mean(xs []float64) float64 {
 	if len(xs) == 0 {
@@ -57,18 +50,4 @@ func Mean(xs []float64) float64 {
 		sum += x
 	}
 	return sum / float64(len(xs))
-}
-
-// GeoMean returns the geometric mean of xs (all must be > 0), or 0 for an
-// empty slice. Relative-performance summaries in the paper average across
-// benchmarks; geometric mean is the conventional aggregator for ratios.
-func GeoMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, x := range xs {
-		sum += math.Log(x)
-	}
-	return math.Exp(sum / float64(len(xs)))
 }

@@ -1,7 +1,6 @@
 package mathx
 
 import (
-	"math"
 	"testing"
 	"testing/quick"
 )
@@ -52,54 +51,12 @@ func TestLog2(t *testing.T) {
 	}
 }
 
-func TestCeilDiv(t *testing.T) {
-	cases := []struct{ a, b, want int64 }{
-		{10, 5, 2}, {11, 5, 3}, {0, 5, 0}, {1, 5, 1}, {5, 1, 5},
-	}
-	for _, c := range cases {
-		if got := CeilDiv(c.a, c.b); got != c.want {
-			t.Errorf("CeilDiv(%d,%d) = %d, want %d", c.a, c.b, got, c.want)
-		}
-	}
-}
-
 func TestMean(t *testing.T) {
 	if Mean(nil) != 0 {
 		t.Fatal("Mean(nil) must be 0")
 	}
 	if got := Mean([]float64{1, 2, 3}); got != 2 {
 		t.Fatalf("Mean = %v, want 2", got)
-	}
-}
-
-func TestGeoMean(t *testing.T) {
-	if GeoMean(nil) != 0 {
-		t.Fatal("GeoMean(nil) must be 0")
-	}
-	got := GeoMean([]float64{1, 4})
-	if math.Abs(got-2) > 1e-12 {
-		t.Fatalf("GeoMean(1,4) = %v, want 2", got)
-	}
-	got = GeoMean([]float64{2, 2, 2})
-	if math.Abs(got-2) > 1e-12 {
-		t.Fatalf("GeoMean(2,2,2) = %v, want 2", got)
-	}
-}
-
-func TestGeoMeanLEArithmeticMean(t *testing.T) {
-	// Property: AM-GM inequality for positive inputs.
-	f := func(raw []uint16) bool {
-		if len(raw) == 0 {
-			return true
-		}
-		xs := make([]float64, len(raw))
-		for i, v := range raw {
-			xs[i] = float64(v%1000) + 1
-		}
-		return GeoMean(xs) <= Mean(xs)+1e-9
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -28,7 +28,6 @@ import (
 	"nurapid/internal/cache"
 	"nurapid/internal/cacti"
 	"nurapid/internal/floorplan"
-	"nurapid/internal/mathx"
 	"nurapid/internal/memsys"
 	"nurapid/internal/obs"
 	"nurapid/internal/stats"
@@ -63,31 +62,32 @@ func (p SearchPolicy) String() string {
 	}
 }
 
+// The paper's D-NUCA geometry (Sec. 4), fixed: only the search policy
+// varies between the configurations it evaluates.
+const (
+	capacityBytes = 8 << 20
+	// BlockBytes is D-NUCA's block size; the memory model behind it must
+	// transfer blocks of this size.
+	BlockBytes    = 128
+	assoc         = 16
+	bankKB        = 64
+	numBanks      = capacityBytes / (bankKB << 10) // 128
+	numGroups     = 8                              // latency groups per set
+	waysPerGroup  = assoc / numGroups              // 2
+	banksPerGroup = numBanks / numGroups           // 16, a power of two
+	// partialTagMask selects the smart-search array's partial tags: the
+	// 7 least-significant tag bits.
+	partialTagMask = 1<<7 - 1
+)
+
 // Config parameterizes the D-NUCA cache.
 type Config struct {
-	CapacityBytes int64 // 8 MB in the paper
-	BlockBytes    int   // 128
-	Assoc         int   // 16
-	BankKB        int   // 64
-	Policy        SearchPolicy
-
-	// PartialTagBits is the width of the smart-search array entries; the
-	// paper uses the 7 least-significant tag bits.
-	PartialTagBits int
+	Policy SearchPolicy
 }
 
 // DefaultConfig is the paper's optimal D-NUCA: 8 MB, 16-way, 128 64-KB
 // banks, 8 groups per set, 7-bit partial tags, ss-performance search.
-func DefaultConfig() Config {
-	return Config{
-		CapacityBytes:  8 << 20,
-		BlockBytes:     128,
-		Assoc:          16,
-		BankKB:         64,
-		Policy:         SSPerformance,
-		PartialTagBits: 7,
-	}
-}
+func DefaultConfig() Config { return Config{Policy: SSPerformance} }
 
 // bankOccupancy is the cycles one probe occupies a (small, pipelined)
 // bank.
@@ -99,41 +99,21 @@ const bankOccupancy = 3
 // "frequent swaps" consume — later probes of a bank mid-swap must wait.
 const swapOccupancy = 12
 
-type line struct {
-	valid bool
-	dirty bool
-	tag   uint64
-	stamp uint64
-}
-
 // Cache is a D-NUCA cache. It implements memsys.LowerLevel.
 type Cache struct {
-	cfg       Config
-	geo       cache.Geometry
-	idx       cache.Index
-	numGroups int
-	assoc     int
-	wpg       int    // ways per latency group
-	wayGroup  []int8 // way -> latency group
-	lines     []line // sets x assoc; way w belongs to group wayGroup[w]
-	clock     uint64
+	cfg  Config
+	tags *cache.Array // way w belongs to latency group w / waysPerGroup
+	idx  cache.Index
 
 	banks   []memsys.Port
 	bankLat []int64
 	bankNJ  []float64
 	// bankTab flattens the [group][set % banksPerGroup] -> bank id map:
-	// entry group*bpg + (set % bpg). When bpg is a power of two the modulo
-	// reduces to a mask on the hot path.
-	bankTab []int32
-	bpg     int
-	bpgMask uint32
-	bpgPow2 bool
+	// entry group*banksPerGroup + (set % banksPerGroup).
+	bankTab [numGroups * banksPerGroup]int32
 
 	ssLat int64
 	ssNJ  float64
-	mask  uint64 // partial-tag mask
-
-	matchBuf []bool // scratch for partialMatches; reused every access
 
 	mem    *memsys.Memory
 	dist   *stats.Distribution
@@ -160,80 +140,44 @@ type nucaHot struct {
 // New builds a D-NUCA cache with bank latencies and energies from the
 // cacti model over the rectangular bank grid.
 func New(cfg Config, m *cacti.Model, mem *memsys.Memory) (*Cache, error) {
-	geo := cache.Geometry{CapacityBytes: cfg.CapacityBytes, BlockBytes: cfg.BlockBytes, Assoc: cfg.Assoc}
-	if err := geo.Validate(); err != nil {
-		return nil, err
+	if cfg.Policy < SSPerformance || cfg.Policy > Incremental {
+		return nil, fmt.Errorf("nuca: unknown search policy %v", cfg.Policy)
 	}
-	if cfg.BankKB <= 0 || cfg.CapacityBytes%int64(cfg.BankKB<<10) != 0 {
-		return nil, fmt.Errorf("nuca: capacity %d not divisible into %d-KB banks",
-			cfg.CapacityBytes, cfg.BankKB)
-	}
-	numBanks := int(cfg.CapacityBytes / int64(cfg.BankKB<<10))
-	if numBanks%cfg.Assoc != 0 {
-		return nil, fmt.Errorf("nuca: %d banks not divisible by associativity %d", numBanks, cfg.Assoc)
-	}
-	if cfg.PartialTagBits <= 0 || cfg.PartialTagBits > 32 {
-		return nil, fmt.Errorf("nuca: partial tag bits %d out of range", cfg.PartialTagBits)
-	}
+	tags := cache.MustNewArray(cache.Geometry{CapacityBytes: capacityBytes, BlockBytes: BlockBytes, Assoc: assoc})
 
-	grid := floorplan.NewNUCAGrid(int(cfg.CapacityBytes>>20), cfg.BankKB)
+	grid := floorplan.NewNUCAGrid(capacityBytes>>20, bankKB)
 	latencies := m.NUCABankLatencies(grid)
 	energies := m.NUCABankEnergies(grid)
 	order := grid.BanksByDistance()
 
 	// Group the 16 ways into 8 latency groups of 2; each group owns a
 	// chunk of 16 banks (by distance), one bank per 16 consecutive sets.
-	numGroups := 8
-	if cfg.Assoc < numGroups {
-		numGroups = cfg.Assoc
+	c := &Cache{
+		cfg:     cfg,
+		tags:    tags,
+		idx:     tags.Index(),
+		banks:   make([]memsys.Port, numBanks),
+		bankLat: make([]int64, numBanks),
+		bankNJ:  energies,
+		ssLat:   int64(m.SmartSearchCyc),
+		ssNJ:    m.SmartSearchNJ,
+		mem:     mem,
 	}
-	banksPerGroup := numBanks / numGroups
-	bankTab := make([]int32, numGroups*banksPerGroup)
 	for g := 0; g < numGroups; g++ {
-		chunk := order[g*banksPerGroup : (g+1)*banksPerGroup]
-		for i, b := range chunk {
-			bankTab[g*banksPerGroup+i] = int32(b)
+		for i, b := range order[g*banksPerGroup : (g+1)*banksPerGroup] {
+			c.bankTab[g*banksPerGroup+i] = int32(b)
 		}
 	}
-
-	wpg := cfg.Assoc / numGroups
-	wayGroup := make([]int8, cfg.Assoc)
-	for w := range wayGroup {
-		wayGroup[w] = int8(w / wpg)
+	for i, l := range latencies {
+		c.bankLat[i] = int64(l)
 	}
 
 	labels := make([]string, numGroups)
 	for g := range labels {
 		labels[g] = fmt.Sprintf("group-%d", g)
 	}
-
-	lat64 := make([]int64, numBanks)
-	for i, l := range latencies {
-		lat64[i] = int64(l)
-	}
-	return &Cache{
-		cfg:       cfg,
-		geo:       geo,
-		idx:       geo.Index(),
-		numGroups: numGroups,
-		assoc:     cfg.Assoc,
-		wpg:       wpg,
-		wayGroup:  wayGroup,
-		lines:     make([]line, geo.NumSets()*cfg.Assoc),
-		banks:     make([]memsys.Port, numBanks),
-		bankLat:   lat64,
-		bankNJ:    energies,
-		bankTab:   bankTab,
-		bpg:       banksPerGroup,
-		bpgMask:   uint32(banksPerGroup - 1),
-		bpgPow2:   mathx.IsPow2(int64(banksPerGroup)),
-		ssLat:     int64(m.SmartSearchCyc),
-		ssNJ:      m.SmartSearchNJ,
-		mask:      (1 << uint(cfg.PartialTagBits)) - 1,
-		matchBuf:  make([]bool, numGroups),
-		mem:       mem,
-		dist:      stats.NewDistribution(labels...),
-	}, nil
+	c.dist = stats.NewDistribution(labels...)
+	return c, nil
 }
 
 // MustNew is New that panics on configuration errors.
@@ -258,16 +202,11 @@ func (c *Cache) Config() Config { return c.cfg }
 // demotion link absorbed by the frame the promoted block freed.
 func (c *Cache) SetProbe(p obs.Probe) { c.probe = p }
 
-func (c *Cache) groupOfWay(way int) int { return int(c.wayGroup[way]) }
-
-func (c *Cache) line(set, way int) *line { return &c.lines[set*c.assoc+way] }
+func groupOfWay(way int) int { return way / waysPerGroup }
 
 // bankOf returns the bank holding the ways of `group` for `set`.
 func (c *Cache) bankOf(group, set int) int {
-	if c.bpgPow2 {
-		return int(c.bankTab[group*c.bpg+int(uint32(set)&c.bpgMask)])
-	}
-	return int(c.bankTab[group*c.bpg+set%c.bpg])
+	return int(c.bankTab[group*banksPerGroup+set&(banksPerGroup-1)])
 }
 
 // probeBank performs one timed, energy-charged access to bank b starting
@@ -287,42 +226,14 @@ func (c *Cache) chargeBank(b int, t int64) {
 	c.energy += c.bankNJ[b]
 }
 
-func (c *Cache) touch(set, way int) {
-	c.clock++
-	c.line(set, way).stamp = c.clock
-}
-
-// lookup finds addr in its set without side effects.
-func (c *Cache) lookup(addr uint64) (way int, ok bool) {
-	return c.findWay(c.idx.SetIndex(addr), c.idx.Tag(addr))
-}
-
-// findWay finds the way holding (set, tag) without side effects.
-func (c *Cache) findWay(set int, tag uint64) (way int, ok bool) {
-	base := set * c.assoc
-	for w := 0; w < c.assoc; w++ {
-		if l := &c.lines[base+w]; l.valid && l.tag == tag {
-			return w, true
-		}
-	}
-	return -1, false
-}
-
-// partialMatches fills the per-group scratch buffer with whether any
-// valid way in the set partially matches addr's tag — the smart-search
-// array's answer. The buffer is owned by the cache and overwritten on
-// the next access.
-func (c *Cache) partialMatches(set int, tag uint64) []bool {
-	out := c.matchBuf
-	for g := range out {
-		out[g] = false
-	}
-	masked := tag & c.mask
-	base := set * c.assoc
-	for w := 0; w < c.assoc; w++ {
-		l := &c.lines[base+w]
-		if l.valid && l.tag&c.mask == masked {
-			out[c.wayGroup[w]] = true
+// partialMatches reports, per latency group, whether any valid way in
+// the set partially matches tag — the smart-search array's answer.
+func (c *Cache) partialMatches(set int, tag uint64) (out [numGroups]bool) {
+	masked := tag & partialTagMask
+	lines := c.tags.Set(set)
+	for w := range lines {
+		if l := &lines[w]; l.Valid && l.Tag&partialTagMask == masked {
+			out[groupOfWay(w)] = true
 		}
 	}
 	return out
@@ -340,7 +251,7 @@ func (c *Cache) Access(req memsys.Req) memsys.AccessResult {
 	set := c.idx.SetIndex(addr)
 	tag := c.idx.Tag(addr)
 
-	way, hit := c.findWay(set, tag)
+	way, hit := c.tags.FindTag(set, tag)
 
 	var done int64
 	switch c.cfg.Policy {
@@ -352,21 +263,18 @@ func (c *Cache) Access(req memsys.Req) memsys.AccessResult {
 		done = c.searchSequential(now, set, way, hit, c.partialMatches(set, tag))
 	case Incremental:
 		done = c.searchIncremental(now, set, way, hit)
-	default:
-		panic("nuca: unknown search policy")
 	}
 
 	if hit {
-		g := c.groupOfWay(way)
+		g := groupOfWay(way)
 		c.dist.AddHit(g)
 		if c.probe != nil {
 			c.probe.Emit(obs.Hit(now, g, done-now))
 		}
-		l := c.line(set, way)
 		if write {
-			l.dirty = true
+			c.tags.Line(set, way).Dirty = true
 		}
-		c.touch(set, way)
+		c.tags.Touch(set, way)
 		if g > 0 {
 			c.promote(now, set, way)
 		}
@@ -380,7 +288,7 @@ func (c *Cache) Access(req memsys.Req) memsys.AccessResult {
 		c.probe.Emit(obs.Miss(now, addr))
 	}
 	fillDone := c.mem.Read(done)
-	c.fill(now, set, tag, write)
+	c.fill(now, set, addr, write)
 	return memsys.AccessResult{Hit: false, DoneAt: fillDone, Group: -1}
 }
 
@@ -394,9 +302,9 @@ func (c *Cache) chargeSmartSearch() {
 // only after the farthest bank answers.
 func (c *Cache) searchIncremental(now int64, set, way int, hit bool) int64 {
 	t := now
-	for g := 0; g < c.numGroups; g++ {
+	for g := 0; g < numGroups; g++ {
 		t = c.probeBank(c.bankOf(g, set), t)
-		if hit && g == c.groupOfWay(way) {
+		if hit && g == groupOfWay(way) {
 			return t
 		}
 	}
@@ -407,12 +315,12 @@ func (c *Cache) searchIncremental(now int64, set, way int, hit bool) int64 {
 // a hit completes when its bank responds; a miss with no partial match is
 // detected as soon as the smart-search array answers, otherwise when the
 // slowest probed bank responds.
-func (c *Cache) searchParallel(now int64, set, way int, hit bool, matches []bool) int64 {
+func (c *Cache) searchParallel(now int64, set, way int, hit bool, matches [numGroups]bool) int64 {
 	latest := now + c.ssLat
 	var hitDone int64
-	for g := 0; g < c.numGroups; g++ {
+	for g := 0; g < numGroups; g++ {
 		resp := c.probeBank(c.bankOf(g, set), now)
-		if hit && g == c.groupOfWay(way) {
+		if hit && g == groupOfWay(way) {
 			hitDone = resp
 		}
 		if resp > latest {
@@ -436,21 +344,18 @@ func (c *Cache) searchParallel(now int64, set, way int, hit bool, matches []bool
 // searchSequential is ss-energy: only groups with a partial match are
 // probed, closest first, each probe starting after the previous one
 // answers.
-func (c *Cache) searchSequential(now int64, set, way int, hit bool, matches []bool) int64 {
+func (c *Cache) searchSequential(now int64, set, way int, hit bool, matches [numGroups]bool) int64 {
 	t := now + c.ssLat
-	probed := false
-	for g := 0; g < c.numGroups; g++ {
+	for g := 0; g < numGroups; g++ {
 		if !matches[g] {
 			continue
 		}
-		probed = true
 		t = c.probeBank(c.bankOf(g, set), t)
-		if hit && g == c.groupOfWay(way) {
+		if hit && g == groupOfWay(way) {
 			return t
 		}
 		c.hot.falsePartialHits++
 	}
-	_ = probed
 	return t // miss: confirmed after the last candidate (or the ss array)
 }
 
@@ -458,13 +363,12 @@ func (c *Cache) searchSequential(now int64, set, way int, hit bool, matches []bo
 // processor by swapping with the LRU way of the adjacent faster group
 // (paper Sec. 2.2's "bubble replacement").
 func (c *Cache) promote(now int64, set, way int) {
-	g := c.groupOfWay(way)
-	target := c.victimWay(set, g-1)
-	a, b := c.line(set, way), c.line(set, target)
-	swapped := b.valid
+	g := groupOfWay(way)
+	target := c.tags.VictimWayIn(set, (g-1)*waysPerGroup, g*waysPerGroup)
+	swapped := c.tags.Line(set, target).Valid
 	// Stamps travel with the lines: the promoted block keeps its fresh
 	// recency, the demoted one keeps its old stamp.
-	*a, *b = *b, *a
+	c.tags.Swap(set, way, target)
 	c.hot.promotions++
 	if c.probe != nil {
 		c.probe.Emit(obs.Promote(now, g, g-1))
@@ -488,46 +392,25 @@ func (c *Cache) promote(now int64, set, way int) {
 	c.chargeBank(b2, now)
 }
 
-// victimWay picks the way of `group` to displace: an invalid way when one
-// exists, else the LRU of the group's ways.
-func (c *Cache) victimWay(set, group int) int {
-	base := group * c.wpg
-	victim := base
-	var best uint64 = ^uint64(0)
-	for w := base; w < base+c.wpg; w++ {
-		l := c.line(set, w)
-		if !l.valid {
-			return w
-		}
-		if l.stamp < best {
-			best = l.stamp
-			victim = w
-		}
-	}
-	return victim
-}
-
-// fill installs a new block into the slowest group, evicting that group's
+// fill installs addr's block into the slowest group, evicting that group's
 // LRU way (the paper: "D-NUCA evicts the block in the slowest way of the
 // set", which need not be the set's LRU block).
-func (c *Cache) fill(now int64, set int, tag uint64, write bool) {
-	slowest := c.numGroups - 1
-	way := c.victimWay(set, slowest)
-	l := c.line(set, way)
+func (c *Cache) fill(now int64, set int, addr uint64, write bool) {
+	const slowest = numGroups - 1
+	way := c.tags.VictimWayIn(set, slowest*waysPerGroup, assoc)
 	bank := c.bankOf(slowest, set)
-	if l.valid {
+	if l := c.tags.Line(set, way); l.Valid {
 		c.hot.evictions++
 		if c.probe != nil {
-			c.probe.Emit(obs.Evict(now, slowest, l.dirty))
+			c.probe.Emit(obs.Evict(now, slowest, l.Dirty))
 		}
-		if l.dirty {
+		if l.Dirty {
 			c.hot.writebacks++
 			c.chargeBank(bank, now) // victim read
 			c.mem.Write()
 		}
 	}
-	*l = line{valid: true, dirty: write, tag: tag}
-	c.touch(set, way)
+	c.tags.Fill(addr, way).Dirty = write
 	c.chargeBank(bank, now) // fill write
 	if c.probe != nil {
 		c.probe.Emit(obs.Place(now, slowest, 0))
@@ -562,39 +445,36 @@ func (c *Cache) Counters() *stats.Counters {
 
 // GroupOf reports which latency group currently holds addr, or -1.
 func (c *Cache) GroupOf(addr uint64) int {
-	way, ok := c.lookup(addr)
+	way, ok := c.tags.Lookup(addr)
 	if !ok {
 		return -1
 	}
-	return c.groupOfWay(way)
+	return groupOfWay(way)
 }
 
 // Contains reports whether addr is resident (no side effects).
 func (c *Cache) Contains(addr uint64) bool {
-	_, ok := c.lookup(addr)
+	_, ok := c.tags.Lookup(addr)
 	return ok
 }
 
 // NumGroups returns the number of latency groups per set.
-func (c *Cache) NumGroups() int { return c.numGroups }
+func (c *Cache) NumGroups() int { return numGroups }
 
-// CheckInvariants validates tag-state consistency: no duplicate tags
-// within a set and all stamps within the clock bound.
+// CheckInvariants validates tag-state consistency: no set holds a tag
+// twice. (Recency is the tag array's own, bounded by its clock; the
+// cache package tests that.)
 func (c *Cache) CheckInvariants() error {
-	for set := 0; set < c.geo.NumSets(); set++ {
+	for set := 0; set < c.idx.NumSets(); set++ {
 		seen := make(map[uint64]bool)
-		for w := 0; w < c.assoc; w++ {
-			l := c.line(set, w)
-			if !l.valid {
+		for _, l := range c.tags.Set(set) {
+			if !l.Valid {
 				continue
 			}
-			if seen[l.tag] {
-				return fmt.Errorf("set %d holds tag %#x twice", set, l.tag)
+			if seen[l.Tag] {
+				return fmt.Errorf("set %d holds tag %#x twice", set, l.Tag)
 			}
-			seen[l.tag] = true
-			if l.stamp > c.clock {
-				return fmt.Errorf("set %d way %d stamp %d beyond clock %d", set, w, l.stamp, c.clock)
-			}
+			seen[l.Tag] = true
 		}
 	}
 	return nil

@@ -14,7 +14,7 @@ func build(t *testing.T, mutate func(*Config)) (*Cache, *memsys.Memory) {
 	if mutate != nil {
 		mutate(&cfg)
 	}
-	mem := memsys.NewMemory(cfg.BlockBytes)
+	mem := memsys.NewMemory(BlockBytes)
 	c, err := New(cfg, cacti.Default(), mem)
 	if err != nil {
 		t.Fatal(err)
@@ -26,19 +26,15 @@ func blockAddr(i int) uint64 { return uint64(i) * 128 }
 
 func TestNewRejectsBadConfigs(t *testing.T) {
 	m := cacti.Default()
-	mem := memsys.NewMemory(128)
-	bad := []func(*Config){
-		func(c *Config) { c.BankKB = 0 },
-		func(c *Config) { c.BankKB = 7 },
-		func(c *Config) { c.Assoc = 0 },
-		func(c *Config) { c.PartialTagBits = 0 },
-		func(c *Config) { c.PartialTagBits = 64 },
+	mem := memsys.NewMemory(BlockBytes)
+	for _, p := range []SearchPolicy{-1, Incremental + 1, 5} {
+		if _, err := New(Config{Policy: p}, m, mem); err == nil {
+			t.Errorf("unknown policy %v accepted", p)
+		}
 	}
-	for i, f := range bad {
-		cfg := DefaultConfig()
-		f(&cfg)
-		if _, err := New(cfg, m, mem); err == nil {
-			t.Errorf("bad config %d accepted", i)
+	for _, p := range []SearchPolicy{SSPerformance, SSEnergy, Incremental} {
+		if _, err := New(Config{Policy: p}, m, mem); err != nil {
+			t.Errorf("policy %v rejected: %v", p, err)
 		}
 	}
 }
@@ -151,7 +147,7 @@ func TestSSEnergyCheaperThanSSPerformance(t *testing.T) {
 func TestEvictionFromSlowestWay(t *testing.T) {
 	c, mem := build(t, nil)
 	set0 := blockAddr(0)
-	stride := c.geo.NumSets() // in blocks
+	stride := c.idx.NumSets() // in blocks
 	// Fill all 16 ways of set 0; every new block lands in the slowest
 	// group and displaces its LRU way, so with 16 fills and no hits only
 	// the slowest group's 2 ways survive plus earlier bubbled... in fact
@@ -180,7 +176,7 @@ func TestEvictionIsNotGlobalLRU(t *testing.T) {
 	// block still in the slowest group is evicted before older faster
 	// blocks.
 	c, _ := build(t, nil)
-	stride := c.geo.NumSets()
+	stride := c.idx.NumSets()
 	// Block A bubbles to group 6 with one hit.
 	c.Access(memsys.Req{Now: 0, Addr: blockAddr(0), Write: false})
 	c.Access(memsys.Req{Now: 1000, Addr: blockAddr(0), Write: false})
@@ -244,7 +240,7 @@ func TestNameAndConfig(t *testing.T) {
 	if c.Name() != "dnuca-ss-performance" {
 		t.Fatalf("Name = %q", c.Name())
 	}
-	if c.Config().Assoc != 16 {
+	if c.Config() != DefaultConfig() {
 		t.Fatal("config accessor wrong")
 	}
 }
@@ -255,16 +251,14 @@ func TestMustNewPanics(t *testing.T) {
 			t.Fatal("MustNew must panic")
 		}
 	}()
-	cfg := DefaultConfig()
-	cfg.BankKB = 7
-	MustNew(cfg, cacti.Default(), memsys.NewMemory(128))
+	MustNew(Config{Policy: Incremental + 1}, cacti.Default(), memsys.NewMemory(BlockBytes))
 }
 
 func TestFalsePartialHitsHappen(t *testing.T) {
 	// Two blocks whose tags share the low 7 bits collide in the
 	// smart-search array: probing for the absent one wastes a search.
 	c, _ := build(t, func(cfg *Config) { cfg.Policy = SSEnergy })
-	setBlocks := c.geo.NumSets()
+	setBlocks := c.idx.NumSets()
 	// tag 1 and tag 129 share bits 0..6 (129 = 0b10000001).
 	a1 := blockAddr(1 * setBlocks) // set 0, tag 1
 	a2 := blockAddr(129 * setBlocks)

@@ -6,12 +6,12 @@ package nurapid
 // and the dead-block sampling literature).
 //
 // A small fraction of the tag sets (one in predSampleStride) carries
-// shadow tags: an assoc-deep recency-stamped table of recently filled
-// block keys. When a shadow entry is evicted without ever having been
-// re-referenced, the block behind it was dead on arrival — its signature
-// trains toward "dead" in a table of 2-bit saturating counters. When a
-// shadow entry *is* re-referenced, its signature trains back toward
-// "live". Non-sampled sets pay nothing and consult only the table.
+// shadow tags: an assoc-deep LRU table of recently filled block keys.
+// When a shadow entry is evicted without ever having been re-referenced,
+// the block behind it was dead on arrival — its signature trains toward
+// "dead" in a table of 2-bit saturating counters. When a shadow entry
+// *is* re-referenced, its signature trains back toward "live".
+// Non-sampled sets pay nothing and consult only the table.
 //
 // The memory system models no program counters (memsys.Req carries only
 // an address), so the signature hashes the block's 64-block region
@@ -25,6 +25,8 @@ package nurapid
 // allocation-free after construction; internal/refmodel transcribes the
 // same contract in its readable style and the differential harness
 // compares the two bit-for-bit.
+
+import "nurapid/internal/cache"
 
 const (
 	// predTableEntries is the signature table size; predSigBits addresses
@@ -58,34 +60,20 @@ func predSig(key uint64) uint32 {
 }
 
 // predictor is the flat, allocation-free implementation. The shadow
-// entries of all sampled sets live in four parallel slices indexed
-//
-//	row = set/predSampleStride, entry = row*assoc + i
-//
-// and the recency stamps come from one global tick so victim selection
-// is a min-scan with no per-set state.
+// tags are one LRU tag array of rows x assoc one-byte blocks, a row
+// (array set) per sampled set, row = set/predSampleStride. A line's Tag
+// is the block key and its Aux is 1 once the key has been re-referenced.
+// Rows are indexed directly; the array's address mapping is never used.
 type predictor struct {
-	table []uint8 // 2-bit saturating dead counters, indexed by predSig
-
-	shadowKey   []uint64
-	shadowStamp []uint64
-	shadowValid []bool
-	shadowRefd  []bool
-
-	assoc int
-	tick  uint64
+	table  []uint8 // 2-bit saturating dead counters, indexed by predSig
+	shadow *cache.Array
 }
 
 func newPredictor(numSets, assoc int) *predictor {
 	rows := (numSets + predSampleStride - 1) / predSampleStride
-	n := rows * assoc
 	return &predictor{
-		table:       make([]uint8, predTableEntries),
-		shadowKey:   make([]uint64, n),
-		shadowStamp: make([]uint64, n),
-		shadowValid: make([]bool, n),
-		shadowRefd:  make([]bool, n),
-		assoc:       assoc,
+		table:  make([]uint8, predTableEntries),
+		shadow: cache.MustNewArray(cache.Geometry{CapacityBytes: int64(rows * assoc), BlockBytes: 1, Assoc: assoc}),
 	}
 }
 
@@ -108,40 +96,27 @@ func (p *predictor) observe(set int, key uint64) {
 	if set%predSampleStride != 0 {
 		return
 	}
-	base := (set / predSampleStride) * p.assoc
-	p.tick++
-	for i := base; i < base+p.assoc; i++ {
-		if p.shadowValid[i] && p.shadowKey[i] == key {
-			if !p.shadowRefd[i] {
-				p.shadowRefd[i] = true
-				s := predSig(key)
-				if p.table[s] > 0 {
-					p.table[s]--
-				}
+	row := set / predSampleStride
+	if w, hit := p.shadow.FindTag(row, key); hit {
+		if l := p.shadow.Line(row, w); l.Aux == 0 {
+			l.Aux = 1
+			s := predSig(key)
+			if p.table[s] > 0 {
+				p.table[s]--
 			}
-			p.shadowStamp[i] = p.tick
-			return
 		}
+		p.shadow.Touch(row, w)
+		return
 	}
-	// Shadow miss: victim is the first invalid entry, else the LRU stamp.
-	v := base
-	for i := base; i < base+p.assoc; i++ {
-		if !p.shadowValid[i] {
-			v = i
-			break
-		}
-		if p.shadowStamp[i] < p.shadowStamp[v] {
-			v = i
-		}
-	}
-	if p.shadowValid[v] && !p.shadowRefd[v] {
-		s := predSig(p.shadowKey[v])
+	// Shadow miss: replace the row's first invalid entry, else its LRU.
+	w := p.shadow.VictimWay(row)
+	l := p.shadow.Line(row, w)
+	if l.Valid && l.Aux == 0 {
+		s := predSig(l.Tag)
 		if p.table[s] < predCounterMax {
 			p.table[s]++
 		}
 	}
-	p.shadowKey[v] = key
-	p.shadowStamp[v] = p.tick
-	p.shadowValid[v] = true
-	p.shadowRefd[v] = false
+	*l = cache.Line{Valid: true, Tag: key}
+	p.shadow.Touch(row, w)
 }

@@ -13,26 +13,35 @@ func region(r int) uint64 { return uint64(r) << predRegionShift }
 
 // TestPredictorIgnoresNonSampledSets pins the sampling contract: only
 // sets at multiples of predSampleStride touch the shadow tags or train
-// the table; every other set is free.
+// the table; every other set is free. The sampled rows are filled first
+// and the non-sampled accesses replay their least recently used keys, so
+// a stray install, recency touch or training step would all show.
 func TestPredictorIgnoresNonSampledSets(t *testing.T) {
 	p := newPredictor(64, 4)
-	for i := 0; i < 100; i++ {
-		p.observe(1, region(i))
-		p.observe(predSampleStride/2, region(i+100))
-		p.observe(predSampleStride+3, region(i+200))
+	for i := 1; i <= 4; i++ {
+		p.observe(0, region(i))
+		p.observe(predSampleStride, region(i+4))
 	}
-	for i, v := range p.shadowValid {
-		if v {
-			t.Fatalf("shadow entry %d became valid from non-sampled sets", i)
-		}
+	p.observe(0, region(1)) // row 0's LRU is now region(2)
+	victims := [2]int{p.shadow.VictimWay(0), p.shadow.VictimWay(1)}
+	valid := p.shadow.CountValid()
+	table := append([]uint8(nil), p.table...)
+	for i := 0; i < 100; i++ {
+		p.observe(1, region(2))
+		p.observe(predSampleStride/2, region(i+100))
+		p.observe(predSampleStride+3, region(5))
+		p.observe(predSampleStride+1, region(i+200))
+	}
+	if got := [2]int{p.shadow.VictimWay(0), p.shadow.VictimWay(1)}; got != victims {
+		t.Fatalf("shadow victims %v became %v from non-sampled sets", victims, got)
+	}
+	if n := p.shadow.CountValid(); n != valid {
+		t.Fatalf("%d shadow entries valid, want %d: non-sampled sets installed", n, valid)
 	}
 	for s, v := range p.table {
-		if v != 0 {
-			t.Fatalf("table[%d] = %d trained from non-sampled sets", s, v)
+		if v != table[s] {
+			t.Fatalf("table[%d] = %d, want %d: trained from non-sampled sets", s, v, table[s])
 		}
-	}
-	if p.tick != 0 {
-		t.Fatalf("tick = %d advanced on non-sampled sets", p.tick)
 	}
 }
 

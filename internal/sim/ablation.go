@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 
+	"nurapid/internal/mathx"
 	"nurapid/internal/nuca"
 	"nurapid/internal/nurapid"
 	"nurapid/internal/stats"
@@ -73,11 +74,11 @@ func (r *Runner) Ablation() *Experiment {
 	}
 	for i, v := range variants {
 		a := acc[i]
-		t.AddRow(v.label, mean(a.rel), stats.Percent(mean(a.g1)), mean(a.enj), fmt.Sprintf("%d", a.swaps))
+		t.AddRow(v.label, mathx.Mean(a.rel), stats.Percent(mathx.Mean(a.g1)), mathx.Mean(a.enj), fmt.Sprintf("%d", a.swaps))
 		slug := slugify(v.label)
-		metrics["rel_"+slug] = mean(a.rel)
-		metrics["g1_"+slug] = mean(a.g1)
-		metrics["energy_"+slug] = mean(a.enj)
+		metrics["rel_"+slug] = mathx.Mean(a.rel)
+		metrics["g1_"+slug] = mathx.Mean(a.g1)
+		metrics["energy_"+slug] = mathx.Mean(a.enj)
 	}
 	return &Experiment{ID: "ablation", Caption: "Design-choice ablations", Table: t, Metrics: metrics}
 }

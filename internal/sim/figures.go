@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 
+	"nurapid/internal/mathx"
 	"nurapid/internal/nuca"
 	"nurapid/internal/nurapid"
 	"nurapid/internal/stats"
@@ -163,7 +164,7 @@ func (r *Runner) Fig6() *Experiment {
 	addAvg := func(name string, m map[string][]float64) {
 		row := []any{name}
 		for _, o := range orgs {
-			row = append(row, mean(m[o.label]))
+			row = append(row, mathx.Mean(m[o.label]))
 		}
 		t.AddRow(row...)
 	}
@@ -173,17 +174,17 @@ func (r *Runner) Fig6() *Experiment {
 	chart := vis.NewBarChart("Average performance relative to base (paper Figure 6 style)", "x")
 	chart.Reference = 1.0
 	for _, o := range orgs {
-		chart.AddRow(o.label, mean(rel[o.label]))
+		chart.AddRow(o.label, mathx.Mean(rel[o.label]))
 	}
 	return &Experiment{ID: "fig6", Caption: "Promotion-policy performance", Table: t,
 		Chart: chart,
 		Metrics: map[string]float64{
-			"rel_demotion_only":     mean(rel["demotion-only"]),
-			"rel_next_fastest":      mean(rel["next-fastest"]),
-			"rel_fastest":           mean(rel["fastest"]),
-			"rel_ideal":             mean(rel["ideal"]),
-			"rel_next_fastest_high": mean(relHigh["next-fastest"]),
-			"rel_next_fastest_low":  mean(relLow["next-fastest"]),
+			"rel_demotion_only":     mathx.Mean(rel["demotion-only"]),
+			"rel_next_fastest":      mathx.Mean(rel["next-fastest"]),
+			"rel_fastest":           mathx.Mean(rel["fastest"]),
+			"rel_ideal":             mathx.Mean(rel["ideal"]),
+			"rel_next_fastest_high": mathx.Mean(relHigh["next-fastest"]),
+			"rel_next_fastest_low":  mathx.Mean(relLow["next-fastest"]),
 		}}
 }
 
@@ -215,8 +216,8 @@ func (r *Runner) LRUStudy() *Experiment {
 		}
 	}
 	for i, c := range combos {
-		t.AddRow(c.label, stats.Percent(mean(fr[i])))
-		metrics["g1_"+c.label] = mean(fr[i])
+		t.AddRow(c.label, stats.Percent(mathx.Mean(fr[i])))
+		metrics["g1_"+c.label] = mathx.Mean(fr[i])
 	}
 	return &Experiment{ID: "lru", Caption: "Random vs LRU distance replacement", Table: t, Metrics: metrics}
 }
@@ -244,20 +245,20 @@ func (r *Runner) Fig7() *Experiment {
 		t.AddRow(row...)
 	}
 	t.AddRow("AVERAGE",
-		stats.Percent(mean(g1[2])), "-", "-",
-		stats.Percent(mean(g1[4])), "-", "-",
-		stats.Percent(mean(g1[8])), "-", "-")
+		stats.Percent(mathx.Mean(g1[2])), "-", "-",
+		stats.Percent(mathx.Mean(g1[4])), "-", "-",
+		stats.Percent(mathx.Mean(g1[8])), "-", "-")
 	chart := vis.NewStackedChart("Average first-group accesses by d-group count (paper Figure 7 style)",
 		"d-group 1", "other hits + misses")
 	for _, n := range []int{2, 4, 8} {
-		chart.AddRow(fmt.Sprintf("%d d-groups", n), mean(g1[n]), 1-mean(g1[n]))
+		chart.AddRow(fmt.Sprintf("%d d-groups", n), mathx.Mean(g1[n]), 1-mathx.Mean(g1[n]))
 	}
 	return &Experiment{ID: "fig7", Caption: "d-group count access distribution", Table: t,
 		Chart: chart,
 		Metrics: map[string]float64{
-			"g1_2groups": mean(g1[2]),
-			"g1_4groups": mean(g1[4]),
-			"g1_8groups": mean(g1[8]),
+			"g1_2groups": mathx.Mean(g1[2]),
+			"g1_4groups": mathx.Mean(g1[4]),
+			"g1_8groups": mathx.Mean(g1[8]),
 		}}
 }
 
@@ -287,7 +288,7 @@ func (r *Runner) Fig8() *Experiment {
 		}
 		t.AddRow(row...)
 	}
-	t.AddRow("AVERAGE", mean(rel[2]), mean(rel[4]), mean(rel[8]))
+	t.AddRow("AVERAGE", mathx.Mean(rel[2]), mathx.Mean(rel[4]), mathx.Mean(rel[8]))
 	swapRatio := 0.0
 	if swaps4 > 0 {
 		swapRatio = float64(swaps8) / float64(swaps4)
@@ -295,14 +296,14 @@ func (r *Runner) Fig8() *Experiment {
 	chart := vis.NewBarChart("Average performance by d-group count (paper Figure 8 style)", "x")
 	chart.Reference = 1.0
 	for _, n := range []int{2, 4, 8} {
-		chart.AddRow(fmt.Sprintf("%d d-groups", n), mean(rel[n]))
+		chart.AddRow(fmt.Sprintf("%d d-groups", n), mathx.Mean(rel[n]))
 	}
 	return &Experiment{ID: "fig8", Caption: "d-group count performance", Table: t,
 		Chart: chart,
 		Metrics: map[string]float64{
-			"rel_2groups":    mean(rel[2]),
-			"rel_4groups":    mean(rel[4]),
-			"rel_8groups":    mean(rel[8]),
+			"rel_2groups":    mathx.Mean(rel[2]),
+			"rel_4groups":    mathx.Mean(rel[4]),
+			"rel_8groups":    mathx.Mean(rel[8]),
 			"swap_ratio_8v4": swapRatio,
 		}}
 }
@@ -324,7 +325,7 @@ func (r *Runner) Fig9() *Experiment {
 		r4 = append(r4, p4)
 		r8 = append(r8, p8)
 	}
-	t.AddRow("AVERAGE", mean(rd), mean(r4), mean(r8))
+	t.AddRow("AVERAGE", mathx.Mean(rd), mathx.Mean(r4), mathx.Mean(r8))
 	// Per-app improvement of 4-d-group NuRAPID over D-NUCA.
 	var imp []float64
 	maxImp := 0.0
@@ -337,16 +338,16 @@ func (r *Runner) Fig9() *Experiment {
 	}
 	chart := vis.NewBarChart("Average performance relative to base (paper Figure 9 style)", "x")
 	chart.Reference = 1.0
-	chart.AddRow("D-NUCA ss-perf", mean(rd))
-	chart.AddRow("NuRAPID 4g", mean(r4))
-	chart.AddRow("NuRAPID 8g", mean(r8))
+	chart.AddRow("D-NUCA ss-perf", mathx.Mean(rd))
+	chart.AddRow("NuRAPID 4g", mathx.Mean(r4))
+	chart.AddRow("NuRAPID 8g", mathx.Mean(r8))
 	return &Experiment{ID: "fig9", Caption: "NuRAPID vs D-NUCA performance", Table: t,
 		Chart: chart,
 		Metrics: map[string]float64{
-			"rel_dnuca":       mean(rd),
-			"rel_nurapid_4g":  mean(r4),
-			"rel_nurapid_8g":  mean(r8),
-			"avg_improvement": mean(imp),
+			"rel_dnuca":       mathx.Mean(rd),
+			"rel_nurapid_4g":  mathx.Mean(r4),
+			"rel_nurapid_8g":  mathx.Mean(r8),
+			"avg_improvement": mathx.Mean(imp),
 			"max_improvement": maxImp,
 		}}
 }
@@ -387,20 +388,20 @@ func (r *Runner) Fig10() *Experiment {
 		}
 		dnAcc += d.L2Ctrs.Get("bank_accesses")
 	}
-	t.AddRow("AVERAGE", mean(perBase), mean(perDN), mean(perNu), mean(ratios))
+	t.AddRow("AVERAGE", mathx.Mean(perBase), mathx.Mean(perDN), mathx.Mean(perNu), mathx.Mean(ratios))
 	accRatio := 0.0
 	if dnAcc > 0 {
 		accRatio = float64(nuAcc) / float64(dnAcc)
 	}
 	chart := vis.NewBarChart("Average L2 dynamic energy (nJ per 1000 instructions)", " nJ")
-	chart.AddRow("base L2/L3", mean(perBase))
-	chart.AddRow("D-NUCA ss-energy", mean(perDN))
-	chart.AddRow("NuRAPID 4g", mean(perNu))
+	chart.AddRow("base L2/L3", mathx.Mean(perBase))
+	chart.AddRow("D-NUCA ss-energy", mathx.Mean(perDN))
+	chart.AddRow("NuRAPID 4g", mathx.Mean(perNu))
 	return &Experiment{ID: "fig10", Caption: "L2 dynamic energy", Table: t,
 		Chart: chart,
 		Metrics: map[string]float64{
-			"energy_ratio_nurapid_dnuca": mean(ratios),
-			"energy_reduction":           mean(reds),
+			"energy_ratio_nurapid_dnuca": mathx.Mean(ratios),
+			"energy_reduction":           mathx.Mean(reds),
 			"group_access_ratio":         accRatio,
 			"group_access_reduction":     1 - accRatio,
 		}}
@@ -433,19 +434,19 @@ func (r *Runner) Fig11() *Experiment {
 		re = append(re, e)
 		rn = append(rn, n)
 	}
-	t.AddRow("AVERAGE", mean(rp), mean(re), mean(rn))
+	t.AddRow("AVERAGE", mathx.Mean(rp), mathx.Mean(re), mathx.Mean(rn))
 	chart := vis.NewBarChart("Average processor energy-delay relative to base (lower is better)", "x")
 	chart.Reference = 1.0
-	chart.AddRow("D-NUCA ss-perf", mean(rp))
-	chart.AddRow("D-NUCA ss-energy", mean(re))
-	chart.AddRow("NuRAPID 4g", mean(rn))
+	chart.AddRow("D-NUCA ss-perf", mathx.Mean(rp))
+	chart.AddRow("D-NUCA ss-energy", mathx.Mean(re))
+	chart.AddRow("NuRAPID 4g", mathx.Mean(rn))
 	return &Experiment{ID: "fig11", Caption: "Processor energy-delay", Table: t,
 		Chart: chart,
 		Metrics: map[string]float64{
-			"ed_dnuca_perf":   mean(rp),
-			"ed_dnuca_energy": mean(re),
-			"ed_nurapid":      mean(rn),
-			"ed_improvement":  1 - mean(rn),
+			"ed_dnuca_perf":   mathx.Mean(rp),
+			"ed_dnuca_energy": mathx.Mean(re),
+			"ed_nurapid":      mathx.Mean(rn),
+			"ed_improvement":  1 - mathx.Mean(rn),
 		}}
 }
 

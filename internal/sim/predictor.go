@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 
+	"nurapid/internal/mathx"
 	"nurapid/internal/nurapid"
 	"nurapid/internal/stats"
 	"nurapid/internal/workload"
@@ -87,12 +88,12 @@ func (r *Runner) PredictorStudy() *Experiment {
 	}
 	for i, v := range variants {
 		a := acc[i]
-		t.AddRow(v.label, mean(a.rel), stats.Percent(mean(a.g1)), mean(a.enj),
+		t.AddRow(v.label, mathx.Mean(a.rel), stats.Percent(mathx.Mean(a.g1)), mathx.Mean(a.enj),
 			fmt.Sprintf("%d", a.bypasses), fmt.Sprintf("%d", a.deadFills), fmt.Sprintf("%d", a.memoHits))
 		slug := slugify(v.label)
-		metrics["rel_"+slug] = mean(a.rel)
-		metrics["g1_"+slug] = mean(a.g1)
-		metrics["energy_"+slug] = mean(a.enj)
+		metrics["rel_"+slug] = mathx.Mean(a.rel)
+		metrics["g1_"+slug] = mathx.Mean(a.g1)
+		metrics["energy_"+slug] = mathx.Mean(a.enj)
 	}
 	return &Experiment{ID: "predictor", Caption: "Reuse-distance predictor ablations", Table: t, Metrics: metrics}
 }

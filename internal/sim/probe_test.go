@@ -127,7 +127,7 @@ func TestTraceDeterminismFixedSeed(t *testing.T) {
 // byte-identical queue-side traces across serial and parallel runners,
 // that the stream carries the queue kinds (enqueue/issue) and coherence
 // shoot-downs (inval), and pins the first enqueue line's exact bytes as
-// the golden encoding for the -cmp trace format.
+// the golden encoding for the CMP trace format.
 func TestCMPTraceDeterminism(t *testing.T) {
 	org := NuRAPID(nurapid.DefaultConfig())
 	run := func(workers int) map[string]*bytes.Buffer {

@@ -86,11 +86,7 @@ func NuRAPID(cfg nurapid.Config) Organization {
 
 // DNUCA returns a D-NUCA organization with the given configuration.
 func DNUCA(cfg nuca.Config) Organization {
-	key := "dnuca-" + cfg.Policy.String()
-	if cfg.BlockBytes != 128 {
-		key += fmt.Sprintf("-b%d", cfg.BlockBytes)
-	}
-	return Organization{Key: key, BlockBytes: cfg.BlockBytes, Factory: func(m *cacti.Model, mem *memsys.Memory) memsys.LowerLevel {
+	return Organization{Key: "dnuca-" + cfg.Policy.String(), BlockBytes: nuca.BlockBytes, Factory: func(m *cacti.Model, mem *memsys.Memory) memsys.LowerLevel {
 		return nuca.MustNew(cfg, m, mem)
 	}}
 }
@@ -459,16 +455,4 @@ func nurapidCfg(groups int, prom nurapid.Promotion, dist nurapid.DistancePolicy)
 	cfg.Promotion = prom
 	cfg.Distance = dist
 	return cfg
-}
-
-// mean is arithmetic mean over a slice (the paper's "on average").
-func mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
 }

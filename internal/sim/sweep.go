@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"nurapid/internal/cacti"
+	"nurapid/internal/mathx"
 	"nurapid/internal/memsys"
 	"nurapid/internal/nuca"
 	"nurapid/internal/nurapid"
@@ -44,12 +45,12 @@ func (r *Runner) CapacitySweep() *Experiment {
 		}
 		t.AddRow(row...)
 	}
-	t.AddRow("AVERAGE", mean(rel[4]), mean(rel[8]), mean(rel[16]))
+	t.AddRow("AVERAGE", mathx.Mean(rel[4]), mathx.Mean(rel[8]), mathx.Mean(rel[16]))
 	return &Experiment{ID: "sweep-capacity", Caption: "Capacity sensitivity", Table: t,
 		Metrics: map[string]float64{
-			"rel_4mb":  mean(rel[4]),
-			"rel_8mb":  mean(rel[8]),
-			"rel_16mb": mean(rel[16]),
+			"rel_4mb":  mathx.Mean(rel[4]),
+			"rel_8mb":  mathx.Mean(rel[8]),
+			"rel_16mb": mathx.Mean(rel[16]),
 		}}
 }
 
@@ -85,15 +86,15 @@ func (r *Runner) BlockSweep() *Experiment {
 		}
 	}
 	for _, bb := range blocks {
-		t.AddRow("AVERAGE", fmt.Sprintf("%d B", bb), mean(ipc[bb]), "-", stats.Percent(mean(miss[bb])))
+		t.AddRow("AVERAGE", fmt.Sprintf("%d B", bb), mathx.Mean(ipc[bb]), "-", stats.Percent(mathx.Mean(miss[bb])))
 	}
 	return &Experiment{ID: "sweep-block", Caption: "Block-size sensitivity", Table: t,
 		Metrics: map[string]float64{
-			"ipc_64":   mean(ipc[64]),
-			"ipc_128":  mean(ipc[128]),
-			"ipc_256":  mean(ipc[256]),
-			"miss_64":  mean(miss[64]),
-			"miss_256": mean(miss[256]),
+			"ipc_64":   mathx.Mean(ipc[64]),
+			"ipc_128":  mathx.Mean(ipc[128]),
+			"ipc_256":  mathx.Mean(ipc[256]),
+			"miss_64":  mathx.Mean(miss[64]),
+			"miss_256": mathx.Mean(miss[256]),
 		}}
 }
 
@@ -126,12 +127,12 @@ func (r *Runner) TechSweep() *Experiment {
 		}
 		t.AddRow(row...)
 	}
-	t.AddRow("AVERAGE", mean(rel[1.0]), mean(rel[1.5]), mean(rel[2.0]))
+	t.AddRow("AVERAGE", mathx.Mean(rel[1.0]), mathx.Mean(rel[1.5]), mathx.Mean(rel[2.0]))
 	return &Experiment{ID: "sweep-tech", Caption: "Wire-delay scaling", Table: t,
 		Metrics: map[string]float64{
-			"vs_dnuca_1.0x": mean(rel[1.0]),
-			"vs_dnuca_1.5x": mean(rel[1.5]),
-			"vs_dnuca_2.0x": mean(rel[2.0]),
+			"vs_dnuca_1.0x": mathx.Mean(rel[1.0]),
+			"vs_dnuca_1.5x": mathx.Mean(rel[1.5]),
+			"vs_dnuca_2.0x": mathx.Mean(rel[2.0]),
 		}}
 }
 

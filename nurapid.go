@@ -101,7 +101,9 @@ type (
 
 // Baseline organizations.
 type (
-	// DNUCAConfig parameterizes the D-NUCA baseline.
+	// DNUCAConfig selects the D-NUCA baseline's search policy, its only
+	// setting: the geometry is the paper's, fixed (8 MB, 128-B blocks,
+	// 16-way, 128 64-KB banks, 8 latency groups, 7-bit partial tags).
 	DNUCAConfig = nuca.Config
 	// DNUCA is the dynamic non-uniform cache baseline (Kim et al.).
 	DNUCA = nuca.Cache
@@ -244,7 +246,7 @@ func DefaultDNUCAConfig() DNUCAConfig { return nuca.DefaultConfig() }
 
 // NewDNUCA builds the D-NUCA baseline backed by a fresh memory model.
 func NewDNUCA(cfg DNUCAConfig) (*DNUCA, *Memory, error) {
-	mem := memsys.NewMemory(cfg.BlockBytes)
+	mem := memsys.NewMemory(nuca.BlockBytes)
 	c, err := nuca.New(cfg, cacti.Default(), mem)
 	if err != nil {
 		return nil, nil, err
