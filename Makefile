@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race race-runner lint escape-rebaseline fmt bench bench-smoke fuzz-smoke audit diff-fuzz diff-fuzz-long ci
+.PHONY: build test race race-runner lint escape-rebaseline fmt golden bench bench-smoke fuzz-smoke audit diff-fuzz diff-fuzz-long ci
 
 build:
 	$(GO) build ./...
@@ -46,6 +46,17 @@ escape-rebaseline:
 fmt:
 	gofmt -w .
 
+# golden: regenerate the small-run paper outputs (-n 50000 -seed 1) that
+# TestSmallRunGolden (cmd/experiments) compares an in-process render
+# against, after a deliberate re-baseline; review and commit the diff.
+# The experiment list is the test's goldenExperiments.
+GOLDEN = cmd/experiments/testdata/golden-n50000-seed1.txt
+golden:
+	set -e; for e in all sweep-capacity sweep-block sweep-tech predictor cmp; do \
+		$(GO) run ./cmd/experiments -experiment $$e -n 50000 -seed 1 -q; \
+	done > $(GOLDEN).tmp
+	mv $(GOLDEN).tmp $(GOLDEN)
+
 # bench: one iteration per benchmark, to catch bit-rot without waiting
 # for real measurements (the timed gates are bench-smoke's).
 bench:
@@ -67,12 +78,14 @@ bench:
 bench-smoke:
 	BENCH_SMOKE_JSON=$(CURDIR)/BENCH_smoke.json $(GO) test -count=1 -run '^TestBenchSmoke$$' -v .
 
-# fuzz-smoke: a short native-fuzzing pass over the two trace parsers:
+# fuzz-smoke: a short native-fuzzing pass over the two trace parsers —
 # the JSONL obs-trace reader (and the probes that aggregate what it
-# decodes) and the binary workload trace reader.
+# decodes) and the binary workload trace reader — and over the core's
+# per-instruction timing engine against its cycle-stepped oracle.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz=FuzzDecodeTrace -fuzztime=15s ./internal/obs/
 	$(GO) test -run '^$$' -fuzz=FuzzTraceReader -fuzztime=15s ./internal/workload/
+	$(GO) test -run '^$$' -fuzz=FuzzBackEndMatchesStep -fuzztime=15s ./internal/cpu/
 
 # audit: the randomized invariant storm at full length.
 audit:

@@ -118,29 +118,44 @@ func main() {
 	}
 	r := sim.NewRunner(opts...)
 
-	var exps []*sim.Experiment
-	if *experiment == "all" {
-		exps = r.All()
-	} else {
-		e, err := r.ByID(*experiment)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		exps = []*sim.Experiment{e}
+	exps, err := experiments(r, *experiment)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
 	}
-
-	for _, e := range exps {
-		fmt.Println()
-		if err := e.Render(os.Stdout, *csv); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
+	if err := render(os.Stdout, exps, *csv); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
 	if err := r.ProbeErr(); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
+}
+
+// experiments runs the experiment named by id, or every one for "all".
+func experiments(r *sim.Runner, id string) ([]*sim.Experiment, error) {
+	if id == "all" {
+		return r.All(), nil
+	}
+	e, err := r.ByID(id)
+	if err != nil {
+		return nil, err
+	}
+	return []*sim.Experiment{e}, nil
+}
+
+// render writes each experiment after a blank line.
+func render(w io.Writer, exps []*sim.Experiment, csv bool) error {
+	for _, e := range exps {
+		if _, err := fmt.Fprintln(w); err != nil {
+			return err
+		}
+		if err := e.Render(w, csv); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // fanOut composes observers; the Runner already serializes Observe

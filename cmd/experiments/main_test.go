@@ -1,0 +1,67 @@
+package main
+
+import (
+	"bytes"
+	"os"
+	"strings"
+	"testing"
+
+	"nurapid/internal/cmp"
+	"nurapid/internal/sim"
+)
+
+// goldenExperiments are the experiments of the small-run golden, in its
+// order; `make golden` runs the same list.
+var goldenExperiments = []string{"all", "sweep-capacity", "sweep-block", "sweep-tech", "predictor", "cmp"}
+
+const goldenFile = "testdata/golden-n50000-seed1.txt"
+
+// TestSmallRunGolden pins every paper output to committed bytes: it
+// renders goldenExperiments at 50 000 instructions, seed 1, with this
+// command's defaults (two shared-stream CMP cores), in-process on a
+// 2-worker Runner, and compares the text with the file `make golden`
+// writes from the command itself. The run is warm-up dominated, so the
+// golden pins the code's behaviour, not the paper's claims
+// (experiments_output.txt is the claims reference). A deliberate
+// re-baseline regenerates it and shows as a readable diff.
+func TestSmallRunGolden(t *testing.T) {
+	want, err := os.ReadFile(goldenFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got bytes.Buffer
+	for _, id := range goldenExperiments {
+		r := sim.NewRunner(sim.WithInstructions(50_000), sim.WithSeed(1), sim.WithWorkers(2),
+			sim.WithCores(2), sim.WithSharing(cmp.Shared))
+		exps, err := experiments(r, id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := render(&got, exps, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if bytes.Equal(got.Bytes(), want) {
+		return
+	}
+	g, w := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
+	i := 0
+	for i < len(g) && i < len(w) && g[i] == w[i] {
+		i++
+	}
+	var diff strings.Builder
+	for j := i; j < i+8 && (j < len(g) || j < len(w)); j++ {
+		if j < len(g) && j < len(w) && g[j] == w[j] {
+			diff.WriteString("\n  " + w[j])
+			continue
+		}
+		if j < len(w) {
+			diff.WriteString("\n- " + w[j])
+		}
+		if j < len(g) {
+			diff.WriteString("\n+ " + g[j])
+		}
+	}
+	t.Fatalf("render differs from %s (%d lines, got %d) from line %d (- golden, + render):%s\n"+
+		"after a deliberate re-baseline, regenerate it with `make golden`", goldenFile, len(w), len(g), i+1, diff.String())
+}

@@ -1,15 +1,24 @@
-// Package cpu is a cycle-level simplified out-of-order core in the role
-// SimpleScalar played for the paper, with the paper's Table 1 structural
-// parameters: 8-wide issue, a 64-entry instruction window (RUU), a
-// 32-entry load/store queue, pipelined 3-cycle 64-KB 2-way L1s, 8 MSHRs,
-// a hybrid branch predictor folded into the workload's misprediction
-// stream, and a 9-cycle redirect penalty.
+// Package cpu is a simplified out-of-order core in the role SimpleScalar
+// played for the paper, with the paper's Table 1 structural parameters:
+// 8-wide issue, a 64-entry instruction window (RUU), a 32-entry
+// load/store queue, pipelined 3-cycle 64-KB 2-way L1s, 8 MSHRs, a hybrid
+// branch predictor folded into the workload's misprediction stream, and
+// a 9-cycle redirect penalty.
 //
 // The model captures the first-order effects the evaluation depends on:
 // how much L2 latency the out-of-order window hides, how the MSHRs bound
 // memory-level parallelism, and how L2 port occupancy feeds back into
 // the pipeline. Instructions dispatch in order into the window, complete
 // at computed times, and commit in order.
+//
+// Because dispatch and commit are in order and every completion time is
+// known at dispatch, each instruction's dispatch and commit cycle follow
+// exactly from a few earlier ones. Run and RunStream compute them one
+// instruction at a time (backend.go), so a run costs per instruction,
+// not per simulated cycle. Start and Step simulate one cycle per call
+// instead, for the lockstep multi-core driver (internal/cmp); they are
+// the reference the per-instruction engine is tested against, Result and
+// lower-level request stream alike.
 package cpu
 
 import (
@@ -51,6 +60,9 @@ func DefaultConfig() Config {
 func (c Config) Validate() error {
 	if c.Width <= 0 || c.ROB <= 0 || c.LSQ <= 0 || c.MSHRs <= 0 {
 		return fmt.Errorf("cpu: non-positive structure size in %+v", c)
+	}
+	if c.Width > maxEntries || c.ROB > maxEntries || c.LSQ > maxEntries {
+		return fmt.Errorf("cpu: width, window and LSQ are capped at %d entries in %+v", maxEntries, c)
 	}
 	if c.L1Latency <= 0 || c.MispredictPenalty < 0 {
 		return fmt.Errorf("cpu: bad latency/penalty in %+v", c)
@@ -99,52 +111,54 @@ type robEntry struct {
 	isMem bool
 }
 
-// op is one instruction as the back end sees it: the workload
-// instruction plus, on the recorded front end, its L1 outcome.
-type op struct {
-	workload.Instr
-	flags  byte   // recorded front end: rec* outcome bits
-	victim uint64 // recorded front end: the dirty L1D victim, when flags has recVictim
-}
-
 // CPU drives a workload through the L1s and the lower-level organization
-// under test. The timing back end — window, LSQ, MSHRs, stalls, lower-
-// level requests — is one code path; it asks the front end (frontend.go)
-// for each instruction's L1 outcomes, live from the L1s (Run, Start) or
-// from a recorded Stream (RunStream, StartStream).
+// under test. It has two timing engines that compute the same numbers.
+// Run and RunStream time one instruction at a time (backend.go), from a
+// recorded front end (frontend.go): a Stream, or for Run chunks of the
+// source recorded as the run goes. Start and Step simulate one cycle per
+// call on the live L1s, for the lockstep multi-core driver
+// (internal/cmp), and are the reference the per-instruction engine is
+// tested against.
 type CPU struct {
 	cfg  Config
 	fe   frontEnd
 	mshr *cache.MSHRFile
 	l2   memsys.LowerLevel
 	l1NJ float64
+	ran  bool // a run has started: a core runs once
 
+	// The per-instruction engine: the cycle rings, the common codes'
+	// timing table, the loop state and Run's recording buffer.
+	ring       [ringSize]slot  // instruction j's dispatch and commit cycles at j&ringMask
+	memCommits [ringSize]int64 // the k-th load or store's commit cycle at k&ringMask
+	codeTab    [16]codeTiming
+	tm         timing
+	timed      int // instructions timed so far
+	chunk      Stream
+
+	// The cycle-stepped engine: window, LSQ, stalls and the stepped-run
+	// state. pending is held by value so a stalled instruction survives
+	// across Step calls without escaping to the heap.
 	rob        []robEntry
 	head, tail int
 	used       int
 	lsqUsed    int
-
-	cycle      int64
-	committed  int64
 	stallUntil int64 // no dispatch before this cycle (redirect, MSHR full)
 	memIssued  bool  // the single L1D port already used this cycle
-
-	l1dAccesses, l1dMisses int64
-	l1iAccesses, l1iMisses int64
-	l2Accesses             int64
-	l1Energy               float64
-	l1dInvals              int64 // coherence-lite shoot-downs absorbed
-
-	// Stepped-run state (Start/Step/Result). pending is held by value so
-	// a stalled instruction survives across Step calls without escaping
-	// to the heap.
 	src        workload.Source
-	rd         streamReader // the recorded front end; rd.s is nil on the live one
 	maxInstr   int64
-	pending    op
+	pending    workload.Instr
 	hasPending bool
 	sourceDone bool
 	halted     bool
+
+	// The run summary, kept by both engines.
+	cycle                  int64
+	committed              int64
+	l1dAccesses, l1dMisses int64
+	l1iAccesses, l1iMisses int64
+	l2Accesses             int64
+	l1dInvals              int64 // coherence-lite shoot-downs absorbed
 }
 
 // Option configures a CPU at construction (sim.NewRunner style).
@@ -161,6 +175,7 @@ func WithL1EnergyNJ(nj float64) Option { return func(c *CPU) { c.l1NJ = nj } }
 // New builds a CPU around the given lower-level cache; options default
 // to the paper's Table 1 core with zero L1 energy. Every lower-level
 // request carries core 0; a CMP front end (internal/cmp) restamps it.
+// A CPU runs one workload: Run, RunStream or Start, once.
 func New(l2 memsys.LowerLevel, opts ...Option) (*CPU, error) {
 	c := &CPU{cfg: DefaultConfig(), l2: l2}
 	for _, o := range opts {
@@ -170,7 +185,7 @@ func New(l2 memsys.LowerLevel, opts ...Option) (*CPU, error) {
 		return nil, err
 	}
 	c.mshr = cache.NewMSHRFile(c.cfg.MSHRs)
-	c.rob = make([]robEntry, c.cfg.ROB)
+	c.initEngine()
 	return c, nil
 }
 
@@ -183,129 +198,39 @@ func MustNew(l2 memsys.LowerLevel, opts ...Option) *CPU {
 	return c
 }
 
-// Run executes up to maxInstr instructions from src (or until the source
-// ends) on the live front end and returns the run summary. It is Start +
-// Step-to-completion + Result, except that after each Step the clock
-// jumps over the cycles in which neither commit nor dispatch can change
-// state (skipIdle), so a run costs per instruction rather than per
-// simulated cycle. The result and the lower-level request stream are
-// identical to a plain Step loop; lockstep drivers (internal/cmp) call
-// Start and Step directly.
-func (c *CPU) Run(src workload.Source, maxInstr int64) Result {
-	c.Start(src, maxInstr)
-	return c.run()
+// begin marks the core's one run as started.
+func (c *CPU) begin() {
+	if c.ran {
+		panic("cpu: the core has already run; build a new one for each run")
+	}
+	c.ran = true
 }
 
-// RunStream is Run on the recorded front end: it replays s, which must
-// have been recorded for this core's L1 geometry and fetch block. The
-// result and the lower-level request stream are identical to Run over
-// the source and budget s was recorded from.
-func (c *CPU) RunStream(s *Stream) Result {
-	c.StartStream(s)
-	return c.run()
-}
-
-// run steps the started core to completion with the idle-cycle
-// fast-forward; the one loop behind Run and RunStream.
-//
-//nurapid:hotpath
-func (c *CPU) run() Result {
-	for c.Step() {
-		c.skipIdle()
+// liveFrontEnd builds the core's L1s, cold.
+func (c *CPU) liveFrontEnd() {
+	fe, err := newFrontEnd(c.cfg)
+	if err != nil {
+		panic(fmt.Sprintf("cpu: validated config rejected by the L1s: %v", err))
 	}
-	return c.Result()
-}
-
-// skipIdle advances the clock to the next cycle at which a Step can do
-// anything but count the cycle: the earlier of the ROB head's completion
-// (when the window is non-empty) and the end of the dispatch stall
-// (unless dispatch is waiting on a commit). Every Step in between would
-// retire nothing, fetch nothing and dispatch nothing, and touch no state
-// but the clock, so skipping them changes no simulated number. With no
-// next event the next Step halts, so the clock is left alone.
-//
-//nurapid:hotpath
-func (c *CPU) skipIdle() {
-	if c.committed >= c.maxInstr {
-		return // the next Step halts
-	}
-	next := int64(-1)
-	if c.used > 0 {
-		next = c.rob[c.head].done
-	}
-	if !c.dispatchWaitsOnCommit() {
-		if s := max(c.cycle, c.stallUntil); next < 0 || s < next {
-			next = s
-		}
-	}
-	if next > c.cycle {
-		c.cycle = next
-	}
-}
-
-// dispatchWaitsOnCommit reports whether dispatch cannot make progress
-// until an instruction commits: the window is full, the pending
-// instruction is a load or store and the LSQ is full, or there is no
-// pending instruction and none may be fetched (source exhausted or
-// instruction budget reached). A pending instruction has always made
-// its fetch (dispatch records a block transition before any stall), so
-// its retry re-fetches nothing.
-//
-//nurapid:hotpath
-func (c *CPU) dispatchWaitsOnCommit() bool {
-	switch {
-	case c.used >= c.cfg.ROB:
-		return true
-	case c.hasPending:
-		k := c.pending.Kind
-		return (k == workload.Load || k == workload.Store) && c.lsqUsed >= c.cfg.LSQ
-	default:
-		return c.sourceDone || c.committed+int64(c.used) >= c.maxInstr
-	}
+	c.fe = fe
 }
 
 // Start arms the core to execute up to maxInstr instructions from src on
-// the live front end, building its L1s on the first live run (a core
-// that only replays streams never holds them). It does not simulate any
-// cycles; drive the core with Step.
+// the live L1s, one cycle per Step. It does not simulate any cycles.
 func (c *CPU) Start(src workload.Source, maxInstr int64) {
-	if c.fe.l1d == nil {
-		fe, err := newFrontEnd(c.cfg)
-		if err != nil {
-			panic(fmt.Sprintf("cpu: validated config rejected by the L1s: %v", err))
-		}
-		c.fe = fe
-	}
+	c.begin()
+	c.liveFrontEnd()
+	c.rob = make([]robEntry, c.cfg.ROB)
 	c.src = src
-	c.rd = streamReader{}
-	c.arm(maxInstr)
-}
-
-// StartStream arms the core to replay s on the recorded front end: Start
-// over the source and budget s was recorded from, minus the L1 work.
-func (c *CPU) StartStream(s *Stream) {
-	s.checkCore(c.cfg)
-	c.src = nil
-	c.rd = streamReader{s: s, codes: s.codes, addrs: s.addrs}
-	c.arm(s.n)
-}
-
-// arm resets the stepped-run state for a run of up to maxInstr
-// instructions.
-func (c *CPU) arm(maxInstr int64) {
 	c.maxInstr = maxInstr
-	c.hasPending = false
-	c.sourceDone = false
-	c.halted = false
 }
 
 // Step simulates one cycle: commit, then dispatch. It returns false once
 // the core is done (instruction budget reached, or the source is
 // exhausted and the window has drained); the clock does not advance on
-// the final call, so Cycles counts only simulated cycles — a full
-// Start/Step loop is cycle-for-cycle identical to the pre-Step Run loop.
-// Step always simulates exactly one cycle: lockstep drivers
-// (cmp.System.Run) interleave cores one cycle at a time.
+// the final call, so Cycles counts only simulated cycles. Step always
+// simulates exactly one cycle: lockstep drivers (cmp.System.Run)
+// interleave cores one cycle at a time.
 //
 //nurapid:hotpath
 func (c *CPU) Step() bool {
@@ -323,19 +248,12 @@ func (c *CPU) Step() bool {
 			if c.sourceDone || c.committed+int64(c.used) >= c.maxInstr {
 				break
 			}
-			var ok bool
-			if c.rd.s != nil {
-				ok = c.rd.next(&c.pending)
-			} else {
-				var in workload.Instr
-				in, ok = c.src.Next()
-				c.pending = op{Instr: in}
-			}
+			in, ok := c.src.Next()
 			if !ok {
 				c.sourceDone = true
 				break
 			}
-			c.hasPending = true
+			c.pending, c.hasPending = in, true
 		}
 		if !c.dispatch(&c.pending) {
 			break // structural stall; retry the same instruction
@@ -363,7 +281,7 @@ func (c *CPU) Result() Result {
 		L1IMisses:    c.l1iMisses,
 		L2Accesses:   c.l2Accesses,
 		L1DInvals:    c.l1dInvals,
-		L1EnergyNJ:   c.l1Energy,
+		L1EnergyNJ:   repeatedSum(c.l1NJ, c.l1dAccesses+c.l1iAccesses),
 	}
 	if res.Cycles > 0 {
 		res.IPC = float64(res.Instructions) / float64(res.Cycles)
@@ -377,8 +295,8 @@ func (c *CPU) Result() Result {
 // InvalidateL1 drops addr's block from the private L1D if resident —
 // the coherence-lite shoot-down another core's shared write triggers.
 // The stale copy is discarded without writeback (the writer's copy
-// supersedes it); the drop is counted in Result.L1DInvals. Only the live
-// front end has an L1D to shoot down; before the first Start it is empty.
+// supersedes it); the drop is counted in Result.L1DInvals. A core that
+// has not started, or replays a Stream, holds no L1D and drops nothing.
 //
 // Event contract: the CPU itself emits nothing here. Each true return
 // makes the caller (cmp.System.shootDown) emit one obs.KindInval
@@ -387,9 +305,6 @@ func (c *CPU) Result() Result {
 //
 //nurapid:hotpath
 func (c *CPU) InvalidateL1(addr uint64) bool {
-	if c.rd.s != nil {
-		panic("cpu: InvalidateL1 on a core replaying a recorded stream")
-	}
 	if c.fe.l1d == nil {
 		return false
 	}
@@ -426,24 +341,15 @@ func (c *CPU) commitStage() {
 // false on a structural stall (LSQ or MSHR full, I-fetch miss pending).
 //
 //nurapid:hotpath
-func (c *CPU) dispatch(in *op) bool {
-	// Instruction fetch: one I-cache access per fetch-block transition.
-	// The recorded front end clears its transition bit, so a retry
-	// after an I-miss (in the same block) makes no second access.
-	var access, miss bool
-	if c.rd.s != nil {
-		access, miss = in.flags&recFetch != 0, in.flags&recIMiss != 0
-		in.flags &^= recFetch
-	} else {
-		access, miss = c.fe.fetch(in.PC)
-	}
-	if access {
+func (c *CPU) dispatch(in *workload.Instr) bool {
+	// Instruction fetch: one I-cache access per fetch-block transition,
+	// so a retry after an I-miss (in the same block) makes no second
+	// access.
+	if access, miss := c.fe.fetch(in.PC); access {
 		c.l1iAccesses++
-		c.l1Energy += c.l1NJ
 		if miss {
 			c.l1iMisses++
-			done := c.l2Request(in.PC, false)
-			c.stallUntil = done // fetch stalls on an I-miss
+			c.stallUntil = c.l2Request(c.cycle, in.PC, false) // fetch stalls on an I-miss
 			return false
 		}
 	}
@@ -468,63 +374,31 @@ func (c *CPU) dispatch(in *op) bool {
 		c.memIssued = true
 		isMem = true
 		write := in.Kind == workload.Store
-		block := in.Addr / 128 // lower-level block granularity
-		// Ask the front end whether the L1D access will miss: the
-		// recorded one knows; the live one looks the tags up once and
-		// keeps the probe for the access below.
-		var probe cache.Probe
-		var miss bool
-		if c.rd.s != nil {
-			miss = in.flags&recDHit == 0
-		} else {
-			probe = c.fe.l1d.Probe(in.Addr)
-			miss = !probe.Hit
-		}
+		block := in.Addr / l2BlockBytes
+		// Look the tags up once: the miss decides the MSHR pre-check,
+		// and the probe serves the access below.
+		probe := c.fe.l1d.Probe(in.Addr)
 		// Structural pre-check before any state changes: a miss that
 		// cannot merge needs a free MSHR, or dispatch stalls here and
 		// retries the same instruction once one frees.
-		if miss {
+		if !probe.Hit {
 			if _, merge := c.mshr.Lookup(block); !merge &&
 				c.mshr.Outstanding(c.cycle) >= c.cfg.MSHRs {
 				c.stallUntil = c.mshr.EarliestDone()
 				return false
 			}
 		}
-		// Make the access: the outcome is the hit or miss above plus
-		// the dirty block it evicted, if any.
 		c.l1dAccesses++
-		c.l1Energy += c.l1NJ
-		var victim uint64
-		var dirty bool
-		if c.rd.s != nil {
-			victim, dirty = in.victim, in.flags&recVictim != 0
-		} else {
-			out := c.fe.l1d.AccessProbed(probe, in.Addr, write)
-			victim, dirty = out.Victim.Addr, out.Evicted && out.Victim.Dirty
-		}
-		if dirty {
+		out := c.fe.l1d.AccessProbed(probe, in.Addr, write)
+		if out.Evicted && out.Victim.Dirty {
 			// L1 writeback into the lower level; does not block.
-			c.l2Request(victim, true)
+			c.l2Request(c.cycle, out.Victim.Addr, true)
 		}
-		switch {
-		case !miss:
+		if probe.Hit {
 			done = c.cycle + c.cfg.L1Latency
-		default:
+		} else {
 			c.l1dMisses++
-			if fill, ok := c.mshr.Lookup(block); ok {
-				c.mshr.Allocate(c.cycle, block, fill) // merge
-				done = fill
-			} else {
-				fill := c.l2Request(in.Addr, write) + c.cfg.L1Latency
-				if _, ok := c.mshr.Allocate(c.cycle, block, fill); !ok {
-					panic("cpu: MSHR full despite pre-check")
-				}
-				done = fill
-			}
-			if write {
-				// Stores retire through the store buffer.
-				done = c.cycle + 1
-			}
+			done = c.fill(c.cycle, block, in.Addr, write)
 		}
 	}
 
@@ -539,10 +413,40 @@ func (c *CPU) dispatch(in *op) bool {
 	return true
 }
 
-// l2Request issues one access to the organization under test.
+// l2BlockBytes is the lower level's block: L1D misses to one such block
+// share an MSHR.
+const l2BlockBytes = 128
+
+// fill handles an L1D miss to addr (in lower-level block block) made
+// at cycle now, after the MSHR pre-check has passed, and returns its
+// completion cycle. A miss to a block in the MSHR file merges with its
+// fill; any other goes to the lower level. Lookup does not expire a
+// finished entry, so a miss to a block whose fill is already past
+// "merges" into the dead entry and completes at that old fill time
+// (DESIGN §5). Stores retire through the store buffer a cycle later.
 //
 //nurapid:hotpath
-func (c *CPU) l2Request(addr uint64, write bool) int64 {
+func (c *CPU) fill(now int64, block, addr uint64, write bool) int64 {
+	done, ok := c.mshr.Lookup(block)
+	if ok {
+		c.mshr.Allocate(now, block, done) // merge
+	} else {
+		done = c.l2Request(now, addr, write) + c.cfg.L1Latency
+		if _, ok := c.mshr.Allocate(now, block, done); !ok {
+			panic("cpu: MSHR full despite pre-check")
+		}
+	}
+	if write {
+		return now + 1
+	}
+	return done
+}
+
+// l2Request issues one access to the organization under test at cycle
+// now and returns its completion cycle.
+//
+//nurapid:hotpath
+func (c *CPU) l2Request(now int64, addr uint64, write bool) int64 {
 	c.l2Accesses++
-	return c.l2.Access(memsys.Req{Now: c.cycle, Addr: addr, Write: write}).DoneAt
+	return c.l2.Access(memsys.Req{Now: now, Addr: addr, Write: write}).DoneAt
 }

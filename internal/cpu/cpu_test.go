@@ -50,6 +50,11 @@ func TestConfigValidate(t *testing.T) {
 		t.Fatal("zero width must be rejected")
 	}
 	bad = DefaultConfig()
+	bad.ROB = maxEntries + 1
+	if err := bad.Validate(); err == nil {
+		t.Fatal("a window past the engine's rings must be rejected")
+	}
+	bad = DefaultConfig()
 	bad.L1Geometry.BlockBytes = 33
 	if err := bad.Validate(); err == nil {
 		t.Fatal("bad L1 geometry must be rejected")

@@ -10,19 +10,21 @@ import (
 )
 
 // The front end is the core's instruction source, L1I, L1D and current
-// fetch block; the back end (cpu.go) is the ROB, LSQ, MSHR file, stalls
-// and lower-level requests. In a single-core run the front end's
-// outcomes depend only on the instruction stream: dispatch accesses the
-// L1I once per fetch-block transition and the L1D once per load or
-// store, both in program order, and nothing but those accesses touches
-// the L1s. So the L1 hit, miss and victim sequence of (source, n) is the
-// same against every lower level, and a Stream records it once for any
-// number of timing runs (RunStream). Multi-core runs (internal/cmp) keep
-// the live front end: a coherence shoot-down mutates the L1D between a
-// core's steps, so its outcomes depend on the other cores' timing.
+// fetch block; the back end (cpu.go, backend.go) is the window, LSQ,
+// MSHR file, stalls and lower-level requests. In a single-core run the
+// front end's outcomes depend only on the instruction stream: dispatch
+// accesses the L1I once per fetch-block transition and the L1D once per
+// load or store, both in program order, and nothing but those accesses
+// touches the L1s. So the L1 hit, miss and victim sequence of (source, n)
+// is the same against every lower level: a Stream records it once for
+// any number of timing runs (RunStream), and Run records its source
+// into one, chunk by chunk, as it goes. Multi-core runs (internal/cmp)
+// step the live front end: a coherence shoot-down mutates the L1D
+// between a core's steps, so its outcomes depend on the other cores'
+// timing.
 
 // frontEnd is the live front end's state: the L1 pair and the current
-// fetch block. The CPU's live path and Stream.Record share it.
+// fetch block. Step's dispatch and a Stream's recording share it.
 type frontEnd struct {
 	l1d, l1i      *cache.Cache
 	curFetchBlock uint64
@@ -114,16 +116,6 @@ var codeFlags, flagCode = func() (codes [16]byte, index [32]byte) {
 	return codes, index
 }()
 
-// codeMiss is 1 for the codes of an L1D miss, whose address follows.
-var codeMiss = func() (miss [16]byte) {
-	for c, f := range codeFlags[:codeEscape] {
-		if k := workload.Kind(f & recKind); (k == workload.Load || k == workload.Store) && f&recDHit == 0 {
-			miss[c] = 1
-		}
-	}
-	return miss
-}()
-
 // flagIndex packs the flag bits a code can carry into 5 bits.
 func flagIndex(f byte) byte { return f&0x0f | f>>1&0x10 }
 
@@ -145,6 +137,9 @@ type Stream struct {
 	wide  []uint64 // the addresses stored as wideAddr
 	count int      // instructions recorded
 
+	// The recording's L1 access and miss counts.
+	fetches, iMisses, dAccesses, dMisses int64
+
 	n          int64 // instruction budget the stream was recorded for
 	geo        cache.Geometry
 	fetchBytes int
@@ -161,21 +156,28 @@ func (s *Stream) Record(src workload.Source, n int64, cfg Config) error {
 	if err != nil {
 		return err
 	}
-	s.n, s.geo, s.fetchBytes = n, cfg.L1Geometry, cfg.FetchBytes
+	s.geo, s.fetchBytes = cfg.L1Geometry, cfg.FetchBytes
 	// Every instruction takes a code, so size codes for the budget up
 	// front (bounded, for effectively unbounded budgets over short
 	// sources); the rest grows with the miss count.
 	if want := int(min(n, 1<<21)+1) / 2; cap(s.codes) < want {
 		s.codes = make([]byte, 0, want)
 	}
-	s.codes, s.rare, s.addrs, s.wide, s.count = s.codes[:0], s.rare[:0], s.addrs[:0], s.wide[:0], 0
+	s.reset(n)
 	s.record(&fe, src)
-	s.addrs = append(s.addrs, 0) // the pad streamReader.next may read past the last address
 	return nil
 }
 
-// record is Record's loop: each instruction's fetch and L1D access in
-// program order, exactly as dispatch makes them on the live front end.
+// reset empties s, keeping its buffers, for a recording of up to n
+// instructions.
+func (s *Stream) reset(n int64) {
+	*s = Stream{codes: s.codes[:0], rare: s.rare[:0], addrs: s.addrs[:0], wide: s.wide[:0],
+		n: n, geo: s.geo, fetchBytes: s.fetchBytes}
+}
+
+// record is the recording loop of Record and Run: each instruction's
+// fetch and L1D access in program order, exactly as dispatch makes them
+// on the live front end.
 //
 //nurapid:hotpath
 func (s *Stream) record(fe *frontEnd, src workload.Source) {
@@ -190,16 +192,20 @@ func (s *Stream) record(fe *frontEnd, src workload.Source) {
 		}
 		if access, miss := fe.fetch(in.PC); access {
 			f |= recFetch
+			s.fetches++
 			if miss {
 				f |= recIMiss
+				s.iMisses++
 				s.addAddr(in.PC)
 			}
 		}
 		if in.Kind == workload.Load || in.Kind == workload.Store {
 			out := fe.l1d.Access(in.Addr, in.Kind == workload.Store)
+			s.dAccesses++
 			if out.Hit {
 				f |= recDHit
 			} else {
+				s.dMisses++
 				s.addAddr(in.Addr)
 			}
 			if out.Evicted && out.Victim.Dirty {
@@ -240,78 +246,4 @@ func (s *Stream) checkCore(cfg Config) {
 		panic(fmt.Sprintf("cpu: stream recorded for L1 %+v, fetch %d B; core has L1 %+v, fetch %d B",
 			s.geo, s.fetchBytes, cfg.L1Geometry, cfg.FetchBytes))
 	}
-}
-
-// streamReader is the recorded front end: a cursor over a Stream. It
-// keeps the stream's code and address slices itself, so decoding an
-// instruction does not chase the Stream pointer.
-type streamReader struct {
-	s                *Stream
-	codes            []byte
-	addrs            []uint32
-	i, rare, a, wide int // next instruction, rare flag byte, address, wide address
-}
-
-// next decodes the next instruction into o, or returns false at the
-// end of the stream. PC, Addr and victim are meaningful only where the
-// back end reads them (an I-miss, an L1D miss, a dirty victim) and may
-// hold stale values otherwise.
-//
-//nurapid:hotpath
-func (r *streamReader) next(o *op) bool {
-	if r.i == r.s.count {
-		return false
-	}
-	code := r.codes[r.i>>1] >> (4 * (r.i & 1)) & 0x0f
-	r.i++
-	if code == codeEscape {
-		r.nextRare(o)
-		return true
-	}
-	// A common code carries at most an L1D miss address. The kind mix
-	// is random, so rather than branch on it, read the next address
-	// every time (addrs ends in a pad entry) and consume it on a miss.
-	f := codeFlags[code]
-	miss := codeMiss[code]
-	a := r.addrs[r.a]
-	r.a += int(miss)
-	o.Kind, o.Mispredicted, o.flags, o.Addr = workload.Kind(f&recKind), f&recMispredict != 0, f, uint64(a)
-	if a == wideAddr && miss != 0 {
-		o.Addr = r.s.wide[r.wide]
-		r.wide++
-	}
-	return true
-}
-
-// nextRare decodes an escaped instruction: its flag byte from rare and
-// each address it carries.
-//
-//nurapid:hotpath
-func (r *streamReader) nextRare(o *op) {
-	f := r.s.rare[r.rare]
-	r.rare++
-	*o = op{Instr: workload.Instr{Kind: workload.Kind(f & recKind), Mispredicted: f&recMispredict != 0}, flags: f}
-	if f&recIMiss != 0 {
-		o.PC = r.addr()
-	}
-	if (o.Kind == workload.Load || o.Kind == workload.Store) && f&recDHit == 0 {
-		o.Addr = r.addr()
-	}
-	if f&recVictim != 0 {
-		o.victim = r.addr()
-	}
-}
-
-// addr reads the next address.
-//
-//nurapid:hotpath
-func (r *streamReader) addr() uint64 {
-	a := r.addrs[r.a]
-	r.a++
-	if a != wideAddr {
-		return uint64(a)
-	}
-	w := r.s.wide[r.wide]
-	r.wide++
-	return w
 }

@@ -1,11 +1,15 @@
 package cpu
 
 import (
+	"math"
 	"testing"
 	"time"
 
 	"nurapid/internal/cacti"
+	"nurapid/internal/mathx"
 	"nurapid/internal/memsys"
+	"nurapid/internal/memsys/memtest"
+	"nurapid/internal/nuca"
 	"nurapid/internal/nurapid"
 	"nurapid/internal/uca"
 	"nurapid/internal/workload"
@@ -32,33 +36,17 @@ func (r *recordingL2) Access(req memsys.Req) memsys.AccessResult {
 
 func isMem(k workload.Kind) bool { return k == workload.Load || k == workload.Store }
 
-// stepRun drives an armed core through a plain for-Step loop (no
-// fast-forward) and checks after every cycle that a pending instruction
-// has already made its fetch, the invariant skipIdle relies on. It
+// stepRun drives a started core through a plain for-Step loop and
 // returns the Result and the number of Steps after which reached held
 // (reached may be nil).
-func stepRun(t *testing.T, c *CPU, reached func(*CPU) bool) (Result, int) {
-	t.Helper()
+func stepRun(c *CPU, reached func(*CPU) bool) (Result, int) {
 	hits := 0
 	for c.Step() {
-		if c.hasPending && !pendingFetched(c) {
-			t.Fatalf("cycle %d: pending instruction %+v has not made its fetch", c.cycle, c.pending)
-		}
 		if reached != nil && reached(c) {
 			hits++
 		}
 	}
 	return c.Result(), hits
-}
-
-// pendingFetched reports whether the pending instruction's fetch is
-// done: on the live front end it sits in the current fetch block, on
-// the recorded one its transition bit has been consumed.
-func pendingFetched(c *CPU) bool {
-	if c.rd.s != nil {
-		return c.pending.flags&recFetch == 0
-	}
-	return c.fe.curFetchBlock == c.pending.PC>>c.fe.fetchShift
 }
 
 // record records mkSrc's first n instructions for a core built with cfg.
@@ -71,61 +59,52 @@ func record(t testing.TB, mkSrc func() workload.Source, n int64, cfg Config) *St
 	return s
 }
 
-// checkRunMatchesStep runs one core configuration four ways on fresh
-// lower levels and sources: a plain Step loop on the live front end
-// (the reference), Run, RunStream over a recording of the same source,
-// and a plain Step loop over that recording. It fails unless all four
-// Results (L1 counts and energy included) and lower-level request
-// streams are identical, and, when reached is non-nil, unless both Step
-// loops reach the case it names. It returns the reference Result.
+// checkRunMatchesStep runs one core configuration three ways on fresh
+// lower levels and sources: a plain Step loop (the reference), Run, and
+// RunStream over a recording of the same source. It fails unless all
+// three Results (L1 counts and energy included) and lower-level request
+// streams (DoneAt included) are identical, and, when reached is non-nil,
+// unless the Step loop reaches the case it names. It returns the
+// reference Result.
 func checkRunMatchesStep(t *testing.T, mkL2 func() memsys.LowerLevel, mkSrc func() workload.Source,
 	n int64, cfg Config, reached func(*CPU) bool) Result {
 	t.Helper()
 	core := func(l2 memsys.LowerLevel) *CPU { return MustNew(l2, WithConfig(cfg), WithL1EnergyNJ(0.57)) }
-	s := record(t, mkSrc, n, cfg)
 
 	want := &recordingL2{LowerLevel: mkL2()}
 	live := core(want)
 	live.Start(mkSrc(), n)
-	ref, hits := stepRun(t, live, reached)
+	ref, hits := stepRun(live, reached)
 	if reached != nil && hits == 0 {
-		t.Fatalf("live Step loop never reached the case (result %+v)", ref)
+		t.Fatalf("Step loop never reached the case (result %+v)", ref)
 	}
 	for _, v := range []struct {
 		name string
 		run  func(c *CPU) Result
 	}{
 		{"Run", func(c *CPU) Result { return c.Run(mkSrc(), n) }},
-		{"RunStream", func(c *CPU) Result { return c.RunStream(s) }},
-		{"recorded Step loop", func(c *CPU) Result {
-			c.StartStream(s)
-			res, hits := stepRun(t, c, reached)
-			if reached != nil && hits == 0 {
-				t.Fatalf("recorded Step loop never reached the case (result %+v)", res)
-			}
-			return res
-		}},
+		{"RunStream", func(c *CPU) Result { return c.RunStream(record(t, mkSrc, n, cfg)) }},
 	} {
 		got := &recordingL2{LowerLevel: mkL2()}
 		if res := v.run(core(got)); res != ref {
-			t.Fatalf("%s result differs from the live Step loop:\n %-5s %+v\n step  %+v", v.name, "got", res, ref)
+			t.Fatalf("%s result differs from the Step loop:\n %-4s %+v\n step %+v", v.name, "got", res, ref)
 		}
 		if len(got.reqs) != len(want.reqs) {
-			t.Fatalf("%s issued %d lower-level requests, the live Step loop %d", v.name, len(got.reqs), len(want.reqs))
+			t.Fatalf("%s issued %d lower-level requests, the Step loop %d", v.name, len(got.reqs), len(want.reqs))
 		}
 		for i := range want.reqs {
 			if got.reqs[i] != want.reqs[i] {
-				t.Fatalf("%s request %d: %+v, live Step loop %+v", v.name, i, got.reqs[i], want.reqs[i])
+				t.Fatalf("%s request %d: %+v, Step loop %+v", v.name, i, got.reqs[i], want.reqs[i])
 			}
 		}
 	}
 	return ref
 }
 
-// TestRunMatchesStepLoopOnFig6Apps holds Run, and the recorded front
-// end, to the plain live Step loop on the benchmark's five applications
-// under NuRAPID and the base L2.
-func TestRunMatchesStepLoopOnFig6Apps(t *testing.T) {
+// TestRunMatchesStepLoopOnEveryApp holds Run and RunStream to the plain
+// Step loop on every roster application under the base hierarchy,
+// NuRAPID (4 d-groups), D-NUCA and the ideal L2.
+func TestRunMatchesStepLoopOnEveryApp(t *testing.T) {
 	n := int64(100_000)
 	if testing.Short() {
 		n = 20_000
@@ -134,44 +113,46 @@ func TestRunMatchesStepLoopOnFig6Apps(t *testing.T) {
 		name string
 		mk   func() memsys.LowerLevel
 	}{
-		{"nurapid", func() memsys.LowerLevel {
+		{"base", func() memsys.LowerLevel { return uca.NewHierarchy(cacti.Default(), memsys.NewMemory(uca.BlockBytes)) }},
+		{"nurapid-4g", func() memsys.LowerLevel {
 			return nurapid.MustNew(nurapid.DefaultConfig(), cacti.Default(), memsys.NewMemory(uca.BlockBytes))
 		}},
-		{"base", func() memsys.LowerLevel { return uca.NewHierarchy(cacti.Default(), memsys.NewMemory(uca.BlockBytes)) }},
+		{"dnuca", func() memsys.LowerLevel {
+			return nuca.MustNew(nuca.DefaultConfig(), cacti.Default(), memsys.NewMemory(nuca.BlockBytes))
+		}},
+		{"ideal", func() memsys.LowerLevel { return uca.NewIdeal(cacti.Default(), memsys.NewMemory(uca.BlockBytes)) }},
 	}
-	for _, name := range []string{"applu", "art", "mcf", "galgel", "gzip"} {
-		app, ok := workload.ByName(name)
-		if !ok {
-			t.Fatalf("unknown app %s", name)
-		}
+	if nurapid.DefaultConfig().NumDGroups != 4 {
+		t.Fatalf("NuRAPID default has %d d-groups, want 4", nurapid.DefaultConfig().NumDGroups)
+	}
+	for _, app := range workload.Apps() {
 		for _, org := range orgs {
-			t.Run(name+"/"+org.name, func(t *testing.T) {
+			t.Run(app.Name+"/"+org.name, func(t *testing.T) {
 				mkSrc := func() workload.Source { return workload.MustNewGenerator(app, 1) }
 				res := checkRunMatchesStep(t, org.mk, mkSrc, n, DefaultConfig(), nil)
 				if res.Instructions != n {
 					t.Fatalf("committed %d of %d", res.Instructions, n)
-				}
-				// The fast-forward must actually skip cycles.
-				c := MustNew(org.mk(), WithL1EnergyNJ(0.57))
-				c.Start(mkSrc(), n)
-				steps := int64(0)
-				for c.Step() {
-					steps++
-					c.skipIdle()
-				}
-				if steps >= res.Cycles {
-					t.Fatalf("%d Steps for %d cycles: no cycle was skipped", steps, res.Cycles)
 				}
 			})
 		}
 	}
 }
 
-// TestRunMatchesStepLoopAtEveryStall drives stub-L2 streams that reach
-// each way dispatch blocks, and requires both that the stream reaches
-// the case (observed in the live and the recorded Step loops) and that
-// Run and the recorded front end match the live Step loop exactly.
-func TestRunMatchesStepLoopAtEveryStall(t *testing.T) {
+// stallCase is a stub-L2 run that reaches one way dispatch blocks.
+type stallCase struct {
+	name    string
+	instrs  []workload.Instr
+	loop    bool
+	n       int64
+	latency int64
+	cfg     Config
+	reached func(*CPU) bool
+}
+
+// stallCases are the stub-L2 streams that reach each way dispatch
+// blocks, each way a run ends, and a stale MSHR merge that dispatches
+// late.
+func stallCases() []stallCase {
 	const pc = 0x400000
 	loads := func(n int, stride uint64) []workload.Instr {
 		out := make([]workload.Instr, n)
@@ -202,16 +183,15 @@ func TestRunMatchesStepLoopAtEveryStall(t *testing.T) {
 	// A stalled pending load that is the budget's last instruction: LSQ=1
 	// and every load misses, so each load waits for its predecessor.
 	const budget = 301
+	// A stale MSHR merge (see TestStaleMSHRMerge) whose load waits for
+	// an I-miss first, so it dispatches after its predecessor commits and
+	// after the stale fill time: it still commits the cycle after it
+	// dispatches.
+	staleAfterIMiss := []workload.Instr{{Kind: workload.Load, PC: pc, Addr: 0x10000000}}
+	staleAfterIMiss = append(staleAfterIMiss, alus(400)...)
+	staleAfterIMiss = append(staleAfterIMiss, workload.Instr{Kind: workload.Load, PC: pc + 4096, Addr: 0x10000000 + 32})
 
-	cases := []struct {
-		name    string
-		instrs  []workload.Instr
-		loop    bool
-		n       int64
-		latency int64
-		cfg     Config
-		reached func(*CPU) bool
-	}{
+	return []stallCase{
 		{"rob-full", loadThenALUs(64), true, 20_000, 300, DefaultConfig(),
 			func(c *CPU) bool { return c.used == c.cfg.ROB }},
 		{"lsq-full", loads(64, 4096), true, 5_000, 200, withLSQ(2),
@@ -233,13 +213,41 @@ func TestRunMatchesStepLoopAtEveryStall(t *testing.T) {
 			}},
 		{"budget-reached-draining", loadThenALUs(64), true, 1_001, 300, DefaultConfig(),
 			func(c *CPU) bool { return !c.hasPending && c.used > 0 && c.committed+int64(c.used) >= 1_001 }},
+		{"stale-merge-after-i-miss", staleAfterIMiss, false, int64(len(staleAfterIMiss)), 10, DefaultConfig(),
+			func(c *CPU) bool { return c.l1dMisses == 2 && c.l2Accesses == 3 }},
 	}
-	for _, tc := range cases {
+}
+
+// TestRunMatchesStepLoopAtEveryStall drives the stall cases, requires
+// the Step loop to reach each case, and requires Run and RunStream to
+// match it exactly. Each case also runs at budgets on either side of
+// Run's chunk, where Run's recording restarts, and against a lower level
+// that completes in the cycle of the request.
+func TestRunMatchesStepLoopAtEveryStall(t *testing.T) {
+	for _, tc := range stallCases() {
 		t.Run(tc.name, func(t *testing.T) {
 			mkL2 := func() memsys.LowerLevel { return newStubL2(tc.latency) }
 			mkSrc := func() workload.Source { return &fixedSource{instrs: tc.instrs, loop: tc.loop} }
 			checkRunMatchesStep(t, mkL2, mkSrc, tc.n, tc.cfg, tc.reached)
+			for _, n := range []int64{runChunk - 1, runChunk, runChunk + 1} {
+				checkRunMatchesStep(t, mkL2, mkSrc, n, tc.cfg, nil)
+			}
+			checkRunMatchesStep(t, func() memsys.LowerLevel { return newStubL2(0) }, mkSrc, tc.n, tc.cfg, nil)
 		})
+	}
+}
+
+// TestRunSourceEndsAtChunkBoundary covers a source that runs dry exactly
+// where one of Run's chunks ends, so the chunk after it records nothing.
+func TestRunSourceEndsAtChunkBoundary(t *testing.T) {
+	for _, size := range []int{runChunk, 2 * runChunk} {
+		instrs := alus(size)
+		instrs[size-1] = workload.Instr{Kind: workload.Branch, PC: instrs[size-1].PC, Mispredicted: true}
+		mkSrc := func() workload.Source { return &fixedSource{instrs: instrs} }
+		res := checkRunMatchesStep(t, func() memsys.LowerLevel { return newStubL2(10) }, mkSrc, 1<<40, DefaultConfig(), nil)
+		if res.Instructions != int64(size) {
+			t.Fatalf("committed %d of %d", res.Instructions, size)
+		}
 	}
 }
 
@@ -249,7 +257,8 @@ func TestRunMatchesStepLoopAtEveryStall(t *testing.T) {
 // between to expire it — "merges" into the dead entry. The miss
 // completes at the old fill time and sends no lower-level request.
 // Fixing it changes simulated IPC; until a deliberate re-baseline does,
-// this test holds today's behaviour in place.
+// this test holds today's behaviour in place, on the Step loop and on
+// RunStream.
 func TestStaleMSHRMerge(t *testing.T) {
 	const (
 		pc      = 0x400000
@@ -263,51 +272,54 @@ func TestStaleMSHRMerge(t *testing.T) {
 
 	mkSrc := func() workload.Source { return &fixedSource{instrs: instrs} }
 	n := int64(len(instrs))
-	for _, fe := range []struct {
-		name  string
-		start func(c *CPU)
-	}{
-		{"live", func(c *CPU) { c.Start(mkSrc(), n) }},
-		{"recorded", func(c *CPU) { c.StartStream(record(t, mkSrc, n, DefaultConfig())) }},
-	} {
-		t.Run(fe.name, func(t *testing.T) {
-			stub := newStubL2(latency)
-			stub.Record = true
-			c := MustNew(stub)
-			fe.start(c)
-			var staleDone, dispatchedAt int64 = -1, -1
-			for c.Step() {
-				if staleDone < 0 && c.l1dAccesses == 2 {
-					last := c.tail - 1
-					if last < 0 {
-						last = c.cfg.ROB - 1
-					}
-					staleDone, dispatchedAt = c.rob[last].done, c.cycle-1
-				}
-			}
-			res := c.Result()
+	// check asserts what both engines must show: two L1D misses, of
+	// which only the first reaches the lower level (after the I-fetch
+	// miss), and an MSHR file that counts the stale "merge" as a fresh
+	// allocation, because Allocate expires the dead entry first.
+	check := func(t *testing.T, c *CPU, stub *memtest.Stub, res Result) {
+		t.Helper()
+		if res.L1DMisses != 2 {
+			t.Fatalf("L1D misses = %d, want 2", res.L1DMisses)
+		}
+		if len(stub.Reqs) != 2 || stub.Reqs[1].Addr != a {
+			t.Fatalf("lower-level requests %+v, want the I-fetch and the first load only", stub.Reqs)
+		}
+		if c.mshr.Allocations != 2 || c.mshr.Merges != 0 {
+			t.Fatalf("MSHR allocations=%d merges=%d, want 2 and 0", c.mshr.Allocations, c.mshr.Merges)
+		}
+	}
 
-			if res.L1DMisses != 2 {
-				t.Fatalf("L1D misses = %d, want 2", res.L1DMisses)
+	stub := newStubL2(latency)
+	stub.Record = true
+	c := MustNew(stub)
+	c.Start(mkSrc(), n)
+	var staleDone, dispatchedAt int64 = -1, -1
+	for c.Step() {
+		if staleDone < 0 && c.l1dAccesses == 2 {
+			last := c.tail - 1
+			if last < 0 {
+				last = c.cfg.ROB - 1
 			}
-			// One I-fetch miss and one data miss reach the lower level;
-			// the second data miss does not.
-			if len(stub.Reqs) != 2 || stub.Reqs[1].Addr != a {
-				t.Fatalf("lower-level requests %+v, want the I-fetch and the first load only", stub.Reqs)
-			}
-			firstFill := stub.Reqs[1].Now + latency + c.cfg.L1Latency
-			if staleDone != firstFill {
-				t.Fatalf("stale merge completes at %d, want the old fill time %d", staleDone, firstFill)
-			}
-			if dispatchedAt <= firstFill {
-				t.Fatalf("second load dispatched at %d, not after the first fill at %d", dispatchedAt, firstFill)
-			}
-			// Allocate expires the dead entry first, so the "merge" is
-			// counted as a fresh allocation carrying the old fill time.
-			if c.mshr.Allocations != 2 || c.mshr.Merges != 0 {
-				t.Fatalf("MSHR allocations=%d merges=%d, want 2 and 0", c.mshr.Allocations, c.mshr.Merges)
-			}
-		})
+			staleDone, dispatchedAt = c.rob[last].done, c.cycle-1
+		}
+	}
+	live := c.Result()
+	check(t, c, stub, live)
+	firstFill := stub.Reqs[1].Now + latency + c.cfg.L1Latency
+	if staleDone != firstFill {
+		t.Fatalf("stale merge completes at %d, want the old fill time %d", staleDone, firstFill)
+	}
+	if dispatchedAt <= firstFill {
+		t.Fatalf("second load dispatched at %d, not after the first fill at %d", dispatchedAt, firstFill)
+	}
+
+	stub = newStubL2(latency)
+	stub.Record = true
+	c = MustNew(stub)
+	res := c.RunStream(record(t, mkSrc, n, DefaultConfig()))
+	check(t, c, stub, res)
+	if res != live {
+		t.Fatalf("RunStream result %+v, Step loop %+v", res, live)
 	}
 }
 
@@ -372,6 +384,69 @@ func TestRunStreamAllocsFlatInN(t *testing.T) {
 	short, long := allocs(20_000), allocs(200_000)
 	if long != short {
 		t.Fatalf("RunStream allocations grow with n: %.0f at 20k, %.0f at 200k instructions", short, long)
+	}
+}
+
+// TestRunAllocsFlatInN holds Run to a fixed allocation count: building
+// the core, its L1s and its recording buffer allocates the same at 20 k
+// and 200 k instructions, so recording and timing chunk after chunk
+// allocates nothing per instruction.
+func TestRunAllocsFlatInN(t *testing.T) {
+	app, _ := workload.ByName("art")
+	allocs := func(n int64) float64 {
+		return testing.AllocsPerRun(3, func() {
+			if res := MustNew(newStubL2(20)).Run(workload.MustNewGenerator(app, 1), n); res.Instructions != n {
+				t.Fatalf("committed %d of %d", res.Instructions, n)
+			}
+		})
+	}
+	short, long := allocs(20_000), allocs(200_000)
+	if long != short {
+		t.Fatalf("Run allocations grow with n: %.0f at 20k, %.0f at 200k instructions", short, long)
+	}
+}
+
+// TestRepeatedSumMatchesAddition holds repeatedSum to what it stands
+// for, adding x to zero n times with a rounding after each addition, on
+// the L1 energies in use and on values that make its binade jumps hit
+// ties, subnormals and overflow.
+func TestRepeatedSumMatchesAddition(t *testing.T) {
+	const maxN = 1 << 21
+	xs := []float64{0.57, 0.5, 0.1, 1.0 / 3, 3, 0.125, 123456.789, 2.5e-16, 1e-310, 5e-324, 1.7e308, 0x1.0000000000001p-1, 0, -0.57}
+	rng := mathx.NewRNG(7)
+	for i := 0; i < 8; i++ {
+		xs = append(xs, math.Ldexp(rng.Float64()+0.5, int(rng.Uint64()%60)-30))
+	}
+	// Checkpoints: every n up to 300, then a spread to maxN.
+	var ns []int64
+	for n := int64(0); n <= 300; n++ {
+		ns = append(ns, n)
+	}
+	for n := int64(301); n <= maxN; n += n/7 + int64(rng.Uint64()%97) {
+		ns = append(ns, n)
+	}
+	for _, x := range xs {
+		sum, n := 0.0, int64(0)
+		for _, want := range ns {
+			for ; n < want; n++ {
+				sum += x
+			}
+			if got := repeatedSum(x, n); math.Float64bits(got) != math.Float64bits(sum) {
+				t.Fatalf("repeatedSum(%g, %d) = %v, adding one at a time gives %v", x, n, got, sum)
+			}
+		}
+	}
+	for _, x := range []float64{math.Inf(1), math.Inf(-1), math.NaN()} {
+		sum := 0.0
+		for n := int64(1); n <= 3; n++ {
+			sum += x
+			if got := repeatedSum(x, n); !(got == sum || math.IsNaN(got) && math.IsNaN(sum)) {
+				t.Fatalf("repeatedSum(%g, %d) = %v, adding one at a time gives %v", x, n, got, sum)
+			}
+		}
+	}
+	if got := repeatedSum(0.57, 1<<50); math.IsInf(got, 0) || got < repeatedSum(0.57, maxN) {
+		t.Fatalf("repeatedSum(0.57, 2^50) = %v", got)
 	}
 }
 
