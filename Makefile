@@ -78,14 +78,19 @@ bench:
 bench-smoke:
 	BENCH_SMOKE_JSON=$(CURDIR)/BENCH_smoke.json $(GO) test -count=1 -run '^TestBenchSmoke$$' -v .
 
-# fuzz-smoke: a short native-fuzzing pass over the two trace parsers —
-# the JSONL obs-trace reader (and the probes that aggregate what it
-# decodes) and the binary workload trace reader — and over the core's
-# per-instruction timing engine against its cycle-stepped oracle.
+# fuzz-smoke: a short native-fuzzing pass over the three parsers — the
+# JSONL obs-trace reader (and the probes that aggregate what it
+# decodes), the binary workload trace reader and the differential
+# harness's artifact reader —, over the core's per-instruction timing
+# engine against its cycle-stepped oracle, on one core and in lockstep
+# on up to four, and over nurapid.New's configuration checks.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz=FuzzDecodeTrace -fuzztime=15s ./internal/obs/
 	$(GO) test -run '^$$' -fuzz=FuzzTraceReader -fuzztime=15s ./internal/workload/
+	$(GO) test -run '^$$' -fuzz=FuzzReadArtifact -fuzztime=15s ./internal/refmodel/difftest/
 	$(GO) test -run '^$$' -fuzz=FuzzBackEndMatchesStep -fuzztime=15s ./internal/cpu/
+	$(GO) test -run '^$$' -fuzz=FuzzLockstepMatchesStep -fuzztime=15s ./internal/cpu/
+	$(GO) test -run '^$$' -fuzz=FuzzNewConfig -fuzztime=15s ./internal/nurapid/
 
 # audit: the randomized invariant storm at full length.
 audit:

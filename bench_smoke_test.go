@@ -277,7 +277,10 @@ func cmpSmoke(t *testing.T, base benchSection) benchSection {
 		best := time.Duration(math.MaxInt64)
 		for try := 0; try < 3; try++ {
 			l2 := core.MustNew(core.DefaultConfig(), cacti.Default(), memsys.NewMemory(core.DefaultConfig().BlockBytes))
-			sys := cmp.MustNew(l2, cmp.Config{Cores: cores, Sharing: cmp.Private})
+			sys, err := cmp.New(l2, cmp.Config{Cores: cores, Sharing: cmp.Private})
+			if err != nil {
+				t.Fatal(err)
+			}
 			srcs, err := sys.Sources(app, 1)
 			if err != nil {
 				t.Fatal(err)

@@ -3,8 +3,10 @@ package cmp
 import (
 	"testing"
 
+	"nurapid/internal/cacti"
 	"nurapid/internal/memsys"
 	"nurapid/internal/memsys/memtest"
+	"nurapid/internal/nurapid"
 )
 
 func TestQueueConfigValidate(t *testing.T) {
@@ -123,5 +125,51 @@ func TestSystemConfigValidation(t *testing.T) {
 	}
 	if _, err := New(memtest.NewStub(10), Config{Cores: 4, Queue: QueueConfig{Banks: 8, BlockBytes: 128, Occupancy: 4, Cores: 2}}); err == nil {
 		t.Error("New accepted Queue.Cores < Cores")
+	}
+}
+
+// A hit in any d-group gets its bank stall, however many d-groups the
+// organization has: a 128-MB NuRAPID with 8-KB blocks has 128 of them.
+// The queue's per-group stalls must match a replica of its one bank,
+// group by group, and reach past group 63.
+func TestQueueGroupStallsCoverEveryGroup(t *testing.T) {
+	cfg := nurapid.DefaultConfig()
+	cfg.CapacityBytes, cfg.BlockBytes, cfg.NumDGroups = 128<<20, 8192, 128
+	l2, err := nurapid.New(cfg, cacti.Default(), memsys.NewMemory(cfg.BlockBytes))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const occupancy = 4
+	q, err := NewQueue(l2, QueueConfig{Banks: 1, BlockBytes: 128, Occupancy: occupancy, Cores: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Two passes over 12 288 blocks, two requests a cycle: the second
+	// pass hits blocks demoted far out by the first.
+	var bank memsys.Port
+	want := make([]int64, cfg.NumDGroups)
+	var wantMiss int64
+	const blocks = 12_288
+	for i := 0; i < 2*blocks; i++ {
+		now := int64(i / 2)
+		stall := bank.Acquire(now, occupancy) - now
+		r := q.Access(memsys.Req{Now: now, Addr: uint64(i%blocks) * uint64(cfg.BlockBytes), Core: i % 2})
+		if r.Hit {
+			want[r.Group] += stall
+		} else {
+			wantMiss += stall
+		}
+	}
+	perGroup, miss := q.GroupStalls()
+	if miss != wantMiss {
+		t.Errorf("miss stalls = %d, want %d", miss, wantMiss)
+	}
+	if len(perGroup) <= 64 {
+		t.Fatalf("stalls attributed to %d groups; the run stalls hits beyond group 63", len(perGroup))
+	}
+	for g := range want {
+		if g < len(perGroup) && perGroup[g] != want[g] || g >= len(perGroup) && want[g] != 0 {
+			t.Fatalf("group %d: %v stall cycles, want %d", g, perGroup[min(g, len(perGroup)-1):], want[g])
+		}
 	}
 }

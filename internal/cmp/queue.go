@@ -9,10 +9,13 @@
 //     scoreboards (memsys.Port), so requests from different cores to
 //     the same bank serialize deterministically and the wait shows up
 //     as attributable contention stalls.
-//   - System builds the cores, steps them in lockstep with rotating
-//     round-robin arbitration, and applies coherence-lite: a write
-//     reaching the shared L2 shoots the block down from every other
-//     core's private L1D (no writeback — the writer's copy supersedes).
+//   - System builds the cores and runs them through cpu.Lockstep, which
+//     times each core one instruction at a time and runs the cores'
+//     shared-level events in the order of a cycle-by-cycle loop with
+//     rotating round-robin arbitration. It applies coherence-lite: a
+//     write reaching the shared L2 shoots the block down from every
+//     other core's private L1D (no writeback — the writer's copy
+//     supersedes).
 //   - Result aggregates per-core IPC, Jain's fairness index, and
 //     d-group contention stalls into one statsreg-compliant snapshot.
 //
@@ -28,11 +31,6 @@ import (
 	"nurapid/internal/obs"
 	"nurapid/internal/stats"
 )
-
-// maxGroups bounds per-d-group stall attribution. The largest
-// organization in the repository has 8 latency groups; 64 leaves room
-// for experimental configurations without hot-path growth.
-const maxGroups = 64
 
 // QueueConfig parameterizes the shared-L2 bank-queue model.
 type QueueConfig struct {
@@ -108,8 +106,9 @@ type Queue struct {
 	perCore []CoreStats
 
 	// groupStalls attributes bank-wait cycles to the d-group that
-	// ultimately served the access; missStalls takes the miss share.
-	groupStalls [maxGroups]int64
+	// ultimately served the access, one entry per hit category of the
+	// organization's Distribution; missStalls takes the miss share.
+	groupStalls []int64
 	missStalls  int64
 
 	blockShift uint
@@ -126,12 +125,13 @@ func NewQueue(l2 memsys.LowerLevel, cfg QueueConfig) (*Queue, error) {
 		return nil, err
 	}
 	return &Queue{
-		l2:         l2,
-		name:       "cmp(" + l2.Name() + ")",
-		banks:      make([]memsys.Port, cfg.Banks),
-		perCore:    make([]CoreStats, cfg.Cores),
-		blockShift: uint(bits.TrailingZeros(uint(cfg.BlockBytes))),
-		occupancy:  cfg.Occupancy,
+		l2:          l2,
+		name:        "cmp(" + l2.Name() + ")",
+		banks:       make([]memsys.Port, cfg.Banks),
+		perCore:     make([]CoreStats, cfg.Cores),
+		groupStalls: make([]int64, l2.Distribution().NumCategories()),
+		blockShift:  uint(bits.TrailingZeros(uint(cfg.BlockBytes))),
+		occupancy:   cfg.Occupancy,
 	}, nil
 }
 
@@ -176,7 +176,7 @@ func (q *Queue) Access(req memsys.Req) memsys.AccessResult {
 	r := q.l2.Access(issued)
 	cs.LatencyCycles += r.DoneAt - req.Now
 
-	if r.Group >= 0 && r.Group < maxGroups {
+	if r.Group >= 0 && r.Group < len(q.groupStalls) {
 		q.groupStalls[r.Group] += stall
 	} else {
 		q.missStalls += stall
@@ -222,8 +222,8 @@ func (q *Queue) PerCore() []CoreStats { return q.perCore }
 // actually touched.
 func (q *Queue) GroupStalls() (perGroup []int64, miss int64) {
 	hi := 0
-	for g := 0; g < maxGroups; g++ {
-		if q.groupStalls[g] != 0 {
+	for g, s := range q.groupStalls {
+		if s != 0 {
 			hi = g + 1
 		}
 	}

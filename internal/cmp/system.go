@@ -6,7 +6,6 @@ import (
 	"nurapid/internal/cpu"
 	"nurapid/internal/memsys"
 	"nurapid/internal/obs"
-	"nurapid/internal/stats"
 	"nurapid/internal/workload"
 )
 
@@ -65,14 +64,14 @@ type Config struct {
 	L1EnergyNJ float64
 }
 
-// System is N cores in lockstep over one shared lower level.
+// System is N cores over one shared lower level, timed together by
+// cpu.Lockstep.
 type System struct {
 	cfg    Config
 	queue  *Queue
 	fronts []coreFront
 	cores  []*cpu.CPU
 
-	cycle         int64
 	invalidations int64
 
 	// probe observes coherence events (KindInval); the queue and the
@@ -104,7 +103,7 @@ func New(l2 memsys.LowerLevel, cfg Config) (*System, error) {
 	s.fronts = make([]coreFront, cfg.Cores)
 	s.cores = make([]*cpu.CPU, cfg.Cores)
 	for i := range s.fronts {
-		s.fronts[i] = coreFront{sys: s, core: i}
+		s.fronts[i] = coreFront{Queue: queue, sys: s, core: i}
 		c, err := cpu.New(&s.fronts[i], cpu.WithL1EnergyNJ(cfg.L1EnergyNJ))
 		if err != nil {
 			return nil, err
@@ -112,15 +111,6 @@ func New(l2 memsys.LowerLevel, cfg Config) (*System, error) {
 		s.cores[i] = c
 	}
 	return s, nil
-}
-
-// MustNew is New, panicking on configuration errors.
-func MustNew(l2 memsys.LowerLevel, cfg Config) *System {
-	s, err := New(l2, cfg)
-	if err != nil {
-		panic(err)
-	}
-	return s
 }
 
 // SetProbe implements obs.Probeable for the whole shared side: the
@@ -135,9 +125,6 @@ func (s *System) SetProbe(p obs.Probe) {
 
 // Queue exposes the shared bank-queue model (contention figures).
 func (s *System) Queue() *Queue { return s.queue }
-
-// Cores exposes the per-core CPU models (tests, per-core figures).
-func (s *System) Cores() []*cpu.CPU { return s.cores }
 
 // Sources builds one instruction source per core for app at seed under
 // the configured sharing pattern. Shared hands every core a generator
@@ -167,36 +154,16 @@ func (s *System) Sources(app workload.App, seed uint64) ([]workload.Source, erro
 	return srcs, nil
 }
 
-// Run starts every core on its source and steps them in lockstep until
-// all retire maxInstrPerCore instructions (or exhaust their sources).
-// Within each global cycle the core stepping order rotates round-robin
-// ((cycle + k) mod n), so no core gets a standing first-access
-// advantage at the shared queue; the schedule is a pure function of the
-// cycle number, keeping runs deterministic.
+// Run runs every core on its source until each retires maxInstrPerCore
+// instructions (or exhausts its source), through cpu.Lockstep: requests
+// and shoot-downs come in the order of a cycle-by-cycle loop whose core
+// order rotates round-robin, so no core gets a standing first-access
+// advantage at the shared queue, and runs stay deterministic.
 func (s *System) Run(srcs []workload.Source, maxInstrPerCore int64) Result {
 	if len(srcs) != len(s.cores) {
 		panic(fmt.Sprintf("cmp: %d sources for %d cores", len(srcs), len(s.cores)))
 	}
-	for i := range s.cores {
-		s.cores[i].Start(srcs[i], maxInstrPerCore)
-	}
-	n := len(s.cores)
-	running := n
-	finished := make([]bool, n)
-	for running > 0 {
-		base := int(s.cycle % int64(n))
-		for k := 0; k < n; k++ {
-			i := (base + k) % n
-			if finished[i] {
-				continue
-			}
-			if !s.cores[i].Step() {
-				finished[i] = true
-				running--
-			}
-		}
-		s.cycle++
-	}
+	cpu.Lockstep(s.cores, srcs, maxInstrPerCore)
 	return s.Result()
 }
 
@@ -223,42 +190,33 @@ func (s *System) shootDown(writer int, addr uint64, done int64) {
 	}
 }
 
-// coreFront is the per-core adapter between a CPU and the shared queue:
-// it stamps the core id on every request and runs the coherence-lite
-// shoot-down for writes reaching the shared level.
+// coreFront is one core's view of the shared queue: it stamps the core
+// id on every request and runs the coherence-lite shoot-down for writes
+// reaching the shared level; the rest of memsys.LowerLevel is the
+// queue's.
 type coreFront struct {
+	*Queue
 	sys  *System
 	core int
 }
 
-// Name implements memsys.LowerLevel.
-func (f *coreFront) Name() string { return f.sys.queue.Name() }
-
 // Access implements memsys.LowerLevel for one core's private view of
 // the shared level. The shoot-down runs after the queued access
 // returns — the write is coherence-visible once the shared level
-// accepted it, and nothing else executes in between (one goroutine,
-// lockstep stepping), so the reorder is invisible to simulated state
-// while keeping KindInval events after the access window's outcome.
+// accepted it, and nothing else executes in between (one goroutine, one
+// lockstep event at a time), so the reorder is invisible to simulated
+// state while keeping KindInval events after the access window's
+// outcome.
 //
 //nurapid:hotpath
 func (f *coreFront) Access(req memsys.Req) memsys.AccessResult {
 	req.Core = f.core
-	r := f.sys.queue.Access(req)
+	r := f.Queue.Access(req)
 	if req.Write {
 		f.sys.shootDown(f.core, req.Addr, r.DoneAt)
 	}
 	return r
 }
-
-// Distribution implements memsys.LowerLevel.
-func (f *coreFront) Distribution() *stats.Distribution { return f.sys.queue.Distribution() }
-
-// EnergyNJ implements memsys.LowerLevel.
-func (f *coreFront) EnergyNJ() float64 { return f.sys.queue.EnergyNJ() }
-
-// Counters implements memsys.LowerLevel.
-func (f *coreFront) Counters() *stats.Counters { return f.sys.queue.Counters() }
 
 var _ memsys.LowerLevel = (*coreFront)(nil)
 

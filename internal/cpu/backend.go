@@ -6,11 +6,12 @@ import (
 	"nurapid/internal/workload"
 )
 
-// The per-instruction timing engine behind Run and RunStream.
+// The per-instruction timing engine behind Run, RunStream and Lockstep.
 //
 // The core dispatches and commits in order, and every instruction's
-// completion time is known when it dispatches, so the cycle-stepped
-// engine (Step) can be reproduced one instruction at a time, exactly.
+// completion time is known when it dispatches, so a core that steps one
+// cycle at a time (commit, then dispatch; the tests keep one as the
+// reference, Step) can be reproduced one instruction at a time, exactly.
 // With W = Width, D_j and C_j the dispatch and commit cycles of
 // instruction j, and M_k the commit cycle of the k-th load or store:
 //
@@ -31,20 +32,22 @@ import (
 //	C_i = max(done_i, D_i+1, C_{i-1}, C_{i-W}+1)
 //
 // (complete, dispatched in an earlier cycle, in order, W commits a
-// cycle). Every lower-level request keeps Step's cycle and order, so
-// the organization under test sees the identical request stream.
+// cycle). Every lower-level request keeps the stepped core's cycle and
+// order, so the organization under test sees the identical request
+// stream.
 //
-// Step halts in the cycle after the budget's last commit, so a run that
-// reaches its budget takes C_last+1 cycles. A source that runs dry halts
-// the core in the first cycle that has both tried to fetch past the end
-// and an empty window: max(C_last, A of a phantom next instruction).
+// A stepped core halts in the cycle after the budget's last commit, so
+// a run that reaches its budget takes C_last+1 cycles. A source that
+// runs dry halts the core in the first cycle that has both tried to
+// fetch past the end and an empty window: max(C_last, A of a phantom
+// next instruction).
 //
 // Two rings keep the recent cycles: each instruction's dispatch and
 // commit cycle, and each load or store's commit cycle. ALU ops, branches
 // and L1D hits — the common stream codes — are timed without a branch on
 // their kind, from a per-code table; L1D misses and escaped codes take
 // the general path, which makes the same MSHR calls at the same cycles
-// as dispatch.
+// as the stepped core's dispatch.
 
 // runChunk is the number of instructions Run records from its source,
 // and then times, at a time.
@@ -108,8 +111,8 @@ func (c *CPU) initEngine() {
 // ends) and returns the run summary. It records the source runChunk
 // instructions at a time through the core's own L1s, then times each
 // chunk: on one core the L1 outcomes depend only on program order, so
-// the result and the lower-level request stream are those of Start and
-// a Step loop over the same source and budget.
+// the result and the lower-level request stream are those of a
+// cycle-stepped core over the same source and budget.
 func (c *CPU) Run(src workload.Source, maxInstr int64) Result {
 	c.begin()
 	c.liveFrontEnd()
@@ -139,6 +142,8 @@ func (c *CPU) RunStream(s *Stream) Result {
 
 // finish applies the halting rule, the budget's or the dry source's,
 // and summarizes the run.
+//
+//nurapid:coldpath
 func (c *CPU) finish(budgetReached bool) Result {
 	t := c.tm
 	c.committed = int64(c.timed)
@@ -211,8 +216,8 @@ func (c *CPU) common(t timing, j int, s *Stream) (timing, int) {
 
 // general times instruction i, whose code is an L1D miss or an escape,
 // decoding its flag byte and addresses from s at cur: the same
-// recurrence as common's, plus the lower-level requests and
-// the MSHR calls dispatch makes, at the same cycles.
+// recurrence as common's, plus the lower-level requests and the MSHR
+// calls the stepped core's dispatch makes, at the same cycles.
 //
 //nurapid:hotpath
 func (c *CPU) general(t timing, i int, s *Stream, cur *cursor, code byte) timing {
@@ -233,20 +238,15 @@ func (c *CPU) general(t timing, i int, s *Stream, cur *cursor, code byte) timing
 		next = d + 1 + c.cfg.MispredictPenalty
 	case mem:
 		d = max(a, c.memCommits[(t.k-c.cfg.LSQ)&ringMask], t.memNext)
-		next = d
 		var addr uint64
 		hit := f&recDHit != 0
 		if !hit {
 			addr = cur.addr(s)
-			block := addr / l2BlockBytes
-			if _, merge := c.mshr.Lookup(block); !merge && c.mshr.Outstanding(d) >= c.cfg.MSHRs {
-				// Step retries at the earliest fill, where the pre-check
-				// passes and changes nothing: the block is still absent,
-				// and Allocate expires the same entries.
-				d = c.mshr.EarliestDone()
-				next = d
-			}
+			// On one core nothing touches the L1D while the miss waits:
+			// its retry at the earliest fill passes and changes nothing.
+			d = c.mshrReady(d, addr/l2BlockBytes)
 		}
+		next = d
 		if f&recVictim != 0 {
 			c.l2Request(d, cur.addr(s), true)
 		}
@@ -257,6 +257,27 @@ func (c *CPU) general(t timing, i int, s *Stream, cur *cursor, code byte) timing
 		}
 		t.memNext = d + 1
 	}
+	return c.retire(t, i, d, done, next, mem)
+}
+
+// mshrReady is the cycle at which an L1D miss to block that reaches the
+// MSHR pre-check at d can take its MSHR: d, or the earliest fill when
+// the miss cannot merge and the file is full.
+//
+//nurapid:hotpath
+func (c *CPU) mshrReady(d int64, block uint64) int64 {
+	if _, merge := c.mshr.Lookup(block); !merge && c.mshr.Outstanding(d) >= c.cfg.MSHRs {
+		return c.mshr.EarliestDone()
+	}
+	return d
+}
+
+// retire records instruction i, dispatched at d and complete at done,
+// with next the earliest attempt of the instruction after it, and
+// returns the state after it.
+//
+//nurapid:hotpath
+func (c *CPU) retire(t timing, i int, d, done, next int64, mem bool) timing {
 	cc := max(done, d+1, t.last, c.ring[(i-c.cfg.Width)&ringMask].commit+1)
 	c.ring[i&ringMask] = slot{d, cc}
 	if mem {

@@ -13,12 +13,13 @@
 //
 // Because dispatch and commit are in order and every completion time is
 // known at dispatch, each instruction's dispatch and commit cycle follow
-// exactly from a few earlier ones. Run and RunStream compute them one
-// instruction at a time (backend.go), so a run costs per instruction,
-// not per simulated cycle. Start and Step simulate one cycle per call
-// instead, for the lockstep multi-core driver (internal/cmp); they are
-// the reference the per-instruction engine is tested against, Result and
-// lower-level request stream alike.
+// exactly from a few earlier ones. The core has one timing engine, which
+// computes them one instruction at a time (backend.go), so a run costs
+// per instruction, not per simulated cycle. Run and RunStream time one
+// core from a recorded front end; Lockstep (lockstep.go) times several
+// cores over one shared level on their live L1s, for the multi-core
+// system (internal/cmp). The tests hold both to a cycle-stepped
+// reference core, Result and lower-level request stream alike.
 package cpu
 
 import (
@@ -27,7 +28,6 @@ import (
 	"nurapid/internal/cache"
 	"nurapid/internal/memsys"
 	"nurapid/internal/stats"
-	"nurapid/internal/workload"
 )
 
 // Config sets the core's structural parameters.
@@ -106,19 +106,11 @@ func (r Result) Snapshot() []stats.KV {
 	}
 }
 
-type robEntry struct {
-	done  int64
-	isMem bool
-}
-
 // CPU drives a workload through the L1s and the lower-level organization
-// under test. It has two timing engines that compute the same numbers.
-// Run and RunStream time one instruction at a time (backend.go), from a
-// recorded front end (frontend.go): a Stream, or for Run chunks of the
-// source recorded as the run goes. Start and Step simulate one cycle per
-// call on the live L1s, for the lockstep multi-core driver
-// (internal/cmp), and are the reference the per-instruction engine is
-// tested against.
+// under test, timing it one instruction at a time (backend.go). Run and
+// RunStream time a recorded front end (frontend.go): a Stream, or for
+// Run chunks of the source recorded as the run goes. Lockstep times
+// several cores together on their live L1s (lockstep.go).
 type CPU struct {
 	cfg  Config
 	fe   frontEnd
@@ -127,8 +119,8 @@ type CPU struct {
 	l1NJ float64
 	ran  bool // a run has started: a core runs once
 
-	// The per-instruction engine: the cycle rings, the common codes'
-	// timing table, the loop state and Run's recording buffer.
+	// The timing engine: the cycle rings, the common codes' timing
+	// table, the loop state and Run's recording buffer.
 	ring       [ringSize]slot  // instruction j's dispatch and commit cycles at j&ringMask
 	memCommits [ringSize]int64 // the k-th load or store's commit cycle at k&ringMask
 	codeTab    [16]codeTiming
@@ -136,23 +128,7 @@ type CPU struct {
 	timed      int // instructions timed so far
 	chunk      Stream
 
-	// The cycle-stepped engine: window, LSQ, stalls and the stepped-run
-	// state. pending is held by value so a stalled instruction survives
-	// across Step calls without escaping to the heap.
-	rob        []robEntry
-	head, tail int
-	used       int
-	lsqUsed    int
-	stallUntil int64 // no dispatch before this cycle (redirect, MSHR full)
-	memIssued  bool  // the single L1D port already used this cycle
-	src        workload.Source
-	maxInstr   int64
-	pending    workload.Instr
-	hasPending bool
-	sourceDone bool
-	halted     bool
-
-	// The run summary, kept by both engines.
+	// The run summary.
 	cycle                  int64
 	committed              int64
 	l1dAccesses, l1dMisses int64
@@ -175,7 +151,7 @@ func WithL1EnergyNJ(nj float64) Option { return func(c *CPU) { c.l1NJ = nj } }
 // New builds a CPU around the given lower-level cache; options default
 // to the paper's Table 1 core with zero L1 energy. Every lower-level
 // request carries core 0; a CMP front end (internal/cmp) restamps it.
-// A CPU runs one workload: Run, RunStream or Start, once.
+// A CPU runs one workload, once: by Run, RunStream or Lockstep.
 func New(l2 memsys.LowerLevel, opts ...Option) (*CPU, error) {
 	c := &CPU{cfg: DefaultConfig(), l2: l2}
 	for _, o := range opts {
@@ -213,61 +189,6 @@ func (c *CPU) liveFrontEnd() {
 		panic(fmt.Sprintf("cpu: validated config rejected by the L1s: %v", err))
 	}
 	c.fe = fe
-}
-
-// Start arms the core to execute up to maxInstr instructions from src on
-// the live L1s, one cycle per Step. It does not simulate any cycles.
-func (c *CPU) Start(src workload.Source, maxInstr int64) {
-	c.begin()
-	c.liveFrontEnd()
-	c.rob = make([]robEntry, c.cfg.ROB)
-	c.src = src
-	c.maxInstr = maxInstr
-}
-
-// Step simulates one cycle: commit, then dispatch. It returns false once
-// the core is done (instruction budget reached, or the source is
-// exhausted and the window has drained); the clock does not advance on
-// the final call, so Cycles counts only simulated cycles. Step always
-// simulates exactly one cycle: lockstep drivers (cmp.System.Run)
-// interleave cores one cycle at a time.
-//
-//nurapid:hotpath
-func (c *CPU) Step() bool {
-	if c.halted || c.committed >= c.maxInstr {
-		c.halted = true
-		return false
-	}
-	c.commitStage()
-
-	// Dispatch stage.
-	c.memIssued = false
-	dispatched := 0
-	for dispatched < c.cfg.Width && c.used < c.cfg.ROB && c.cycle >= c.stallUntil {
-		if !c.hasPending {
-			if c.sourceDone || c.committed+int64(c.used) >= c.maxInstr {
-				break
-			}
-			in, ok := c.src.Next()
-			if !ok {
-				c.sourceDone = true
-				break
-			}
-			c.pending, c.hasPending = in, true
-		}
-		if !c.dispatch(&c.pending) {
-			break // structural stall; retry the same instruction
-		}
-		c.hasPending = false
-		dispatched++
-	}
-
-	if c.sourceDone && c.used == 0 && !c.hasPending {
-		c.halted = true
-		return false
-	}
-	c.cycle++
-	return true
 }
 
 // Result summarizes the run so far.
@@ -313,104 +234,6 @@ func (c *CPU) InvalidateL1(addr uint64) bool {
 		c.l1dInvals++
 	}
 	return dropped
-}
-
-// commitStage retires up to Width completed instructions in order.
-//
-//nurapid:hotpath
-func (c *CPU) commitStage() {
-	head, used, lsqUsed, n := c.head, c.used, c.lsqUsed, 0
-	for ; n < c.cfg.Width && used > 0; n++ {
-		e := &c.rob[head]
-		if e.done > c.cycle {
-			break
-		}
-		if e.isMem {
-			lsqUsed--
-		}
-		if head++; head == c.cfg.ROB {
-			head = 0
-		}
-		used--
-	}
-	c.head, c.used, c.lsqUsed = head, used, lsqUsed
-	c.committed += int64(n)
-}
-
-// dispatch tries to enter one instruction into the window; it returns
-// false on a structural stall (LSQ or MSHR full, I-fetch miss pending).
-//
-//nurapid:hotpath
-func (c *CPU) dispatch(in *workload.Instr) bool {
-	// Instruction fetch: one I-cache access per fetch-block transition,
-	// so a retry after an I-miss (in the same block) makes no second
-	// access.
-	if access, miss := c.fe.fetch(in.PC); access {
-		c.l1iAccesses++
-		if miss {
-			c.l1iMisses++
-			c.stallUntil = c.l2Request(c.cycle, in.PC, false) // fetch stalls on an I-miss
-			return false
-		}
-	}
-
-	var done int64
-	isMem := false
-	switch in.Kind {
-	case workload.ALU:
-		done = c.cycle + 1
-	case workload.Branch:
-		done = c.cycle + 1
-		if in.Mispredicted {
-			c.stallUntil = c.cycle + 1 + c.cfg.MispredictPenalty
-		}
-	case workload.Load, workload.Store:
-		if c.lsqUsed >= c.cfg.LSQ {
-			return false // wait for commits to drain the LSQ
-		}
-		if c.memIssued {
-			return false // the 1-ported, pipelined L1D takes one access per cycle
-		}
-		c.memIssued = true
-		isMem = true
-		write := in.Kind == workload.Store
-		block := in.Addr / l2BlockBytes
-		// Look the tags up once: the miss decides the MSHR pre-check,
-		// and the probe serves the access below.
-		probe := c.fe.l1d.Probe(in.Addr)
-		// Structural pre-check before any state changes: a miss that
-		// cannot merge needs a free MSHR, or dispatch stalls here and
-		// retries the same instruction once one frees.
-		if !probe.Hit {
-			if _, merge := c.mshr.Lookup(block); !merge &&
-				c.mshr.Outstanding(c.cycle) >= c.cfg.MSHRs {
-				c.stallUntil = c.mshr.EarliestDone()
-				return false
-			}
-		}
-		c.l1dAccesses++
-		out := c.fe.l1d.AccessProbed(probe, in.Addr, write)
-		if out.Evicted && out.Victim.Dirty {
-			// L1 writeback into the lower level; does not block.
-			c.l2Request(c.cycle, out.Victim.Addr, true)
-		}
-		if probe.Hit {
-			done = c.cycle + c.cfg.L1Latency
-		} else {
-			c.l1dMisses++
-			done = c.fill(c.cycle, block, in.Addr, write)
-		}
-	}
-
-	c.rob[c.tail] = robEntry{done: done, isMem: isMem}
-	if c.tail++; c.tail == c.cfg.ROB {
-		c.tail = 0
-	}
-	c.used++
-	if isMem {
-		c.lsqUsed++
-	}
-	return true
 }
 
 // l2BlockBytes is the lower level's block: L1D misses to one such block

@@ -10,21 +10,21 @@ import (
 )
 
 // The front end is the core's instruction source, L1I, L1D and current
-// fetch block; the back end (cpu.go, backend.go) is the window, LSQ,
-// MSHR file, stalls and lower-level requests. In a single-core run the
-// front end's outcomes depend only on the instruction stream: dispatch
+// fetch block; the back end (backend.go) is the window, LSQ, MSHR
+// file, stalls and lower-level requests. In a single-core run the front
+// end's outcomes depend only on the instruction stream: dispatch
 // accesses the L1I once per fetch-block transition and the L1D once per
 // load or store, both in program order, and nothing but those accesses
 // touches the L1s. So the L1 hit, miss and victim sequence of (source, n)
 // is the same against every lower level: a Stream records it once for
 // any number of timing runs (RunStream), and Run records its source
-// into one, chunk by chunk, as it goes. Multi-core runs (internal/cmp)
-// step the live front end: a coherence shoot-down mutates the L1D
-// between a core's steps, so its outcomes depend on the other cores'
-// timing.
+// into one, chunk by chunk, as it goes. Multi-core runs (Lockstep)
+// access the live front end at each load or store's event: a coherence
+// shoot-down mutates the L1D between a core's events, so its outcomes
+// depend on the other cores' timing.
 
 // frontEnd is the live front end's state: the L1 pair and the current
-// fetch block. Step's dispatch and a Stream's recording share it.
+// fetch block. Lockstep and a Stream's recording share it.
 type frontEnd struct {
 	l1d, l1i      *cache.Cache
 	curFetchBlock uint64

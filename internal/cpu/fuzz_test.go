@@ -168,3 +168,81 @@ func FuzzBackEndMatchesStep(f *testing.F) {
 			func() workload.Source { return &fixedSource{instrs: instrs, loop: loop} }, budget, cfg, nil)
 	})
 }
+
+// decodeLockstepFuzz turns fuzz bytes into a multi-core run: the first
+// byte picks one to four cores (bits 0-1) and how their sources relate
+// (bits 2-3, modulo 3): the same program on every core, the program in
+// a private address space per core, or the program started at a
+// different point on each core, so the cores share blocks but not
+// timing. The rest is decodeFuzz's format, with the MSHR file cut to at
+// most four entries and the LSQ to at most eight, so misses wait for
+// both; small address spans keep the cores on a few blocks, where
+// shoot-downs fire.
+func decodeLockstepFuzz(data []byte) (tc lockstepCase, ok bool) {
+	if len(data) < 1 {
+		return tc, false
+	}
+	cores, mode := 1+int(data[0]&3), data[0]>>2&3%3
+	cfg, latency, instrs, loop, budget, ok := decodeFuzz(data[1:])
+	if !ok {
+		return tc, false
+	}
+	cfg.MSHRs = 1 + (cfg.MSHRs-1)%4
+	cfg.LSQ = 1 + (cfg.LSQ-1)%8
+	tc = lockstepCase{
+		mkL2: func() memsys.LowerLevel { return newStubL2(latency) },
+		mkSrcs: func() []workload.Source {
+			srcs := make([]workload.Source, cores)
+			for i := range srcs {
+				src := &fixedSource{instrs: instrs, loop: loop}
+				switch mode {
+				case 1:
+					srcs[i] = &offsetSource{src, uint64(i) << 36}
+					continue
+				case 2:
+					src.pos = i * len(instrs) / cores
+				}
+				srcs[i] = src
+			}
+			return srcs
+		},
+		n:   budget,
+		cfg: cfg,
+	}
+	return tc, true
+}
+
+// FuzzLockstepMatchesStep holds Lockstep to the test-only Step lockstep
+// loop on decoded multi-core runs over a shared stub: every core's
+// Result, the shared request log (Now, Addr, Write, Core, DoneAt) and
+// the shoot-down count. The seed corpus is the single-core stall cases
+// at two and four cores, shared and skewed, and a loop of loads and
+// stores over ten blocks of a small L1 at every sharing mode.
+func FuzzLockstepMatchesStep(f *testing.F) {
+	for _, tc := range stallCases() {
+		data := encodeFuzz(f, tc.cfg, tc.latency, tc.instrs, tc.loop, tc.n)
+		f.Add(append([]byte{1}, data...))
+		f.Add(append([]byte{3 | 2<<2}, data...))
+	}
+	few := make([]workload.Instr, 64)
+	for i := range few {
+		few[i] = workload.Instr{Kind: workload.Kind(i % 4), PC: fuzzPC + uint64(i%8)*4, Addr: fuzzAddr + uint64(i*7%10)*32*5}
+	}
+	cfg := DefaultConfig()
+	cfg.MSHRs, cfg.LSQ = 2, 4
+	cfg.L1Geometry.CapacityBytes, cfg.L1Geometry.Assoc = 512, 1
+	data := encodeFuzz(f, cfg, 40, few, true, 3000)
+	for _, head := range []byte{1, 2 | 1<<2, 3 | 2<<2} {
+		f.Add(append([]byte{head}, data...))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tc, ok := decodeLockstepFuzz(data)
+		if !ok {
+			return
+		}
+		if err := tc.cfg.Validate(); err != nil {
+			t.Fatalf("decoded an invalid config: %v", err)
+		}
+		checkLockstep(t, tc, nil)
+	})
+}

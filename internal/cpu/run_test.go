@@ -39,7 +39,7 @@ func isMem(k workload.Kind) bool { return k == workload.Load || k == workload.St
 // stepRun drives a started core through a plain for-Step loop and
 // returns the Result and the number of Steps after which reached held
 // (reached may be nil).
-func stepRun(c *CPU, reached func(*CPU) bool) (Result, int) {
+func stepRun(c *stepCore, reached func(*stepCore) bool) (Result, int) {
 	hits := 0
 	for c.Step() {
 		if reached != nil && reached(c) {
@@ -67,14 +67,12 @@ func record(t testing.TB, mkSrc func() workload.Source, n int64, cfg Config) *St
 // unless the Step loop reaches the case it names. It returns the
 // reference Result.
 func checkRunMatchesStep(t *testing.T, mkL2 func() memsys.LowerLevel, mkSrc func() workload.Source,
-	n int64, cfg Config, reached func(*CPU) bool) Result {
+	n int64, cfg Config, reached func(*stepCore) bool) Result {
 	t.Helper()
 	core := func(l2 memsys.LowerLevel) *CPU { return MustNew(l2, WithConfig(cfg), WithL1EnergyNJ(0.57)) }
 
 	want := &recordingL2{LowerLevel: mkL2()}
-	live := core(want)
-	live.Start(mkSrc(), n)
-	ref, hits := stepRun(live, reached)
+	ref, hits := stepRun(core(want).Start(mkSrc(), n), reached)
 	if reached != nil && hits == 0 {
 		t.Fatalf("Step loop never reached the case (result %+v)", ref)
 	}
@@ -146,7 +144,7 @@ type stallCase struct {
 	n       int64
 	latency int64
 	cfg     Config
-	reached func(*CPU) bool
+	reached func(*stepCore) bool
 }
 
 // stallCases are the stub-L2 streams that reach each way dispatch
@@ -193,28 +191,30 @@ func stallCases() []stallCase {
 
 	return []stallCase{
 		{"rob-full", loadThenALUs(64), true, 20_000, 300, DefaultConfig(),
-			func(c *CPU) bool { return c.used == c.cfg.ROB }},
+			func(c *stepCore) bool { return c.used == c.cfg.ROB }},
 		{"lsq-full", loads(64, 4096), true, 5_000, 200, withLSQ(2),
-			func(c *CPU) bool { return c.hasPending && isMem(c.pending.Kind) && c.lsqUsed >= c.cfg.LSQ }},
+			func(c *stepCore) bool { return c.hasPending && isMem(c.pending.Kind) && c.lsqUsed >= c.cfg.LSQ }},
 		{"mshr-full", loads(256, 4096), true, 5_000, 100, withMSHRs(1),
-			func(c *CPU) bool {
+			func(c *stepCore) bool {
 				return c.hasPending && isMem(c.pending.Kind) && c.lsqUsed < c.cfg.LSQ &&
 					c.stallUntil > c.cycle && c.stallUntil == c.mshr.EarliestDone()
 			}},
 		{"i-miss", spread, true, 5_000, 50, DefaultConfig(),
-			func(c *CPU) bool { return c.hasPending && c.pending.Kind == workload.ALU && c.stallUntil > c.cycle }},
+			func(c *stepCore) bool {
+				return c.hasPending && c.pending.Kind == workload.ALU && c.stallUntil > c.cycle
+			}},
 		{"mispredict-redirect", mispredicts, true, 20_000, 10, DefaultConfig(),
-			func(c *CPU) bool { return !c.hasPending && c.stallUntil > c.cycle }},
+			func(c *stepCore) bool { return !c.hasPending && c.stallUntil > c.cycle }},
 		{"source-exhausted-mid-window", loadThenALUs(40), false, 1 << 40, 300, DefaultConfig(),
-			func(c *CPU) bool { return c.sourceDone && c.used > 0 }},
+			func(c *stepCore) bool { return c.sourceDone && c.used > 0 }},
 		{"budget-reached-with-pending", loads(512, 4096), true, budget, 80, withLSQ(1),
-			func(c *CPU) bool {
+			func(c *stepCore) bool {
 				return c.hasPending && c.lsqUsed >= c.cfg.LSQ && c.committed+int64(c.used)+1 == budget
 			}},
 		{"budget-reached-draining", loadThenALUs(64), true, 1_001, 300, DefaultConfig(),
-			func(c *CPU) bool { return !c.hasPending && c.used > 0 && c.committed+int64(c.used) >= 1_001 }},
+			func(c *stepCore) bool { return !c.hasPending && c.used > 0 && c.committed+int64(c.used) >= 1_001 }},
 		{"stale-merge-after-i-miss", staleAfterIMiss, false, int64(len(staleAfterIMiss)), 10, DefaultConfig(),
-			func(c *CPU) bool { return c.l1dMisses == 2 && c.l2Accesses == 3 }},
+			func(c *stepCore) bool { return c.l1dMisses == 2 && c.l2Accesses == 3 }},
 	}
 }
 
@@ -291,8 +291,7 @@ func TestStaleMSHRMerge(t *testing.T) {
 
 	stub := newStubL2(latency)
 	stub.Record = true
-	c := MustNew(stub)
-	c.Start(mkSrc(), n)
+	c := MustNew(stub).Start(mkSrc(), n)
 	var staleDone, dispatchedAt int64 = -1, -1
 	for c.Step() {
 		if staleDone < 0 && c.l1dAccesses == 2 {
@@ -304,7 +303,7 @@ func TestStaleMSHRMerge(t *testing.T) {
 		}
 	}
 	live := c.Result()
-	check(t, c, stub, live)
+	check(t, c.CPU, stub, live)
 	firstFill := stub.Reqs[1].Now + latency + c.cfg.L1Latency
 	if staleDone != firstFill {
 		t.Fatalf("stale merge completes at %d, want the old fill time %d", staleDone, firstFill)
@@ -315,9 +314,9 @@ func TestStaleMSHRMerge(t *testing.T) {
 
 	stub = newStubL2(latency)
 	stub.Record = true
-	c = MustNew(stub)
-	res := c.RunStream(record(t, mkSrc, n, DefaultConfig()))
-	check(t, c, stub, res)
+	rc := MustNew(stub)
+	res := rc.RunStream(record(t, mkSrc, n, DefaultConfig()))
+	check(t, rc, stub, res)
 	if res != live {
 		t.Fatalf("RunStream result %+v, Step loop %+v", res, live)
 	}

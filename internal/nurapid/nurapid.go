@@ -283,6 +283,12 @@ func New(cfg Config, m *cacti.Model, mem *memsys.Memory) (*Cache, error) {
 					framesPerGroup, cfg.RestrictFrames)
 			}
 			nParts, partSize = framesPerGroup/cfg.RestrictFrames, cfg.RestrictFrames
+			if geo.NumSets()%nParts != 0 {
+				// Else some partition has more tags than frames, and a
+				// demotion chain can run out of d-groups.
+				return nil, fmt.Errorf("nurapid: %d sets do not spread evenly over %d partitions of %d frames",
+					geo.NumSets(), nParts, cfg.RestrictFrames)
+			}
 		} else {
 			nParts, partSize = 1, framesPerGroup
 		}

@@ -320,20 +320,8 @@ func TestSeededFaultDeadOnArrivalCaught(t *testing.T) {
 // divergence can be read back into the same config and access sequence,
 // and the replayed sequence still diverges.
 func TestArtifactRoundTrip(t *testing.T) {
-	cell := faultCell()
-	faulty := Options{Fault: refmodel.FaultSkipDemoteHitsReset}
-	seq := faultWorkload(cell.Cfg, 11, 4000)
-	shrunk := Shrink(cell.Cfg, seq, faulty)
-	if shrunk == nil {
-		t.Fatal("no divergence to round-trip")
-	}
-	d := Diff(cell.Cfg, shrunk, faulty)
-
-	var buf bytes.Buffer
-	if err := WriteArtifact(&buf, cell.Name, "fault-workload", cell.Cfg, faulty, d, shrunk); err != nil {
-		t.Fatalf("writing artifact: %v", err)
-	}
-	cfg, replay, err := ReadArtifact(&buf)
+	cell, faulty, shrunk, data := faultArtifact(t)
+	cfg, replay, err := ReadArtifact(bytes.NewReader(data))
 	if err != nil {
 		t.Fatalf("reading artifact back: %v", err)
 	}
@@ -348,6 +336,56 @@ func TestArtifactRoundTrip(t *testing.T) {
 	}
 }
 
+// faultArtifact shrinks the seeded fault's divergence on faultCell and
+// writes it as an artifact: the cell, the faulty options, the shrunk
+// sequence and the artifact's bytes.
+func faultArtifact(t testing.TB) (Cell, Options, []Access, []byte) {
+	t.Helper()
+	cell := faultCell()
+	faulty := Options{Fault: refmodel.FaultSkipDemoteHitsReset}
+	shrunk := Shrink(cell.Cfg, faultWorkload(cell.Cfg, 11, 4000), faulty)
+	if shrunk == nil {
+		t.Fatal("no divergence to round-trip")
+	}
+	var buf bytes.Buffer
+	if err := WriteArtifact(&buf, cell.Name, "fault-workload", cell.Cfg, faulty, Diff(cell.Cfg, shrunk, faulty), shrunk); err != nil {
+		t.Fatalf("writing artifact: %v", err)
+	}
+	return cell, faulty, shrunk, buf.Bytes()
+}
+
+// FuzzReadArtifact feeds ReadArtifact arbitrary bytes: it must return an
+// error or an artifact, never panic, and an artifact it returns must
+// survive Write, Read, Write with the same bytes both times. The seed is
+// TestArtifactRoundTrip's artifact.
+func FuzzReadArtifact(f *testing.F) {
+	_, _, _, data := faultArtifact(f)
+	f.Add(data)
+	f.Add([]byte("{}\n"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		cfg, seq, err := ReadArtifact(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		write := func(cfg nurapid.Config, seq []Access) []byte {
+			var buf bytes.Buffer
+			d := &Divergence{Index: -1, Field: "fuzz"}
+			if err := WriteArtifact(&buf, "fuzz", "fuzz", cfg, Options{}, d, seq); err != nil {
+				t.Fatalf("writing what ReadArtifact returned: %v", err)
+			}
+			return buf.Bytes()
+		}
+		first := write(cfg, seq)
+		cfg, seq, err = ReadArtifact(bytes.NewReader(first))
+		if err != nil {
+			t.Fatalf("reading back a written artifact: %v", err)
+		}
+		if second := write(cfg, seq); !bytes.Equal(first, second) {
+			t.Fatalf("Write, Read, Write changed the artifact:\n%s\n%s", first, second)
+		}
+	})
+}
+
 // TestNewErrorParity checks configuration legality is part of the shared
 // contract: nurapid.New and refmodel.New accept and reject the same
 // configurations.
@@ -357,6 +395,7 @@ func TestNewErrorParity(t *testing.T) {
 		func(c *nurapid.Config) { c.NumDGroups = 3 },
 		func(c *nurapid.Config) { c.CapacityBytes = 512 << 10 },
 		func(c *nurapid.Config) { c.RestrictFrames = 1000 },
+		func(c *nurapid.Config) { c.RestrictFrames = 1 }, // more partitions than sets
 		func(c *nurapid.Config) { c.Placement = nurapid.SetAssociative; c.RestrictFrames = 256 },
 		func(c *nurapid.Config) { c.Placement = nurapid.Placement(9) },
 		func(c *nurapid.Config) { c.PromoteHits = -1 },
