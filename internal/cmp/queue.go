@@ -15,7 +15,8 @@
 //     rotating round-robin arbitration. It applies coherence-lite: a
 //     write reaching the shared L2 shoots the block down from every
 //     other core's private L1D (no writeback — the writer's copy
-//     supersedes).
+//     supersedes). Under Shared sharing its Sources generate the one
+//     stream once and fan it out to the cores through workload.Tee.
 //   - Result aggregates per-core IPC, Jain's fairness index, and
 //     d-group contention stalls into one statsreg-compliant snapshot.
 //

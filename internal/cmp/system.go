@@ -127,31 +127,32 @@ func (s *System) SetProbe(p obs.Probe) {
 func (s *System) Queue() *Queue { return s.queue }
 
 // Sources builds one instruction source per core for app at seed under
-// the configured sharing pattern. Shared hands every core a generator
-// with the identical seed (identical streams, truly shared blocks);
-// Private perturbs each core's seed and offsets its address space by
-// privateStride so streams never alias.
+// the configured sharing pattern. Shared generates the stream once and
+// hands every core a reader of it through workload.Tee (identical
+// streams, truly shared blocks); Private perturbs each core's seed and
+// offsets its address space by privateStride so streams never alias.
 func (s *System) Sources(app workload.App, seed uint64) ([]workload.Source, error) {
-	srcs := make([]workload.Source, len(s.cores))
-	for i := range srcs {
-		switch s.cfg.Sharing {
-		case Shared:
-			g, err := workload.NewGenerator(app, seed)
-			if err != nil {
-				return nil, err
-			}
-			srcs[i] = g
-		case Private:
+	n := len(s.cores)
+	switch s.cfg.Sharing {
+	case Shared:
+		g, err := workload.NewGenerator(app, seed)
+		if err != nil {
+			return nil, err
+		}
+		return workload.Tee(g, n), nil
+	case Private:
+		srcs := make([]workload.Source, n)
+		for i := range srcs {
 			g, err := workload.NewGenerator(app, seed+uint64(i)*0x9E37_79B9_7F4A_7C15)
 			if err != nil {
 				return nil, err
 			}
 			srcs[i] = &offsetSource{src: g, offset: uint64(i) * privateStride}
-		default:
-			return nil, fmt.Errorf("cmp: unknown sharing pattern %d", s.cfg.Sharing)
 		}
+		return srcs, nil
+	default:
+		return nil, fmt.Errorf("cmp: unknown sharing pattern %d", s.cfg.Sharing)
 	}
-	return srcs, nil
 }
 
 // Run runs every core on its source until each retires maxInstrPerCore

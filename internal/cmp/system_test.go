@@ -3,6 +3,7 @@ package cmp
 import (
 	"bytes"
 	"reflect"
+	"runtime/debug"
 	"strings"
 	"testing"
 
@@ -208,5 +209,56 @@ func TestOffsetSourceDisjoint(t *testing.T) {
 			}
 			seen[blk] = core
 		}
+	}
+}
+
+// TestSharedTeeHighWater holds the Shared stream's tee to a small ring
+// on a 4-core mcf run: the cores of one stream stay a few hundred
+// instructions apart, so the ring holds under a thousand instructions.
+func TestSharedTeeHighWater(t *testing.T) {
+	sys, err := New(newNuRAPID(t), Config{Cores: 4, Sharing: Shared, L1EnergyNJ: cacti.Default().L1NJ})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srcs, err := sys.Sources(testApp(t), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := sys.Run(srcs, 200_000)
+	if res.Instructions != 4*200_000 {
+		t.Fatalf("retired %d instructions, want %d", res.Instructions, 4*200_000)
+	}
+	if hw := srcs[0].(*workload.TeeReader).HighWater(); hw <= 0 || hw > 1000 {
+		t.Fatalf("tee high-water mark %d instructions, want 1 to 1000", hw)
+	}
+}
+
+// TestSharedRunAllocsFlatInN holds a Shared System.Run to a fixed
+// allocation count: building the system, its one generator and the
+// tee's ring allocates the same at 20 k and 200 k instructions per
+// core, so the tee allocates nothing per refill. The collector is off
+// while it counts: a collection cycle makes a few allocations of the
+// runtime's own.
+func TestSharedRunAllocsFlatInN(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	app := testApp(t)
+	allocs := func(n int64) float64 {
+		return testing.AllocsPerRun(2, func() {
+			sys, err := New(newNuRAPID(t), Config{Cores: 4, Sharing: Shared, L1EnergyNJ: cacti.Default().L1NJ})
+			if err != nil {
+				t.Fatal(err)
+			}
+			srcs, err := sys.Sources(app, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res := sys.Run(srcs, n); res.Instructions != 4*n {
+				t.Fatalf("retired %d of %d instructions", res.Instructions, 4*n)
+			}
+		})
+	}
+	short, long := allocs(20_000), allocs(200_000)
+	if long != short {
+		t.Fatalf("Shared System.Run allocations grow with n: %.0f at 20k, %.0f at 200k instructions per core", short, long)
 	}
 }

@@ -2,6 +2,7 @@ package cpu
 
 import (
 	"math"
+	"math/bits"
 
 	"nurapid/internal/workload"
 )
@@ -56,32 +57,57 @@ func Lockstep(cores []*CPU, srcs []workload.Source, maxInstr int64) {
 		c.liveFrontEnd()
 		lanes[i] = lane{c: c, src: srcs[i], budget: max(maxInstr, 0)}
 	}
-	for i := nextLane(lanes); i >= 0; i = nextLane(lanes) {
+	m := newCycleMod(len(lanes))
+	for {
+		// The next event: of the lanes waiting at the earliest cycle t,
+		// the one of least rank, which is the first from core t mod n on.
+		t := int64(laneDone)
+		for i := range lanes {
+			t = min(t, lanes[i].at)
+		}
+		if t == laneDone {
+			return
+		}
+		i := m.of(t)
+		for lanes[i].at != t {
+			if i++; i == len(lanes) {
+				i = 0
+			}
+		}
 		lanes[i].step()
 	}
 }
 
-// nextLane returns the lane whose event runs next, or -1 when every core
-// is done: of the lanes waiting at the earliest cycle t, the one of
-// least rank, which is the first from core t mod n on.
+// cycleMod keeps t mod n for an event cycle t that never decreases: it
+// moves the last t mod n on by the distance to the new t, reduced mod n
+// by multiplication (Lemire's fastmod) rather than a division.
+type cycleMod struct {
+	n     uint64
+	recip uint64 // ^uint64(0)/n + 1: d mod n for any d < 2^32 is the high word of (recip*d)*n
+	wrap  uint64 // 2^32 mod n, to fold a distance of 2^32 or more below 2^32
+	t     int64  // the last cycle
+	mod   int    // t mod n
+}
+
+func newCycleMod(n int) cycleMod {
+	return cycleMod{n: uint64(n), recip: ^uint64(0)/uint64(n) + 1, wrap: (1 << 32) % uint64(n)}
+}
+
+// of returns t mod n, for t at or after the last cycle given.
 //
 //nurapid:hotpath
-func nextLane(lanes []lane) int {
-	t := int64(laneDone)
-	for i := range lanes {
-		t = min(t, lanes[i].at)
+func (m *cycleMod) of(t int64) int {
+	d := uint64(t - m.t)
+	for d>>32 != 0 {
+		d = (d>>32)*m.wrap + d&(1<<32-1)
 	}
-	if t == laneDone {
-		return -1
+	r, _ := bits.Mul64(m.recip*d, m.n)
+	mod := m.mod + int(r)
+	if mod >= int(m.n) {
+		mod -= int(m.n)
 	}
-	n := len(lanes)
-	i := int(t % int64(n))
-	for lanes[i].at != t {
-		if i++; i == n {
-			i = 0
-		}
-	}
-	return i
+	m.t, m.mod = t, mod
+	return mod
 }
 
 // step runs the event the lane waits for, then times the core's

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"nurapid/internal/cacti"
+	"nurapid/internal/mathx"
 	"nurapid/internal/memsys"
 	"nurapid/internal/nuca"
 	"nurapid/internal/nurapid"
@@ -265,9 +266,10 @@ func TestLockstepMatchesStepOnEveryApp(t *testing.T) {
 	}
 }
 
-// TestLockstepMatchesStepAtEveryCoreCount covers one to four cores,
-// shared and private, and requires shoot-downs exactly where the cores
-// share blocks.
+// TestLockstepMatchesStepAtEveryCoreCount covers one to six cores,
+// shared and private, so the picker's rotation runs at core counts
+// that are not powers of two, and requires shoot-downs exactly where
+// the cores share blocks.
 func TestLockstepMatchesStepAtEveryCoreCount(t *testing.T) {
 	n := int64(30_000)
 	if testing.Short() {
@@ -275,11 +277,37 @@ func TestLockstepMatchesStepAtEveryCoreCount(t *testing.T) {
 	}
 	app, _ := workload.ByName("mcf")
 	org := sharedOrgs()[1]
-	for cores := 1; cores <= 4; cores++ {
+	for cores := 1; cores <= 6; cores++ {
 		for _, private := range []bool{false, true} {
 			ref := checkLockstep(t, lockstepCase{org.mk, appSources(app, cores, private), n, DefaultConfig()}, nil)
 			if shares := cores > 1 && !private; (ref.invals > 0) != shares {
 				t.Fatalf("%d cores, private %v: %d shoot-downs", cores, private, ref.invals)
+			}
+		}
+	}
+}
+
+// TestCycleModMatchesRemainder holds the lockstep driver's
+// division-free t mod n to the % operator at one to nine cores, over
+// event cycles that stay, step by a few cycles, jump by hundreds, or
+// jump by 2^32 and more.
+func TestCycleModMatchesRemainder(t *testing.T) {
+	rng := mathx.NewRNG(11)
+	for n := 1; n <= 9; n++ {
+		m := newCycleMod(n)
+		cycle := int64(0)
+		for k := 0; k < 20_000; k++ {
+			switch r := rng.Intn(100); {
+			case r < 40:
+			case r < 80:
+				cycle += rng.Int63n(int64(2 * n))
+			case r < 98:
+				cycle += rng.Int63n(1000)
+			default:
+				cycle += rng.Int63n(1 << 40)
+			}
+			if got, want := m.of(cycle), int(cycle%int64(n)); got != want {
+				t.Fatalf("%d cores, cycle %d: %d, want %d", n, cycle, got, want)
 			}
 		}
 	}

@@ -31,7 +31,20 @@ type Collector struct {
 	chain  *stats.Histogram
 	hitLat *stats.Histogram
 	ctrs   stats.Counters
+	hot    collectorHot
 	groups []int64 // hits per serving d-group
+}
+
+// collectorHot holds the event counts as plain fields; Counters()
+// materializes them with the presence semantics of stats.Counters.Inc
+// and Add: a count is named once an event has touched it, so the cycle
+// sums are named from their first event even when they sum to 0.
+type collectorHot struct {
+	accesses, writes, hits, misses               int64
+	placements, promotions, demotions            int64
+	evictions, dirtyEvictions                    int64
+	swapBacklogs, swapBacklogCycles              int64
+	enqueues, issues, queueWaitCycles, l1dInvals int64
 }
 
 // NewCollector returns an empty collector.
@@ -44,14 +57,15 @@ func NewCollector() *Collector {
 
 // Emit implements Probe.
 func (c *Collector) Emit(e Event) {
+	h := &c.hot
 	switch e.Kind {
 	case KindAccess:
-		c.ctrs.Inc("accesses")
+		h.accesses++
 		if e.Write {
-			c.ctrs.Inc("writes")
+			h.writes++
 		}
 	case KindHit:
-		c.ctrs.Inc("hits")
+		h.hits++
 		c.hitLat.Add(e.Lat)
 		g := int(e.Group)
 		for len(c.groups) <= g {
@@ -59,33 +73,60 @@ func (c *Collector) Emit(e Event) {
 		}
 		c.groups[g]++
 	case KindMiss:
-		c.ctrs.Inc("misses")
+		h.misses++
 	case KindPlace:
-		c.ctrs.Inc("placements")
+		h.placements++
 		c.chain.Add(int64(e.Depth))
 	case KindPromote:
-		c.ctrs.Inc("promotions")
+		h.promotions++
 	case KindDemote:
-		c.ctrs.Inc("demotions")
+		h.demotions++
 	case KindEvict:
-		c.ctrs.Inc("evictions")
+		h.evictions++
 		if e.Dirty {
-			c.ctrs.Inc("dirty_evictions")
+			h.dirtyEvictions++
 		}
 	case KindSwap:
-		c.ctrs.Inc("swap_backlogs")
-		c.ctrs.Add("swap_backlog_cycles", e.Lat)
+		h.swapBacklogs++
+		h.swapBacklogCycles += e.Lat
 	case KindEnqueue:
-		c.ctrs.Inc("enqueues")
+		h.enqueues++
 	case KindIssue:
-		c.ctrs.Add("queue_wait_cycles", e.Lat)
+		h.issues++
+		h.queueWaitCycles += e.Lat
 	case KindInval:
-		c.ctrs.Inc("l1d_invals")
+		h.l1dInvals++
 	}
 }
 
 // Counters returns the event counters.
-func (c *Collector) Counters() *stats.Counters { return &c.ctrs }
+func (c *Collector) Counters() *stats.Counters {
+	h := &c.hot
+	for _, ctr := range []struct {
+		name    string
+		v, seen int64
+	}{
+		{"accesses", h.accesses, h.accesses},
+		{"writes", h.writes, h.writes},
+		{"hits", h.hits, h.hits},
+		{"misses", h.misses, h.misses},
+		{"placements", h.placements, h.placements},
+		{"promotions", h.promotions, h.promotions},
+		{"demotions", h.demotions, h.demotions},
+		{"evictions", h.evictions, h.evictions},
+		{"dirty_evictions", h.dirtyEvictions, h.dirtyEvictions},
+		{"swap_backlogs", h.swapBacklogs, h.swapBacklogs},
+		{"swap_backlog_cycles", h.swapBacklogCycles, h.swapBacklogs},
+		{"enqueues", h.enqueues, h.enqueues},
+		{"queue_wait_cycles", h.queueWaitCycles, h.issues},
+		{"l1d_invals", h.l1dInvals, h.l1dInvals},
+	} {
+		if ctr.seen != 0 {
+			c.ctrs.Set(ctr.name, ctr.v)
+		}
+	}
+	return &c.ctrs
+}
 
 // ChainDepth returns the demotion-chain depth histogram: one sample per
 // placement, valued at the number of demotion links the chain rippled
@@ -108,7 +149,7 @@ func (c *Collector) GroupHits() []int64 {
 // per-group hit counts (statsreg convention: every counter field must
 // appear here).
 func (c *Collector) Snapshot() []stats.KV {
-	out := c.ctrs.Snapshot()
+	out := c.Counters().Snapshot()
 	out = append(out, c.chain.Snapshot()...)
 	out = append(out, c.hitLat.Snapshot()...)
 	for g, n := range c.groups {
