@@ -21,10 +21,11 @@ race:
 # generation, tail-gap accounting), the shared producer cache's stream
 # lifecycle (one recording per app at every worker count, one stream
 # held serially, at most workers+1 pooled, each retired after its last
-# consumer), pool panic latching at every worker count, and the
+# consumer), pool panic latching at every worker count, each
+# experiment's declared run set covering its build, and the
 # singleflight, observer, and probe/trace machinery, under -race.
 race-runner:
-	$(GO) test -race -count=1 -run 'TestParallel|TestSingleflight|TestPrefetch|TestStream|TestReplayAll|TestReplayTrace|TestExtractTrace|TestRunPool|TestRunPanic|TestPaperRunSet|TestTextObserver|TestObserver|TestClock|TestProbe|TestTrace' ./internal/sim/
+	$(GO) test -race -count=1 -run 'TestParallel|TestSingleflight|TestPrefetch|TestStream|TestReplayAll|TestReplayTrace|TestExtractTrace|TestRunPool|TestRunPanic|TestTextObserver|TestObserver|TestClock|TestProbe|TestTrace' ./internal/sim/
 
 # lint = custom analyzers (determinism, panicstyle, statsreg, hotpath +
 # the directives meta-check) + go vet via the multichecker, the compiler

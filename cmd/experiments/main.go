@@ -30,6 +30,7 @@
 package main
 
 import (
+	"errors"
 	"expvar"
 	"flag"
 	"fmt"
@@ -38,6 +39,7 @@ import (
 	_ "net/http/pprof"
 	"os"
 	"runtime"
+	"strings"
 	"time"
 
 	"nurapid/internal/cacti"
@@ -51,7 +53,7 @@ import (
 
 func main() {
 	var (
-		experiment = flag.String("experiment", "all", "table1-table4, fig4-fig11, lru, ablation, predictor, sweep-*, cmp, or all")
+		experiment = flag.String("experiment", "all", "all (the paper campaign) or one of: "+strings.Join(sim.ExperimentIDs(), ", "))
 		n          = flag.Int64("n", 2_000_000, "instructions to simulate per application")
 		seed       = flag.Uint64("seed", 1, "workload seed")
 		csv        = flag.Bool("csv", false, "emit CSV instead of aligned text")
@@ -65,7 +67,7 @@ func main() {
 		sharing    = flag.String("sharing", "shared", "CMP workload pattern: shared or private")
 	)
 	flag.Parse()
-	sharingPattern, err := cmp.ParseSharing(*sharing)
+	sharingPattern, err := checkFlags(*n, *cores, *sharing)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
@@ -131,6 +133,17 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
+}
+
+// checkFlags rejects -n or -cores below one and parses -sharing.
+func checkFlags(n int64, cores int, sharing string) (cmp.Sharing, error) {
+	if n < 1 {
+		return 0, fmt.Errorf("-n must be at least 1, got %d", n)
+	}
+	if cores < 1 {
+		return 0, fmt.Errorf("-cores must be at least 1, got %d", cores)
+	}
+	return cmp.ParseSharing(sharing)
 }
 
 // experiments runs the experiment named by id, or every one for "all".
@@ -231,18 +244,13 @@ func runSelfcheck(w io.Writer) error {
 			shrunk := difftest.Shrink(cell.Cfg, seq, difftest.Options{})
 			path := fmt.Sprintf("divergence-%s-%s.jsonl", cell.Name, wl.Name)
 			f, err := os.Create(path)
+			if err == nil {
+				err = errors.Join(difftest.WriteArtifact(f, cell.Name, wl.Name, cell.Cfg,
+					difftest.Options{}, difftest.Diff(cell.Cfg, shrunk, difftest.Options{}), shrunk), f.Close())
+			}
 			if err != nil {
 				return fmt.Errorf("selfcheck: %s/%s diverged (%s) and artifact dump failed: %w",
 					cell.Name, wl.Name, d, err)
-			}
-			werr := difftest.WriteArtifact(f, cell.Name, wl.Name, cell.Cfg,
-				difftest.Options{}, difftest.Diff(cell.Cfg, shrunk, difftest.Options{}), shrunk)
-			if cerr := f.Close(); werr == nil {
-				werr = cerr
-			}
-			if werr != nil {
-				return fmt.Errorf("selfcheck: %s/%s diverged (%s) and artifact dump failed: %w",
-					cell.Name, wl.Name, d, werr)
 			}
 			return fmt.Errorf("selfcheck: %s/%s diverged: %s (shrunk reproducer: %s, %d accesses)",
 				cell.Name, wl.Name, d, path, len(shrunk))

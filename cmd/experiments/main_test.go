@@ -65,3 +65,25 @@ func TestSmallRunGolden(t *testing.T) {
 	t.Fatalf("render differs from %s (%d lines, got %d) from line %d (- golden, + render):%s\n"+
 		"after a deliberate re-baseline, regenerate it with `make golden`", goldenFile, len(w), len(g), i+1, diff.String())
 }
+
+func TestCheckFlags(t *testing.T) {
+	for _, c := range []struct {
+		n       int64
+		cores   int
+		sharing string
+		want    string // error text; "" for none
+	}{
+		{1, 1, "shared", ""},
+		{2_000_000, 4, "private", ""},
+		{0, 2, "shared", "-n must be at least 1, got 0"},
+		{-1, 2, "shared", "-n must be at least 1, got -1"},
+		{50_000, 0, "shared", "-cores must be at least 1, got 0"},
+		{50_000, -3, "shared", "-cores must be at least 1, got -3"},
+		{50_000, 2, "bogus", "cmp: unknown sharing pattern"},
+	} {
+		_, err := checkFlags(c.n, c.cores, c.sharing)
+		if (err == nil) != (c.want == "") || (err != nil && !strings.HasPrefix(err.Error(), c.want)) {
+			t.Errorf("checkFlags(%d, %d, %q) = %v, want %q", c.n, c.cores, c.sharing, err, c.want)
+		}
+	}
+}

@@ -474,9 +474,6 @@ func (ts *TimeSeries) CoreStats() []CoreLatency {
 	return out
 }
 
-// CoreLatencyHist returns core i's end-to-end latency histogram.
-func (ts *TimeSeries) CoreLatencyHist(i int) *stats.Histogram { return ts.cores[i].lat }
-
 // BankStats copies out the all-time per-bank view, indexed by bank id.
 // Runs without a shared queue (no KindEnqueue events) return an empty
 // slice.
@@ -488,9 +485,6 @@ func (ts *TimeSeries) BankStats() []BankStat {
 	}
 	return out
 }
-
-// BankWaitHist returns bank i's queue-wait histogram.
-func (ts *TimeSeries) BankWaitHist(i int) *stats.Histogram { return ts.banks[i].wait }
 
 // Windows copies out the retained ring, oldest first: the last
 // tsRingWindows active windows (earlier ones were evicted, though

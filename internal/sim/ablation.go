@@ -7,6 +7,7 @@ import (
 	"nurapid/internal/nuca"
 	"nurapid/internal/nurapid"
 	"nurapid/internal/stats"
+	"nurapid/internal/workload"
 )
 
 // Ablation sweeps the design choices the paper fixes without a full
@@ -20,67 +21,75 @@ import (
 //     smart-search array improves on.
 //
 // Each row reports average relative performance (vs. the base L2/L3),
-// average first-d-group access fraction, and total L2 dynamic energy
-// across the roster.
-func (r *Runner) Ablation() *Experiment {
-	type variant struct {
-		label string
-		org   Organization
-	}
-	mkNurapid := func(label string, mutate func(*nurapid.Config)) variant {
-		cfg := nurapidCfg(4, nurapid.NextFastest, nurapid.RandomDistance)
-		if mutate != nil {
-			mutate(&cfg)
-		}
-		return variant{label: label, org: NuRAPID(cfg)}
-	}
-	mkDNUCA := func(label string, policy nuca.SearchPolicy) variant {
-		cfg := nuca.DefaultConfig()
-		cfg.Policy = policy
-		return variant{label: label, org: DNUCA(cfg)}
-	}
-	variants := []variant{
-		mkNurapid("nurapid trigger=1 (paper)", nil),
-		mkNurapid("nurapid trigger=2", func(c *nurapid.Config) { c.PromoteHits = 2 }),
-		mkNurapid("nurapid trigger=4", func(c *nurapid.Config) { c.PromoteHits = 4 }),
-		mkNurapid("nurapid 10-bit pointers", func(c *nurapid.Config) { c.RestrictFrames = 256 }),
-		mkDNUCA("dnuca ss-performance", nuca.SSPerformance),
-		mkDNUCA("dnuca ss-energy", nuca.SSEnergy),
-		mkDNUCA("dnuca incremental", nuca.Incremental),
-	}
-	prefetch := []Organization{Base()}
-	for _, v := range variants {
-		prefetch = append(prefetch, v.org)
-	}
-	r.Prefetch(r.apps, prefetch)
+// average first-d-group access fraction, average L2 dynamic energy per
+// 1000 instructions, and the promotion swaps summed over the roster.
+func (r *Runner) Ablation() *Experiment { return r.execute(r.ablation()) }
+func (r *Runner) ablation() runSet {
+	return r.variantStudy("ablation", "Design-choice ablations",
+		"Ablations: design-choice sensitivity (averages over all applications)", r.apps,
+		[]variant{
+			nurapidVariant("nurapid trigger=1 (paper)", nil),
+			nurapidVariant("nurapid trigger=2", func(c *nurapid.Config) { c.PromoteHits = 2 }),
+			nurapidVariant("nurapid trigger=4", func(c *nurapid.Config) { c.PromoteHits = 4 }),
+			nurapidVariant("nurapid 10-bit pointers", func(c *nurapid.Config) { c.RestrictFrames = 256 }),
+			{"dnuca ss-performance", DNUCA(nuca.Config{Policy: nuca.SSPerformance})},
+			{"dnuca ss-energy", DNUCA(nuca.Config{Policy: nuca.SSEnergy})},
+			{"dnuca incremental", DNUCA(nuca.Config{Policy: nuca.Incremental})},
+		},
+		counterColumn{"swaps", "promotions"})
+}
 
-	t := stats.NewTable("Ablations: design-choice sensitivity (averages over all applications)",
-		"variant", "rel perf", "g1 accesses", "L2 energy (nJ/1k instr)", "swaps")
-	metrics := map[string]float64{}
-	type sums struct {
-		rel, g1, enj []float64
-		swaps        int64
+// nurapidVariant is the paper's NuRAPID (4 d-groups, next-fastest
+// promotion, random distance replacement) with mutate applied.
+func nurapidVariant(label string, mutate func(*nurapid.Config)) variant {
+	cfg := nurapidCfg(4, nurapid.NextFastest, nurapid.RandomDistance)
+	if mutate != nil {
+		mutate(&cfg)
 	}
-	acc := make([]sums, len(variants))
-	for _, app := range r.apps {
-		for i, v := range variants {
-			a := &acc[i]
-			a.rel = append(a.rel, r.RelPerf(app, v.org))
-			res := r.Run(app, v.org)
-			a.g1 = append(a.g1, res.L2Dist.HitFrac(0))
-			a.enj = append(a.enj, res.L2EnergyNJ*1000/float64(res.CPU.Instructions))
-			a.swaps += res.L2Ctrs.Get("promotions")
+	return variant{label: label, org: NuRAPID(cfg)}
+}
+
+// counterColumn is a variant-study column summing one L2 counter over
+// the apps.
+type counterColumn struct{ header, counter string }
+
+// variantStudy plans a table of variants averaged over apps: each row
+// reports the variant's average performance relative to the base L2/L3,
+// its average fastest-d-group access fraction, its average L2 dynamic
+// energy per 1000 instructions, and each ctrs counter summed over the
+// apps. The metrics are the three averages, keyed by the label's slug.
+func (r *Runner) variantStudy(id, caption, title string, apps []workload.App, vs []variant, ctrs ...counterColumn) runSet {
+	return runSet{apps: apps, orgs: orgsOf(vs, Base()), build: func() *Experiment {
+		headers := []string{"variant", "rel perf", "g1 accesses", "L2 energy (nJ/1k instr)"}
+		for _, c := range ctrs {
+			headers = append(headers, c.header)
 		}
-	}
-	for i, v := range variants {
-		a := acc[i]
-		t.AddRow(v.label, mathx.Mean(a.rel), stats.Percent(mathx.Mean(a.g1)), mathx.Mean(a.enj), fmt.Sprintf("%d", a.swaps))
-		slug := slugify(v.label)
-		metrics["rel_"+slug] = mathx.Mean(a.rel)
-		metrics["g1_"+slug] = mathx.Mean(a.g1)
-		metrics["energy_"+slug] = mathx.Mean(a.enj)
-	}
-	return &Experiment{ID: "ablation", Caption: "Design-choice ablations", Table: t, Metrics: metrics}
+		t := stats.NewTable(title, headers...)
+		metrics := map[string]float64{}
+		for _, v := range vs {
+			var rel, g1, enj []float64
+			sums := make([]int64, len(ctrs))
+			for _, app := range apps {
+				rel = append(rel, r.RelPerf(app, v.org))
+				res := r.Run(app, v.org)
+				g1 = append(g1, res.L2Dist.HitFrac(0))
+				enj = append(enj, res.l2NJPerKInstr())
+				for i, c := range ctrs {
+					sums[i] += res.L2Ctrs.Get(c.counter)
+				}
+			}
+			row := []any{v.label, mathx.Mean(rel), stats.Percent(mathx.Mean(g1)), mathx.Mean(enj)}
+			for _, n := range sums {
+				row = append(row, fmt.Sprintf("%d", n))
+			}
+			t.AddRow(row...)
+			slug := slugify(v.label)
+			metrics["rel_"+slug] = mathx.Mean(rel)
+			metrics["g1_"+slug] = mathx.Mean(g1)
+			metrics["energy_"+slug] = mathx.Mean(enj)
+		}
+		return &Experiment{ID: id, Caption: caption, Table: t, Metrics: metrics}
+	}}
 }
 
 func slugify(s string) string {

@@ -144,65 +144,54 @@ func (r *Runner) instrumentCMP(app, label string, sys *cmp.System) []obs.Probe {
 	return ps
 }
 
-// PrefetchCMP simulates every (app, org) CMP pair on the worker pool,
-// app by app, and blocks until all are done. CMP cores run the live
-// front end, so there is no stream to plan.
-func (r *Runner) PrefetchCMP(apps []workload.App, orgs []Organization) {
-	tasks := make([]func(), 0, len(apps)*len(orgs))
-	for _, app := range apps {
-		for _, org := range orgs {
-			tasks = append(tasks, func() { r.RunCMP(app, org) })
-		}
-	}
-	runPool(r.workers, tasks)
-}
-
 // CMP compares the three shared-L2 organizations under multi-core load:
 // aggregate throughput, Jain's fairness over per-core IPC, queue
 // contention stalls per kilo-access, and coherence shoot-downs. This is
 // the repository's extension beyond the paper (the paper is
 // single-core); the sharing pattern and core count come from
 // WithCores/WithSharing.
-func (r *Runner) CMP() *Experiment {
+func (r *Runner) CMP() *Experiment { return r.execute(r.cmpStudy()) }
+func (r *Runner) cmpStudy() runSet {
 	orgs := []Organization{Base(), DNUCA(nuca.DefaultConfig()), NuRAPID(nurapid.DefaultConfig())}
-	r.PrefetchCMP(r.apps, orgs)
-	cores := r.cmpCores()
-	t := stats.NewTable(
-		fmt.Sprintf("CMP: %d cores, %s workloads, shared L2", cores, r.sharing),
-		"benchmark", "org", "agg IPC", "fairness", "stall/ka", "invals")
-	chart := vis.NewBarChart(fmt.Sprintf("Aggregate IPC at %d cores (mean over apps)", cores), "IPC")
-	metrics := map[string]float64{}
-	sumIPC := map[string]float64{}
-	for _, app := range r.apps {
-		for _, org := range orgs {
-			res := r.RunCMP(app, org)
-			var accesses, stalls int64
-			for _, cs := range res.Res.PerCore {
-				accesses += cs.Accesses
-				stalls += cs.StallCycles
+	return runSet{apps: r.apps, orgs: orgs, cmp: true, build: func() *Experiment {
+		cores := r.cmpCores()
+		t := stats.NewTable(
+			fmt.Sprintf("CMP: %d cores, %s workloads, shared L2", cores, r.sharing),
+			"benchmark", "org", "agg IPC", "fairness", "stall/ka", "invals")
+		chart := vis.NewBarChart(fmt.Sprintf("Aggregate IPC at %d cores (mean over apps)", cores), "IPC")
+		metrics := map[string]float64{}
+		sumIPC := map[string]float64{}
+		for _, app := range r.apps {
+			for _, org := range orgs {
+				res := r.RunCMP(app, org)
+				var accesses, stalls int64
+				for _, cs := range res.Res.PerCore {
+					accesses += cs.Accesses
+					stalls += cs.StallCycles
+				}
+				stallPerKA := 0.0
+				if accesses > 0 {
+					stallPerKA = float64(stalls) * 1000 / float64(accesses)
+				}
+				t.AddRow(app.Name, org.Key,
+					res.Res.AggregateIPC, res.Res.Fairness, stallPerKA,
+					float64(res.Res.Invalidations))
+				sumIPC[org.Key] += res.Res.AggregateIPC
+				metrics["ipc_"+app.Name+"_"+org.Key] = res.Res.AggregateIPC
+				metrics["fairness_"+app.Name+"_"+org.Key] = res.Res.Fairness
 			}
-			stallPerKA := 0.0
-			if accesses > 0 {
-				stallPerKA = float64(stalls) * 1000 / float64(accesses)
-			}
-			t.AddRow(app.Name, org.Key,
-				res.Res.AggregateIPC, res.Res.Fairness, stallPerKA,
-				float64(res.Res.Invalidations))
-			sumIPC[org.Key] += res.Res.AggregateIPC
-			metrics["ipc_"+app.Name+"_"+org.Key] = res.Res.AggregateIPC
-			metrics["fairness_"+app.Name+"_"+org.Key] = res.Res.Fairness
 		}
-	}
-	for _, org := range orgs {
-		mean := sumIPC[org.Key] / float64(len(r.apps))
-		chart.AddRow(org.Key, mean)
-		metrics["mean_ipc_"+org.Key] = mean
-	}
-	return &Experiment{
-		ID:      "cmp",
-		Caption: fmt.Sprintf("Shared-L2 organizations at %d cores (%s)", cores, r.sharing),
-		Table:   t,
-		Chart:   chart,
-		Metrics: metrics,
-	}
+		for _, org := range orgs {
+			mean := sumIPC[org.Key] / float64(len(r.apps))
+			chart.AddRow(org.Key, mean)
+			metrics["mean_ipc_"+org.Key] = mean
+		}
+		return &Experiment{
+			ID:      "cmp",
+			Caption: fmt.Sprintf("Shared-L2 organizations at %d cores (%s)", cores, r.sharing),
+			Table:   t,
+			Chart:   chart,
+			Metrics: metrics,
+		}
+	}}
 }

@@ -346,31 +346,3 @@ func TestRunPoolPanicIsDeterministic(t *testing.T) {
 		}
 	}
 }
-
-// TestPaperRunSetCoversAll pins the union prefetch against drift: after
-// prefetching paperRunSet on a serial Runner, rendering the whole
-// campaign must execute no further simulations. An experiment gaining
-// an organization missing from the union would start a run here.
-func TestPaperRunSetCoversAll(t *testing.T) {
-	starts := 0
-	r := smallRunner(t, WithInstructions(60_000),
-		WithObserver(ObserverFunc(func(e RunEvent) {
-			if e.Kind == RunStart {
-				starts++
-			}
-		})))
-	r.Prefetch(r.apps, paperRunSet())
-	prefetched := starts
-	if prefetched == 0 {
-		t.Fatal("union prefetch executed nothing")
-	}
-	for _, e := range r.All() {
-		if e == nil {
-			t.Fatal("nil experiment")
-		}
-	}
-	if starts != prefetched {
-		t.Fatalf("All() executed %d runs beyond the union prefetch — paperRunSet is missing organizations",
-			starts-prefetched)
-	}
-}

@@ -134,8 +134,7 @@ func TestCMPTraceDeterminism(t *testing.T) {
 		m := &memProbe{}
 		r := smallRunner(t, WithWorkers(workers), WithProbe(m.factory),
 			WithCores(2), WithSharing(cmp.Shared))
-		orgs := []Organization{org, Base()}
-		r.PrefetchCMP(r.apps, orgs)
+		r.prefetch(runSet{apps: r.apps, orgs: []Organization{org, Base()}, cmp: true})
 		if err := r.ProbeErr(); err != nil {
 			t.Fatal(err)
 		}

@@ -382,6 +382,11 @@ func (r *Runner) Prefetch(apps []workload.App, orgs []Organization) {
 	runPool(r.workers, tasks)
 }
 
+// l2NJPerKInstr is the run's L2 dynamic energy per 1000 instructions.
+func (res *RunResult) l2NJPerKInstr() float64 {
+	return res.L2EnergyNJ * 1000 / float64(res.CPU.Instructions)
+}
+
 // RelPerf returns org's performance relative to the base hierarchy for
 // app (cycles_base / cycles_org; > 1 means faster than base).
 func (r *Runner) RelPerf(app workload.App, org Organization) float64 {

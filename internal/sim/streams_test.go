@@ -81,10 +81,7 @@ func TestStreamSerialRunnerHoldsOne(t *testing.T) {
 // app's front end exactly once, however many organizations it runs on.
 // CMP runs keep the live front end and record none.
 func TestStreamRecordedOncePerApp(t *testing.T) {
-	ids := []string{"all", "table1", "table2", "table3", "table4", "fig4", "fig5", "fig6", "lru",
-		"fig7", "fig8", "fig9", "fig10", "fig11", "ablation", "predictor",
-		"sweep-capacity", "sweep-block", "sweep-tech", "cmp"}
-	for _, id := range ids {
+	for _, id := range append([]string{"all"}, ExperimentIDs()...) {
 		r := smallRunner(t, WithInstructions(30_000))
 		r.streams = &producers[*cpu.Stream]{}
 		if id == "all" {

@@ -65,23 +65,26 @@ func (r *Runner) Table2() *Experiment {
 
 // Table3 reports the application roster with the Table 3 anchors next to
 // the measured base-case IPC and L2 accesses per kilo-instruction.
-func (r *Runner) Table3() *Experiment {
-	r.Prefetch(r.apps, []Organization{Base()})
-	t := stats.NewTable("Table 3: Applications and L2 load (base case)",
-		"benchmark", "type", "class", "paper IPC", "IPC", "paper APKI", "APKI")
-	metrics := map[string]float64{}
-	for _, app := range r.apps {
-		res := r.Run(app, Base())
-		typ := "Int"
-		if app.FP {
-			typ = "FP"
+func (r *Runner) Table3() *Experiment { return r.execute(r.table3()) }
+func (r *Runner) table3() runSet {
+	base := Base()
+	return runSet{apps: r.apps, orgs: []Organization{base}, build: func() *Experiment {
+		t := stats.NewTable("Table 3: Applications and L2 load (base case)",
+			"benchmark", "type", "class", "paper IPC", "IPC", "paper APKI", "APKI")
+		metrics := map[string]float64{}
+		for _, app := range r.apps {
+			res := r.Run(app, base)
+			typ := "Int"
+			if app.FP {
+				typ = "FP"
+			}
+			t.AddRow(app.Name, typ, app.Class.String(),
+				app.TableIPC, res.CPU.IPC, app.TableAPKI, res.CPU.APKI)
+			metrics["apki_"+app.Name] = res.CPU.APKI
+			metrics["ipc_"+app.Name] = res.CPU.IPC
 		}
-		t.AddRow(app.Name, typ, app.Class.String(),
-			app.TableIPC, res.CPU.IPC, app.TableAPKI, res.CPU.APKI)
-		metrics["apki_"+app.Name] = res.CPU.APKI
-		metrics["ipc_"+app.Name] = res.CPU.IPC
-	}
-	return &Experiment{ID: "table3", Caption: "Application L2 loads", Table: t, Metrics: metrics}
+		return &Experiment{ID: "table3", Caption: "Application L2 loads", Table: t, Metrics: metrics}
+	}}
 }
 
 // Table4 regenerates the latency table: per-megabyte access latency for
@@ -91,7 +94,7 @@ func (r *Runner) Table4() *Experiment {
 	t := stats.NewTable("Table 4: Cache latencies in cycles",
 		"capacity", "2 d-groups", "4 d-groups", "8 d-groups", "D-NUCA (avg)")
 	lat := map[int][]int{}
-	for _, n := range []int{2, 4, 8} {
+	for _, n := range groupCounts {
 		lat[n] = m.DGroupLatencies(floorplan.NewLShapedPlan(8, n))
 	}
 	nucaAvg := []int{7, 11, 14, 17, 20, 23, 26, 29}
@@ -99,7 +102,7 @@ func (r *Runner) Table4() *Experiment {
 	for mb := 0; mb < 8; mb++ {
 		row := make([]string, 5)
 		row[0] = fmt.Sprintf("MB %d", mb+1)
-		for i, n := range []int{2, 4, 8} {
+		for i, n := range groupCounts {
 			group := mb / (8 / n)
 			row[i+1] = fmt.Sprintf("%d", lat[n][group])
 		}

@@ -76,7 +76,7 @@ func (c *StackedChart) Render(w io.Writer) error {
 		drawn := 0
 		total := 0.0
 		for i, f := range r.frac {
-			if f < 0 {
+			if !(f >= 0) { // negative or NaN
 				f = 0
 			}
 			if f > 1 {
@@ -152,9 +152,12 @@ func (c *BarChart) Render(w io.Writer) error {
 		}
 	}
 	for _, r := range c.rows {
-		n := int(r.value / maxV * float64(width))
-		if n > width {
+		// Clamp before converting: a negative or NaN value draws no bar.
+		n, f := 0, r.value/maxV*float64(width)
+		if f >= float64(width) {
 			n = width
+		} else if f > 0 {
+			n = int(f)
 		}
 		bar := []byte(strings.Repeat("#", n) + strings.Repeat(" ", width-n))
 		if refCol >= 0 {

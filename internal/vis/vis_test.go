@@ -1,6 +1,7 @@
 package vis
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -121,6 +122,43 @@ func TestBarChartEmptyAndZeroMax(t *testing.T) {
 	}
 	if !strings.Contains(b.String(), "zero") {
 		t.Fatal("zero row must still render")
+	}
+}
+
+func TestBarChartNegativeAndNaNClamped(t *testing.T) {
+	c := NewBarChart("", "")
+	c.Width = 10
+	c.Reference = 1.0
+	c.AddRow("neg", -0.5)
+	c.AddRow("nan", math.NaN())
+	c.AddRow("one", 1.0)
+	var b strings.Builder
+	if err := c.Render(&b); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(b.String(), "\n")
+	for i, want := range []string{
+		"neg                  . -0.500",
+		"nan                  . NaN",
+		"one         #########| 1.000",
+	} {
+		if lines[i] != want {
+			t.Errorf("line %d = %q, want %q", i, lines[i], want)
+		}
+	}
+}
+
+func TestStackedChartNaNClamped(t *testing.T) {
+	c := NewStackedChart("", "a", "b")
+	c.Width = 10
+	c.AddRow("x", math.NaN(), 0.5)
+	var b strings.Builder
+	if err := c.Render(&b); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimRight(b.String(), "\n"), "\n")
+	if row := lines[len(lines)-1]; !strings.Contains(row, "=====       50.0%") {
+		t.Fatalf("NaN segment must render empty: %q", row)
 	}
 }
 
