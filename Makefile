@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race race-runner lint escape-rebaseline fmt golden bench bench-smoke fuzz-smoke audit diff-fuzz diff-fuzz-long ci
+.PHONY: build test race race-runner lint escape-rebaseline fmt golden reference bench bench-smoke fuzz-smoke audit diff-fuzz diff-fuzz-long ci
 
 build:
 	$(GO) build ./...
@@ -58,6 +58,20 @@ golden:
 	done > $(GOLDEN).tmp
 	mv $(GOLDEN).tmp $(GOLDEN)
 
+# reference: regenerate the committed full-length paper outputs at
+# -n 4000000 -seed 1: experiments_output.txt (the whole campaign) and
+# sweeps_output.txt (the capacity, block and technology sweeps, in that
+# order). CI runs it and fails if either file changes; after a
+# deliberate re-baseline, review and commit the diff.
+REFERENCE_FLAGS = -n 4000000 -seed 1 -q
+reference:
+	$(GO) run ./cmd/experiments -experiment all $(REFERENCE_FLAGS) > experiments_output.txt.tmp
+	mv experiments_output.txt.tmp experiments_output.txt
+	set -e; for e in sweep-capacity sweep-block sweep-tech; do \
+		$(GO) run ./cmd/experiments -experiment $$e $(REFERENCE_FLAGS); \
+	done > sweeps_output.txt.tmp
+	mv sweeps_output.txt.tmp sweeps_output.txt
+
 # bench: one iteration per benchmark, to catch bit-rot without waiting
 # for real measurements (the timed gates are bench-smoke's).
 bench:
@@ -111,4 +125,4 @@ diff-fuzz:
 diff-fuzz-long:
 	DIFF_FUZZ_LONG=1 $(GO) test -count=1 -timeout 60m -v -run TestDifferentialMatrix ./internal/refmodel/difftest/
 
-ci: build test race race-runner lint bench bench-smoke fuzz-smoke diff-fuzz
+ci: build test race race-runner lint reference bench bench-smoke fuzz-smoke diff-fuzz

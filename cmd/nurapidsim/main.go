@@ -15,6 +15,8 @@ import (
 	"fmt"
 	"os"
 
+	"nurapid/internal/cacti"
+	"nurapid/internal/memsys"
 	"nurapid/internal/nuca"
 	"nurapid/internal/nurapid"
 	"nurapid/internal/sim"
@@ -36,6 +38,10 @@ func main() {
 		list      = flag.Bool("list", false, "list application models and exit")
 	)
 	flag.Parse()
+	if err := checkFlags(*n); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 
 	if *list {
 		fmt.Printf("%-10s %-4s %-5s %8s %8s\n", "name", "type", "class", "IPC", "APKI")
@@ -87,6 +93,17 @@ func main() {
 	}
 }
 
+// checkFlags rejects flag values no run can use.
+func checkFlags(n int64) error {
+	if n < 1 {
+		return fmt.Errorf("-n must be at least 1, got %d", n)
+	}
+	return nil
+}
+
+// pickOrg maps the organization flags to a Runner organization. It
+// builds the cache once, so a configuration the cache rejects is an
+// error here rather than a panic inside the run.
 func pickOrg(name string, groups int, promotion, distance, placement string, restrict int, policy string) (sim.Organization, error) {
 	switch name {
 	case "base":
@@ -123,6 +140,9 @@ func pickOrg(name string, groups int, promotion, distance, placement string, res
 		default:
 			return sim.Organization{}, fmt.Errorf("unknown placement %q", placement)
 		}
+		if _, err := nurapid.New(cfg, cacti.Default(), memsys.NewMemory(cfg.BlockBytes)); err != nil {
+			return sim.Organization{}, err
+		}
 		return sim.NuRAPID(cfg), nil
 	case "dnuca":
 		cfg := nuca.DefaultConfig()
@@ -133,6 +153,9 @@ func pickOrg(name string, groups int, promotion, distance, placement string, res
 			cfg.Policy = nuca.SSEnergy
 		default:
 			return sim.Organization{}, fmt.Errorf("unknown search policy %q", policy)
+		}
+		if _, err := nuca.New(cfg, cacti.Default(), memsys.NewMemory(nuca.BlockBytes)); err != nil {
+			return sim.Organization{}, err
 		}
 		return sim.DNUCA(cfg), nil
 	default:

@@ -75,3 +75,24 @@ func TestConsecutiveBlocksDifferentSets(t *testing.T) {
 		t.Fatal("consecutive blocks should map to consecutive sets")
 	}
 }
+
+// TestIndexMatchesGeometry checks that the precomputed Index maps every
+// address exactly as the Geometry it was built from.
+func TestIndexMatchesGeometry(t *testing.T) {
+	g := Geometry{CapacityBytes: 1 << 20, BlockBytes: 128, Assoc: 8}
+	ix := g.Index()
+	if ix.NumSets() != g.NumSets() || ix.Assoc() != g.Assoc {
+		t.Fatalf("Index has %d sets x %d ways, geometry %d x %d",
+			ix.NumSets(), ix.Assoc(), g.NumSets(), g.Assoc)
+	}
+	f := func(a Addr) bool {
+		return ix.SetIndex(a) == g.SetIndex(a) && ix.Tag(a) == g.Tag(a) &&
+			ix.BlockAddr(a) == a/Addr(g.BlockBytes)
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+	if c := MustNewCache(g); c.Geometry() != g {
+		t.Fatalf("Cache.Geometry() = %+v, want %+v", c.Geometry(), g)
+	}
+}

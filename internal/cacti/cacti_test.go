@@ -209,3 +209,57 @@ func TestFullTable4(t *testing.T) {
 		}
 	}
 }
+
+// TestScaledScalesOnlyWires checks that Scaled multiplies the two wire
+// constants, leaves every other parameter and the receiver unchanged,
+// and that 1.0 reproduces the calibrated model exactly.
+func TestScaledScalesOnlyWires(t *testing.T) {
+	m := Default()
+	if *m.Scaled(1) != *m {
+		t.Fatal("Scaled(1) must reproduce the calibrated model")
+	}
+	s := m.Scaled(2)
+	if s.WireCyclesUnit != 2*m.WireCyclesUnit || s.WireNJUnit != 2*m.WireNJUnit {
+		t.Fatalf("Scaled(2) wires = %v cycles, %v nJ; want %v, %v",
+			s.WireCyclesUnit, s.WireNJUnit, 2*m.WireCyclesUnit, 2*m.WireNJUnit)
+	}
+	want := *m
+	want.WireCyclesUnit, want.WireNJUnit = s.WireCyclesUnit, s.WireNJUnit
+	if *s != want {
+		t.Fatalf("Scaled(2) changed more than the wire constants:\n%+v\nwant\n%+v", *s, want)
+	}
+	if *m != *Default() {
+		t.Fatal("Scaled modified its receiver")
+	}
+}
+
+// TestScaledWiresSlowFarGroups checks the technology trend Scaled
+// models: slower wires leave the ordering of d-groups intact and widen
+// the gap between the slowest and fastest group.
+func TestScaledWiresSlowFarGroups(t *testing.T) {
+	p := plan(4)
+	base := Default().DGroupLatencies(p)
+	slow := Default().Scaled(2).DGroupLatencies(p)
+	for i := range base {
+		if slow[i] < base[i] {
+			t.Errorf("d-group %d: %d cycles with slower wires, %d before", i, slow[i], base[i])
+		}
+	}
+	if slow[3]-slow[0] <= base[3]-base[0] {
+		t.Errorf("slowest-fastest gap %d with slower wires, %d before; want it wider",
+			slow[3]-slow[0], base[3]-base[0])
+	}
+}
+
+func TestScaledPanicsOnNonPositiveFactor(t *testing.T) {
+	for _, f := range []float64{0, -1} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Scaled(%v) must panic", f)
+				}
+			}()
+			Default().Scaled(f)
+		}()
+	}
+}

@@ -262,3 +262,20 @@ func TestSharedRunAllocsFlatInN(t *testing.T) {
 		t.Fatalf("Shared System.Run allocations grow with n: %.0f at 20k, %.0f at 200k instructions per core", short, long)
 	}
 }
+
+// TestParseSharingRoundtrip checks that every Sharing prints as the
+// spelling ParseSharing accepts, and that unknown spellings are errors.
+func TestParseSharingRoundtrip(t *testing.T) {
+	for _, s := range []Sharing{Shared, Private} {
+		got, err := ParseSharing(s.String())
+		if err != nil || got != s {
+			t.Errorf("ParseSharing(%q) = %v, %v; want %v", s.String(), got, err, s)
+		}
+	}
+	if _, err := ParseSharing("Shared"); err == nil || !strings.Contains(err.Error(), "valid: shared, private") {
+		t.Errorf("ParseSharing(\"Shared\") error = %v, want the valid spellings", err)
+	}
+	if got := Sharing(7).String(); got != "Sharing(7)" {
+		t.Errorf("Sharing(7).String() = %q", got)
+	}
+}

@@ -464,3 +464,66 @@ func TestEnergyAccumulates(t *testing.T) {
 		t.Fatalf("energy not accumulating: %v -> %v", e1, c.EnergyNJ())
 	}
 }
+
+// TestLatencyProfileMatchesChargedLatency checks that the static timing
+// profile reproduces what an access is actually charged: a cold miss
+// costs the tag probe plus the memory round trip, and a hit in each
+// d-group costs that group's profiled latency.
+func TestLatencyProfileMatchesChargedLatency(t *testing.T) {
+	c, mem := build(t, nil)
+	p := c.LatencyProfile()
+	if p.MemCycles != mem.Latency() || len(p.GroupCycles) != c.nGroups {
+		t.Fatalf("profile %+v does not describe a %d-group cache over %d-cycle memory",
+			p, c.nGroups, mem.Latency())
+	}
+	r := c.Access(memsys.Req{Now: 500, Addr: blockAddr(9)})
+	if r.Hit || r.DoneAt != 500+p.TagCycles+p.MemCycles {
+		t.Fatalf("cold miss = %+v, want done at %d", r, 500+p.TagCycles+p.MemCycles)
+	}
+	fillGroups(c, c.nGroups)
+	now := int64(1) << 40
+	seen := map[int]bool{}
+	for i := 0; i < c.nGroups*(2<<20)/128 && len(seen) < c.nGroups; i += 97 {
+		g := c.GroupOf(blockAddr(i))
+		if g < 0 || seen[g] {
+			continue
+		}
+		seen[g] = true
+		r := c.Access(memsys.Req{Now: now, Addr: blockAddr(i)})
+		if !r.Hit || r.Group != g || r.DoneAt-now != p.GroupCycles[g] {
+			t.Errorf("hit in d-group %d = %+v, want latency %d", g, r, p.GroupCycles[g])
+		}
+		now += 1 << 20
+	}
+	if len(seen) != c.nGroups {
+		t.Fatalf("found blocks in only %d of %d d-groups", len(seen), c.nGroups)
+	}
+}
+
+// TestGroupOccupancyTracksFill checks the per-d-group frame count: all
+// zero when empty, the fastest group full once it overflows, and the
+// total equal to the distinct blocks placed while capacity lasts.
+func TestGroupOccupancyTracksFill(t *testing.T) {
+	c, _ := build(t, nil)
+	for g, n := range c.GroupOccupancy() {
+		if n != 0 {
+			t.Fatalf("empty cache: d-group %d holds %d frames", g, n)
+		}
+	}
+	fillGroups(c, 2)
+	perGroup := (2 << 20) / 128
+	occ := c.GroupOccupancy()
+	sum := 0
+	for g, n := range occ {
+		if n < 0 || n > perGroup {
+			t.Errorf("d-group %d holds %d frames, capacity %d", g, n, perGroup)
+		}
+		sum += n
+	}
+	if occ[0] != perGroup {
+		t.Errorf("fastest d-group holds %d frames, want it full (%d)", occ[0], perGroup)
+	}
+	if sum != 2*perGroup {
+		t.Errorf("d-groups hold %d frames in total, want %d", sum, 2*perGroup)
+	}
+}

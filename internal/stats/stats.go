@@ -52,27 +52,6 @@ func (c *Counters) Names() []string {
 	return names
 }
 
-// Reset zeroes every counter.
-func (c *Counters) Reset() { c.m = nil }
-
-// Sum returns the total across all counters.
-func (c *Counters) Sum() int64 {
-	var s int64
-	for _, v := range c.m {
-		s += v
-	}
-	return s
-}
-
-// Ratio returns Get(num)/Get(den), or 0 when the denominator is zero.
-func (c *Counters) Ratio(num, den string) float64 {
-	d := c.Get(den)
-	if d == 0 {
-		return 0
-	}
-	return float64(c.Get(num)) / float64(d)
-}
-
 // String renders the counters one per line, sorted by name.
 func (c *Counters) String() string {
 	var b strings.Builder

@@ -16,6 +16,18 @@ func TestCountersZeroValue(t *testing.T) {
 	}
 }
 
+// TestCountersSet checks that Set overwrites rather than accumulates,
+// and works on the zero value.
+func TestCountersSet(t *testing.T) {
+	var c Counters
+	c.Set("gauge", 7)
+	c.Add("gauge", 3)
+	c.Set("gauge", 2)
+	if c.Get("gauge") != 2 {
+		t.Fatalf("gauge = %d, want 2", c.Get("gauge"))
+	}
+}
+
 func TestCountersNamesSorted(t *testing.T) {
 	var c Counters
 	c.Inc("b")
@@ -24,31 +36,6 @@ func TestCountersNamesSorted(t *testing.T) {
 	names := c.Names()
 	if len(names) != 3 || names[0] != "a" || names[1] != "b" || names[2] != "c" {
 		t.Fatalf("Names() = %v, want [a b c]", names)
-	}
-}
-
-func TestCountersSumAndReset(t *testing.T) {
-	var c Counters
-	c.Add("a", 3)
-	c.Add("b", 7)
-	if c.Sum() != 10 {
-		t.Fatalf("Sum = %d, want 10", c.Sum())
-	}
-	c.Reset()
-	if c.Sum() != 0 || c.Get("a") != 0 {
-		t.Fatal("Reset must zero all counters")
-	}
-}
-
-func TestCountersRatio(t *testing.T) {
-	var c Counters
-	c.Add("hits", 3)
-	c.Add("accesses", 4)
-	if got := c.Ratio("hits", "accesses"); got != 0.75 {
-		t.Fatalf("Ratio = %v, want 0.75", got)
-	}
-	if c.Ratio("hits", "nonexistent") != 0 {
-		t.Fatal("Ratio with zero denominator must be 0")
 	}
 }
 

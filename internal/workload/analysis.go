@@ -3,7 +3,6 @@ package workload
 import (
 	"fmt"
 	"io"
-	"sort"
 )
 
 // ReuseHistogram is a log2-bucketed histogram of LRU stack distances
@@ -122,12 +121,7 @@ type Analyzer struct {
 	t          int
 	hist       ReuseHistogram
 	distinct   int64
-	footprint  []int64 // distinct-block count sampled every sampleEvery
-	sample     int64
 }
-
-// analyzerSampleEvery is the footprint sampling period in accesses.
-const analyzerSampleEvery = 4096
 
 // NewAnalyzer creates an analyzer at the given block granularity.
 func NewAnalyzer(blockBytes int) *Analyzer {
@@ -159,11 +153,6 @@ func (a *Analyzer) Touch(addr uint64) {
 	a.bit.add(a.t, 1)
 	a.last[block] = a.t
 	a.t++
-	a.sample++
-	if a.sample >= analyzerSampleEvery {
-		a.sample = 0
-		a.footprint = append(a.footprint, a.distinct)
-	}
 }
 
 func (a *Analyzer) recordDistance(d int64) {
@@ -183,12 +172,6 @@ func (a *Analyzer) Histogram() *ReuseHistogram { return &a.hist }
 // DistinctBlocks returns the number of distinct blocks touched.
 func (a *Analyzer) DistinctBlocks() int64 { return a.distinct }
 
-// Footprint returns the distinct-block counts sampled every 4096
-// accesses — the footprint growth curve.
-func (a *Analyzer) Footprint() []int64 {
-	return append([]int64(nil), a.footprint...)
-}
-
 // AnalyzeSource drains up to n instructions from src through an analyzer
 // at the given block size, returning it for inspection. Only data
 // references (loads and stores) are analyzed.
@@ -204,54 +187,4 @@ func AnalyzeSource(src Source, n int64, blockBytes int) *Analyzer {
 		}
 	}
 	return a
-}
-
-// WorkingSetAt estimates, from the footprint curve, the number of
-// distinct blocks touched within the most recent window accesses;
-// it reports the growth of the footprint over the last window samples.
-func (a *Analyzer) WorkingSetAt(window int64) int64 {
-	samples := int(window / analyzerSampleEvery)
-	fp := a.footprint
-	if len(fp) == 0 {
-		return a.distinct
-	}
-	if samples <= 0 || samples >= len(fp) {
-		return fp[len(fp)-1]
-	}
-	return fp[len(fp)-1] - fp[len(fp)-1-samples]
-}
-
-// SortedHotBlocks returns up to k (block, count) pairs of the most
-// frequently touched blocks — useful for verifying popularity skew.
-func SortedHotBlocks(src Source, n int64, blockBytes int, k int) []BlockCount {
-	counts := make(map[uint64]int64)
-	for i := int64(0); i < n; i++ {
-		in, ok := src.Next()
-		if !ok {
-			break
-		}
-		if in.Kind == Load || in.Kind == Store {
-			counts[in.Addr/uint64(blockBytes)]++
-		}
-	}
-	out := make([]BlockCount, 0, len(counts))
-	for b, c := range counts {
-		out = append(out, BlockCount{Block: b, Count: c})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Count != out[j].Count {
-			return out[i].Count > out[j].Count
-		}
-		return out[i].Block < out[j].Block
-	})
-	if k < len(out) {
-		out = out[:k]
-	}
-	return out
-}
-
-// BlockCount pairs a block index with its access count.
-type BlockCount struct {
-	Block uint64
-	Count int64
 }

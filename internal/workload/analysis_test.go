@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -178,36 +179,6 @@ func TestAnalyzeSource(t *testing.T) {
 	}
 }
 
-func TestFootprintGrows(t *testing.T) {
-	app, _ := ByName("applu")
-	a := AnalyzeSource(MustNewGenerator(app, 6), 60_000, 128)
-	fp := a.Footprint()
-	if len(fp) < 2 {
-		t.Fatalf("footprint has %d samples", len(fp))
-	}
-	for i := 1; i < len(fp); i++ {
-		if fp[i] < fp[i-1] {
-			t.Fatal("footprint must be nondecreasing")
-		}
-	}
-	if ws := a.WorkingSetAt(16384); ws <= 0 {
-		t.Fatalf("WorkingSetAt = %d", ws)
-	}
-}
-
-func TestWorkingSetAtEdges(t *testing.T) {
-	a := NewAnalyzer(128)
-	if a.WorkingSetAt(100) != 0 {
-		t.Fatal("empty analyzer working set must be 0")
-	}
-	for i := 0; i < 10000; i++ {
-		a.Touch(uint64(i) * 128)
-	}
-	if a.WorkingSetAt(0) != a.Footprint()[len(a.Footprint())-1] {
-		t.Fatal("zero window must return the latest footprint")
-	}
-}
-
 func TestHistogramWriteText(t *testing.T) {
 	a := NewAnalyzer(128)
 	a.Touch(0)
@@ -221,19 +192,28 @@ func TestHistogramWriteText(t *testing.T) {
 	}
 }
 
-func TestSortedHotBlocks(t *testing.T) {
+// TestGeneratorPopularitySkew checks that gzip's data references are
+// skewed: its most-touched block sees more accesses than its tenth.
+func TestGeneratorPopularitySkew(t *testing.T) {
 	app, _ := ByName("gzip") // strong skew
-	hot := SortedHotBlocks(MustNewGenerator(app, 7), 50_000, 128, 10)
-	if len(hot) != 10 {
-		t.Fatalf("got %d hot blocks", len(hot))
-	}
-	for i := 1; i < len(hot); i++ {
-		if hot[i].Count > hot[i-1].Count {
-			t.Fatal("hot blocks not sorted by count")
+	src := MustNewGenerator(app, 7)
+	perBlock := make(map[uint64]int64)
+	for i := 0; i < 50_000; i++ {
+		in, _ := src.Next()
+		if in.Kind == Load || in.Kind == Store {
+			perBlock[in.Addr/128]++
 		}
 	}
-	if hot[0].Count <= hot[9].Count {
-		t.Fatal("expected skew between rank 0 and rank 9")
+	counts := make([]int64, 0, len(perBlock))
+	for _, c := range perBlock {
+		counts = append(counts, c)
+	}
+	slices.Sort(counts)
+	if len(counts) < 10 {
+		t.Fatalf("only %d blocks touched", len(counts))
+	}
+	if top, tenth := counts[len(counts)-1], counts[len(counts)-10]; top <= tenth {
+		t.Fatalf("no skew: rank 0 has %d accesses, rank 9 has %d", top, tenth)
 	}
 }
 
