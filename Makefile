@@ -3,10 +3,16 @@
 
 GO ?= go
 
-.PHONY: build test race race-runner lint escape-rebaseline fmt golden reference bench bench-smoke fuzz-smoke audit diff-fuzz diff-fuzz-long ci
+.PHONY: build perfbench-build test race race-runner lint escape-rebaseline fmt golden reference bench bench-smoke fuzz-smoke audit diff-fuzz diff-fuzz-long ci
 
 build:
 	$(GO) build ./...
+
+# perfbench-build: build and vet the benchmark module (perfbench/, its
+# own go.mod over this one), so a main-module API change that breaks
+# the benchmark fails here rather than in the benchmark run.
+perfbench-build:
+	cd perfbench && $(GO) build ./... && $(GO) vet ./...
 
 test:
 	$(GO) test ./...
@@ -125,4 +131,4 @@ diff-fuzz:
 diff-fuzz-long:
 	DIFF_FUZZ_LONG=1 $(GO) test -count=1 -timeout 60m -v -run TestDifferentialMatrix ./internal/refmodel/difftest/
 
-ci: build test race race-runner lint reference bench bench-smoke fuzz-smoke diff-fuzz
+ci: build perfbench-build test race race-runner lint reference bench bench-smoke fuzz-smoke diff-fuzz

@@ -10,8 +10,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"nurapid/internal/cacti"
@@ -19,33 +21,60 @@ import (
 	"nurapid/internal/stats"
 )
 
+// errInvalidConfig marks a d-group count the floorplan rejects.
+var errInvalidConfig = errors.New("invalid configuration")
+
 func main() {
+	err := run(os.Stdout, os.Args[1:])
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+	}
+	os.Exit(exitCode(err))
+}
+
+// exitCode is the process status for run's error: 2 for an invalid
+// configuration, as for a bad flag, and 1 for a failed write.
+func exitCode(err error) int {
+	switch {
+	case err == nil:
+		return 0
+	case errors.Is(err, errInvalidConfig):
+		return 2
+	}
+	return 1
+}
+
+// run parses args and writes the requested layout to w. A bad flag or
+// -h exits from the flag set, with the usage on stderr.
+func run(w io.Writer, args []string) error {
+	fs := flag.NewFlagSet("layout", flag.ExitOnError)
 	var (
-		groups = flag.Int("groups", 0, "show one d-group count in detail (2, 4, or 8)")
-		nuca   = flag.Bool("nuca", false, "show the D-NUCA bank grid instead")
+		groups = fs.Int("groups", 0, "show one d-group count in detail (2, 4, or 8)")
+		nuca   = fs.Bool("nuca", false, "show the D-NUCA bank grid instead")
 	)
-	flag.Parse()
+	fs.Parse(args)
 	m := cacti.Default()
 
 	if *nuca {
-		showNUCA(m)
-		return
+		showNUCA(w, m)
+		return nil
 	}
 	if *groups != 0 {
-		showPlan(m, *groups)
-		return
+		return showPlan(w, m, *groups)
 	}
 	for _, n := range []int{2, 4, 8} {
-		showPlan(m, n)
-		fmt.Println()
+		if err := showPlan(w, m, n); err != nil {
+			return err
+		}
+		fmt.Fprintln(w)
 	}
+	return nil
 }
 
-func showPlan(m *cacti.Model, n int) {
+func showPlan(w io.Writer, m *cacti.Model, n int) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			fmt.Fprintf(os.Stderr, "invalid configuration: %v\n", r)
-			os.Exit(2)
+			err = fmt.Errorf("%w: %v", errInvalidConfig, r)
 		}
 	}()
 	plan := floorplan.NewLShapedPlan(8, n)
@@ -58,35 +87,35 @@ func showPlan(m *cacti.Model, n int) {
 			fmt.Sprintf("%.2f", g.Offset), fmt.Sprintf("%.2f", g.Route),
 			fmt.Sprintf("%d", lats[i]), energies[i])
 	}
-	if err := t.WriteText(os.Stdout); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+	if err := t.WriteText(w); err != nil {
+		return err
 	}
-	fmt.Printf("(1 unit = the side of a 1-MB array; tag array adds %d cycles to every access)\n", m.TagCycles)
+	fmt.Fprintf(w, "(1 unit = the side of a 1-MB array; tag array adds %d cycles to every access)\n", m.TagCycles)
+	return nil
 }
 
-func showNUCA(m *cacti.Model) {
+func showNUCA(w io.Writer, m *cacti.Model) {
 	grid := floorplan.NewNUCAGrid(8, 64)
 	lats := m.NUCABankLatencies(grid)
 	energies := m.NUCABankEnergies(grid)
-	fmt.Printf("D-NUCA 8 MB: %d x %d grid of 64-KB banks (core centered below row 0)\n\n",
+	fmt.Fprintf(w, "D-NUCA 8 MB: %d x %d grid of 64-KB banks (core centered below row 0)\n\n",
 		grid.Cols, grid.Rows)
-	fmt.Println("per-bank latency (cycles):")
+	fmt.Fprintln(w, "per-bank latency (cycles):")
 	for r := 0; r < grid.Rows; r++ {
 		for c := 0; c < grid.Cols; c++ {
-			fmt.Printf("%3d", lats[r*grid.Cols+c])
+			fmt.Fprintf(w, "%3d", lats[r*grid.Cols+c])
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
 	order := grid.BanksByDistance()
 	near, far := order[0], order[len(order)-1]
-	fmt.Printf("\nnearest bank: #%d at %.2f units, %d cycles, %.2f nJ\n",
+	fmt.Fprintf(w, "\nnearest bank: #%d at %.2f units, %d cycles, %.2f nJ\n",
 		near, grid.BankRoute(near), lats[near], energies[near])
-	fmt.Printf("farthest bank: #%d at %.2f units, %d cycles, %.2f nJ\n",
+	fmt.Fprintf(w, "farthest bank: #%d at %.2f units, %d cycles, %.2f nJ\n",
 		far, grid.BankRoute(far), lats[far], energies[far])
 	avg := 0.0
 	for _, e := range energies {
 		avg += e
 	}
-	fmt.Printf("average bank energy: %.2f nJ (cf. Table 2)\n", avg/float64(len(energies)))
+	fmt.Fprintf(w, "average bank energy: %.2f nJ (cf. Table 2)\n", avg/float64(len(energies)))
 }

@@ -79,10 +79,10 @@ func main() {
 // contention report when the trace carries queue-side events (enqueue
 // or issue, which only a CMP run emits), the single-core report
 // otherwise. The CMP report's time-series registry runs without a
-// latency profile (a trace does not carry the organization's timing
-// model), so per-core latency comes from observed hit latencies and
-// the waterfall stays with the live harvest (experiments -experiment cmp,
-// obs_ts_wf_* metrics).
+// latency profile, and a trace carries neither the profile nor the
+// port stamps of hit and miss events, so per-core latency comes from
+// observed hit latencies and the waterfall stays with the live harvest
+// (experiments -experiment cmp, obs_ts_wf_* metrics).
 //
 // Degenerate inputs are handled gracefully rather than fatally: an
 // empty trace and a mid-record truncation both still render the report

@@ -147,14 +147,15 @@ func Example_hotSet() {
 
 // Compare NuRAPID's three promotion policies (paper Sec. 2.4.1 and
 // Figures 5-6) on a phased workload: the program works on region A,
-// shifts to region B (demoting A's blocks), then returns to A. The
-// policies differ in how quickly A's blocks regain the fastest d-group.
+// shifts to regions B and C (demoting A's blocks past d-group 1), then
+// returns to A. The policies differ in how quickly A's blocks regain
+// the fastest d-group.
 func ExamplePromotion() {
 	const (
-		regionBlocks = 12288 // 1.5 MB per region: region A + B exceed d-group 0
+		regionBlocks = 12288 // 1.5 MB per region: A + B + C exceed d-groups 0 and 1
 		blockBytes   = 128
 	)
-	fmt.Println("Promotion-policy comparison: region A hot, then B, then A again.")
+	fmt.Println("Promotion-policy comparison: region A hot, then B and C, then A again.")
 	fmt.Println("Average service latency of region A per re-visit round:")
 	fmt.Println()
 	for _, p := range []nurapid.Promotion{nurapid.DemotionOnly, nurapid.NextFastest, nurapid.Fastest} {
@@ -167,6 +168,7 @@ func ExamplePromotion() {
 
 		regionA := uint64(0x1000_0000)
 		regionB := regionA + regionBlocks*blockBytes
+		regionC := regionB + regionBlocks*blockBytes
 		now := int64(0)
 		touch := func(base uint64, rounds int) {
 			for r := 0; r < rounds; r++ {
@@ -178,7 +180,8 @@ func ExamplePromotion() {
 		}
 
 		touch(regionA, 2) // phase 1: A hot
-		touch(regionB, 2) // phase 2: B hot, A demoted
+		touch(regionB, 2) // phase 2: B, then C hot; A demoted past d-group 1
+		touch(regionC, 2)
 
 		// Phase 3: A hot again. Measure its service latency per round.
 		fmt.Printf("%-14s", p)
@@ -197,22 +200,22 @@ func ExamplePromotion() {
 	}
 	fmt.Println()
 	fmt.Println("demotion-only leaves A stuck at the demoted latency; the promoting")
-	fmt.Println("policies win it back round by round. B demoted A's blocks only one")
-	fmt.Println("d-group, where next-fastest and fastest make the same move, so they")
-	fmt.Println("print the same numbers here.")
+	fmt.Println("policies win it back round by round. fastest moves a hit block")
+	fmt.Println("straight to d-group 0 rather than one d-group closer, so from the")
+	fmt.Println("second round it serves A sooner than next-fastest.")
 
 	// Output:
-	// Promotion-policy comparison: region A hot, then B, then A again.
+	// Promotion-policy comparison: region A hot, then B and C, then A again.
 	// Average service latency of region A per re-visit round:
 	//
-	// demotion-only   round 1:  17.6 cyc/hit  round 2:  17.6 cyc/hit  round 3:  17.6 cyc/hit  (promotions 0, demotions 8192)
-	// next-fastest    round 1:  19.7 cyc/hit  round 2:  16.8 cyc/hit  round 3:  15.4 cyc/hit  (promotions 18197, demotions 26389)
-	// fastest         round 1:  19.7 cyc/hit  round 2:  16.8 cyc/hit  round 3:  15.4 cyc/hit  (promotions 18197, demotions 26389)
+	// demotion-only   round 1:  20.7 cyc/hit  round 2:  20.7 cyc/hit  round 3:  20.7 cyc/hit  (promotions 0, demotions 24576)
+	// next-fastest    round 1:  22.3 cyc/hit  round 2:  18.6 cyc/hit  round 3:  16.5 cyc/hit  (promotions 29791, demotions 54367)
+	// fastest         round 1:  22.5 cyc/hit  round 2:  17.5 cyc/hit  round 3:  15.7 cyc/hit  (promotions 27686, demotions 56251)
 	//
 	// demotion-only leaves A stuck at the demoted latency; the promoting
-	// policies win it back round by round. B demoted A's blocks only one
-	// d-group, where next-fastest and fastest make the same move, so they
-	// print the same numbers here.
+	// policies win it back round by round. fastest moves a hit block
+	// straight to d-group 0 rather than one d-group closer, so from the
+	// second round it serves A sooner than next-fastest.
 }
 
 // Record a synthetic workload trace once, then replay the identical

@@ -79,17 +79,6 @@ func (r *RNG) Bool(p float64) bool {
 	return r.Float64() < p
 }
 
-// Perm returns a random permutation of [0, n).
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		j := r.Intn(i + 1)
-		p[i] = p[j]
-		p[j] = i
-	}
-	return p
-}
-
 // Split derives an independent generator from r. Deriving rather than
 // sharing keeps sub-streams (e.g. one per benchmark application)
 // decoupled: consuming numbers from one cannot perturb another.

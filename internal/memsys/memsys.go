@@ -171,6 +171,10 @@ func (m *Memory) Snapshot() []stats.KV {
 // non-banked cache, or one bank of a multibanked one.
 type Port struct {
 	freeAt int64
+	// issueEnd is the end of the last Acquire's own interval; Extend
+	// does not move it, so freeAt-issueEnd is the movement debt the
+	// next access inherits.
+	issueEnd int64
 
 	// BusyCycles accumulates total occupied time, for utilization stats.
 	BusyCycles int64
@@ -192,8 +196,18 @@ func (p *Port) Acquire(now, duration int64) int64 {
 		p.WaitCycles += p.freeAt - now
 	}
 	p.freeAt = start + duration
+	p.issueEnd = p.freeAt
 	p.BusyCycles += duration
 	return start
+}
+
+// Ripple returns the part of an access's wait at now that earlier
+// Extend calls caused: the port time booked past the last issue
+// interval and still outstanding at now. Call it before Acquire.
+//
+//nurapid:hotpath
+func (p *Port) Ripple(now int64) int64 {
+	return max(0, p.freeAt-max(now, p.issueEnd))
 }
 
 // Extend lengthens the current occupancy by duration cycles — used when

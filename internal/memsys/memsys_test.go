@@ -86,3 +86,35 @@ func TestPortExtend(t *testing.T) {
 		t.Fatalf("BusyCycles = %d, want 25", p.BusyCycles)
 	}
 }
+
+// TestPortRipple hand-traces the movement debt: only port time Extend
+// booked past the last issue interval, and still outstanding at the
+// access's cycle, counts as ripple.
+func TestPortRipple(t *testing.T) {
+	var p Port
+	if r := p.Ripple(0); r != 0 {
+		t.Fatalf("idle port ripple = %d, want 0", r)
+	}
+	p.Acquire(0, 4) // issue interval [0, 4)
+	for _, c := range []struct{ now, want int64 }{{0, 0}, {2, 0}, {9, 0}} {
+		if r := p.Ripple(c.now); r != c.want {
+			t.Fatalf("no movement: Ripple(%d) = %d, want %d", c.now, r, c.want)
+		}
+	}
+	p.Extend(8) // movement books [4, 12)
+	for _, c := range []struct{ now, want int64 }{
+		{0, 8},  // waits 12: 4 behind the issue interval, 8 behind movement
+		{2, 8},  // waits 10: 2 plain busy, 8 ripple
+		{6, 6},  // waits 6, all of it movement
+		{12, 0}, // port free
+		{20, 0},
+	} {
+		if r := p.Ripple(c.now); r != c.want {
+			t.Fatalf("Ripple(%d) = %d, want %d", c.now, r, c.want)
+		}
+	}
+	p.Acquire(6, 4) // starts at 12: the debt is paid
+	if r := p.Ripple(12); r != 0 {
+		t.Fatalf("after a new issue, Ripple(12) = %d, want 0", r)
+	}
+}

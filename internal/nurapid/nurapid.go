@@ -517,6 +517,10 @@ func (c *Cache) accessHit(now int64, set, way int, tag uint64, write, predDead, 
 	// subarrays), but outstanding block movement — charged via Extend in
 	// place() — must complete before the next access starts, per the
 	// paper's one-ported, non-banked design.
+	var ripple int64
+	if c.probe != nil {
+		ripple = c.port.Ripple(now)
+	}
 	start := c.port.Acquire(now, accessIssueInterval)
 	done := start + c.grpLat[g]
 	c.chargeAccess(g)
@@ -529,7 +533,7 @@ func (c *Cache) accessHit(now int64, set, way int, tag uint64, write, predDead, 
 	}
 	c.dist.AddHit(g)
 	if c.probe != nil {
-		c.probe.Emit(obs.Hit(now, g, done-now))
+		c.probe.Emit(obs.Hit(now, g, done-now).Stamp(start-now, ripple))
 	}
 
 	switch c.cfg.Promotion {
@@ -567,12 +571,16 @@ func (c *Cache) accessMiss(now int64, addr uint64, set int, tag uint64, write, p
 	// the writeback victim read happen when memory responds, generally
 	// off the port's critical path, so only demotion ripples (block
 	// movement between d-groups, in place()) extend the port.
+	var ripple int64
+	if c.probe != nil {
+		ripple = c.port.Ripple(now)
+	}
 	start := c.port.Acquire(now, accessIssueInterval)
 	c.energy += c.tagNJ
 	c.dist.AddMiss()
 	c.hot.misses++
 	if c.probe != nil {
-		c.probe.Emit(obs.Miss(now, addr))
+		c.probe.Emit(obs.Miss(now, addr).Stamp(start-now, ripple))
 	}
 
 	// Conventional data replacement: evict the set's LRU block from the
@@ -770,18 +778,12 @@ func (c *Cache) GroupLatencies() []int64 {
 	return out
 }
 
-// LatencyProfile implements obs.LatencyProfiler: the cache's static
-// timing model, exactly the quantities accessHit/accessMiss/place
-// charge, so the obs.TimeSeries waterfall reproduces every access's
-// reported latency from the event stream alone.
+// LatencyProfile implements obs.LatencyProfiler: the tag probe and
+// memory round trip accessHit/accessMiss charge, which with the port
+// stamps on KindHit/KindMiss let the obs.TimeSeries waterfall split
+// every access's reported latency.
 func (c *Cache) LatencyProfile() obs.LatencyProfile {
-	return obs.LatencyProfile{
-		TagCycles:   c.tagLat,
-		GroupCycles: c.GroupLatencies(),
-		IssueCycles: accessIssueInterval,
-		MoveCycles:  2 * movementOccupancy,
-		MemCycles:   c.mem.Latency(),
-	}
+	return obs.LatencyProfile{TagCycles: c.tagLat, MemCycles: c.mem.Latency()}
 }
 
 // GroupOccupancy returns the number of occupied frames per d-group (no

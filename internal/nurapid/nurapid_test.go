@@ -6,6 +6,7 @@ import (
 	"nurapid/internal/cacti"
 	"nurapid/internal/mathx"
 	"nurapid/internal/memsys"
+	"nurapid/internal/obs"
 )
 
 func testModel() *cacti.Model { return cacti.Default() }
@@ -465,22 +466,36 @@ func TestEnergyAccumulates(t *testing.T) {
 	}
 }
 
-// TestLatencyProfileMatchesChargedLatency checks that the static timing
-// profile reproduces what an access is actually charged: a cold miss
-// costs the tag probe plus the memory round trip, and a hit in each
-// d-group costs that group's profiled latency.
+// outcomeProbe keeps the latest KindHit/KindMiss event.
+type outcomeProbe struct{ e obs.Event }
+
+func (p *outcomeProbe) Emit(e obs.Event) {
+	if e.Kind == obs.KindHit || e.Kind == obs.KindMiss {
+		p.e = e
+	}
+}
+
+// TestLatencyProfileMatchesChargedLatency checks that the static
+// profile reproduces what an access is charged on an idle port: a cold
+// miss costs the tag probe plus the memory round trip, a hit in each
+// d-group costs that group's latency, and neither is stamped with a
+// port wait or ripple.
 func TestLatencyProfileMatchesChargedLatency(t *testing.T) {
 	c, mem := build(t, nil)
 	p := c.LatencyProfile()
-	if p.MemCycles != mem.Latency() || len(p.GroupCycles) != c.nGroups {
-		t.Fatalf("profile %+v does not describe a %d-group cache over %d-cycle memory",
-			p, c.nGroups, mem.Latency())
+	if !p.Valid() || p.TagCycles != c.tagLat || p.MemCycles != mem.Latency() {
+		t.Fatalf("profile %+v does not describe an %d-cycle tag probe over %d-cycle memory",
+			p, c.tagLat, mem.Latency())
 	}
+	var rec outcomeProbe
+	c.SetProbe(&rec)
 	r := c.Access(memsys.Req{Now: 500, Addr: blockAddr(9)})
-	if r.Hit || r.DoneAt != 500+p.TagCycles+p.MemCycles {
-		t.Fatalf("cold miss = %+v, want done at %d", r, 500+p.TagCycles+p.MemCycles)
+	if e := rec.e; r.Hit || r.DoneAt != 500+p.TagCycles+p.MemCycles || e.Kind != obs.KindMiss || e.PortWait != 0 || e.Ripple != 0 {
+		t.Fatalf("cold miss = %+v reported as %+v, want done at %d with no port wait",
+			r, e, 500+p.TagCycles+p.MemCycles)
 	}
 	fillGroups(c, c.nGroups)
+	lats := c.GroupLatencies()
 	now := int64(1) << 40
 	seen := map[int]bool{}
 	for i := 0; i < c.nGroups*(2<<20)/128 && len(seen) < c.nGroups; i += 97 {
@@ -490,13 +505,77 @@ func TestLatencyProfileMatchesChargedLatency(t *testing.T) {
 		}
 		seen[g] = true
 		r := c.Access(memsys.Req{Now: now, Addr: blockAddr(i)})
-		if !r.Hit || r.Group != g || r.DoneAt-now != p.GroupCycles[g] {
-			t.Errorf("hit in d-group %d = %+v, want latency %d", g, r, p.GroupCycles[g])
+		if e := rec.e; !r.Hit || r.Group != g || r.DoneAt-now != lats[g] || e.Lat != lats[g] || e.PortWait != 0 || e.Ripple != 0 {
+			t.Errorf("hit in d-group %d = %+v reported as %+v, want latency %d with no port wait",
+				g, r, e, lats[g])
 		}
 		now += 1 << 20
 	}
 	if len(seen) != c.nGroups {
 		t.Fatalf("found blocks in only %d of %d d-groups", len(seen), c.nGroups)
+	}
+}
+
+// TestPortStampsMatchChargedLatency checks that the port stamps on
+// KindHit/KindMiss reproduce what every access is charged, over a
+// contended stream whose demotion chains leave port debt behind: a hit
+// costs its stamped wait plus its d-group's latency, a miss its wait
+// plus the profiled tag probe and memory round trip, and the ripple is
+// a part of the wait.
+func TestPortStampsMatchChargedLatency(t *testing.T) {
+	// RestrictFrames 8 on 4 MB gives each d-group 1024 partitions of 8
+	// frames; 32 blocks 1024 sets apart share one partition, so cycling
+	// them churns demotion chains through it.
+	c, mem := build(t, func(cfg *Config) {
+		cfg.CapacityBytes = 4 << 20
+		cfg.RestrictFrames = 8
+	})
+	p := c.LatencyProfile()
+	if !p.Valid() || p.TagCycles != c.tagLat || p.MemCycles != mem.Latency() {
+		t.Fatalf("profile %+v does not describe an %d-cycle tag probe over %d-cycle memory",
+			p, c.tagLat, mem.Latency())
+	}
+	var rec outcomeProbe
+	c.SetProbe(&rec)
+	lats := c.GroupLatencies()
+	var hits, misses, waited, rippled int
+	now := int64(0)
+	for i := 0; i < 4_000; i++ {
+		addr := 0x1000 + uint64((i*7)%512)*128
+		if i%3 == 0 {
+			addr = 0x8000_0000 + uint64((i/3)%32)*1024*128
+		}
+		r := c.Access(memsys.Req{Now: now, Addr: addr, Write: i%5 == 0})
+		e := rec.e
+		wait, ripple := int64(e.PortWait), int64(e.Ripple)
+		if e.Now != now || ripple < 0 || ripple > wait {
+			t.Fatalf("access %d: outcome %+v, want now %d and 0 <= ripple <= wait", i, e, now)
+		}
+		if r.Hit {
+			if e.Kind != obs.KindHit || int(e.Group) != r.Group || e.Lat != wait+lats[r.Group] || r.DoneAt != now+e.Lat {
+				t.Fatalf("access %d: hit %+v reported as %+v, want latency %d + %d",
+					i, r, e, wait, lats[r.Group])
+			}
+			hits++
+		} else {
+			if want := now + wait + p.TagCycles + p.MemCycles; e.Kind != obs.KindMiss || r.DoneAt != want {
+				t.Fatalf("access %d: miss %+v reported as %+v, want done at %d", i, r, e, want)
+			}
+			misses++
+		}
+		if wait > 0 {
+			waited++
+		}
+		if ripple > 0 {
+			rippled++
+		}
+		if i%4 == 3 { // bursts of four arrive at one cycle
+			now += 18
+		}
+	}
+	if hits == 0 || misses == 0 || waited == 0 || rippled == 0 {
+		t.Fatalf("stream too gentle: %d hits, %d misses, %d waited, %d rippled",
+			hits, misses, waited, rippled)
 	}
 }
 

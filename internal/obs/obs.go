@@ -41,13 +41,17 @@
 // of every fast-vs-spec comparison.
 //
 // Overhead contract: probes are strictly observational (they never alter
-// simulated state or timing), events are fixed-size structs passed by
-// value (no allocation on the emitting path), and every emission site
-// sits behind a nil-probe check, so a simulation without a probe pays
-// one predictable branch per event site and rendered experiment output
-// stays byte-identical to a probe-free build. With a fixed workload
-// seed, the event stream is deterministic: two traced runs of the same
-// (app, organization, seed) produce identical event sequences.
+// simulated state or timing), events are fixed-size 48-byte structs
+// passed by value (no allocation on the emitting path), and every
+// emission site — with any work done only to fill an event, such as
+// reading the port's ripple for a KindHit/KindMiss stamp — sits behind
+// a nil-probe check, so a simulation without a probe pays one
+// predictable branch per event site and rendered experiment output
+// stays byte-identical to a probe-free build. Timing a probe needs is
+// stamped where the organization computes it; no probe re-simulates it
+// from the stream. With a fixed workload seed, the event stream is
+// deterministic: two traced runs of the same (app, organization, seed)
+// produce identical event sequences.
 package obs
 
 import (
@@ -66,9 +70,11 @@ const (
 	KindAccess Kind = iota
 	// KindHit fires when an access is served by the cache. Group is the
 	// serving d-group (latency group), Lat the observed serve latency in
-	// cycles, port/bank queueing included.
+	// cycles, port/bank queueing included, and PortWait/Ripple the
+	// port stamps where the organization sets them.
 	KindHit
-	// KindMiss fires when an access misses to memory. Addr is set.
+	// KindMiss fires when an access misses to memory. Addr is set, and
+	// PortWait/Ripple as on KindHit.
 	KindMiss
 	// KindPlace fires when a block is installed into a free frame:
 	// Group is the absorbing d-group and Depth the number of demotion
@@ -148,7 +154,6 @@ func KindByName(name string) (Kind, bool) {
 // constructor helpers (Access, Hit, ...) so the not-applicable fields
 // get their canonical values.
 type Event struct {
-	Kind Kind
 	// Now is the cycle of the access that produced the event.
 	Now int64
 	// Addr is the accessed block address (KindAccess, KindMiss).
@@ -173,6 +178,16 @@ type Event struct {
 	Write bool
 	// Dirty marks an eviction that required a writeback (KindEvict).
 	Dirty bool
+	// Kind sits after the flags so the two port stamps below fill what
+	// would otherwise be padding: the struct stays 48 bytes.
+	Kind Kind
+	// PortWait is the cycles a KindHit or KindMiss waited for the
+	// organization's port before it started, and Ripple the part of
+	// that wait owed to earlier accesses' block movement (0 <= Ripple
+	// <= PortWait). NuRAPID and its executable spec stamp them; other
+	// organizations and decoded traces leave them 0 (the JSONL format
+	// does not carry them).
+	PortWait, Ripple int32
 	// Lat is the observed hit latency (KindHit), the port backlog in
 	// cycles a movement chain left behind (KindSwap), or the queue-wait
 	// in cycles (KindIssue).
@@ -199,6 +214,15 @@ func Hit(now int64, group int, lat int64) Event {
 //nurapid:hotpath
 func Miss(now int64, addr uint64) Event {
 	return Event{Kind: KindMiss, Now: now, Addr: addr, Group: -1, From: -1}
+}
+
+// Stamp returns the KindHit or KindMiss event e stamped with the
+// access's port wait and the ripple part of it.
+//
+//nurapid:hotpath
+func (e Event) Stamp(wait, ripple int64) Event {
+	e.PortWait, e.Ripple = int32(wait), int32(ripple)
+	return e
 }
 
 // Place builds a KindPlace event: a block absorbed by a free frame of
@@ -277,22 +301,14 @@ func Bypass(now int64, group int) Event {
 	return Event{Kind: KindBypass, Now: now, Group: int16(group), From: -1}
 }
 
-// LatencyProfile is an organization's static timing model, enough for
-// the TimeSeries waterfall to attribute each access's latency into
-// components without touching simulated state. The zero value means
-// "no profile" (SetProfile ignores it); a valid profile has at least
-// one group latency and a positive issue interval.
+// LatencyProfile is the static half of an organization's timing: the
+// per-access latencies its KindHit/KindMiss events do not carry. With
+// the events' port stamps it lets the TimeSeries waterfall split each
+// access's latency without touching simulated state. The zero value
+// means "no profile" (SetProfile ignores it).
 type LatencyProfile struct {
 	// TagCycles is the tag-probe latency charged before the data array.
 	TagCycles int64
-	// GroupCycles is the full serve latency per d-group (tag included),
-	// indexed by group.
-	GroupCycles []int64
-	// IssueCycles is the port's issue interval: how long one access
-	// occupies the organization's port.
-	IssueCycles int64
-	// MoveCycles is the port occupancy one demotion-chain link adds.
-	MoveCycles int64
 	// MemCycles is the memory round-trip a miss pays after the tag
 	// probe.
 	MemCycles int64
@@ -300,7 +316,7 @@ type LatencyProfile struct {
 
 // Valid reports whether the profile carries a usable timing model.
 func (p LatencyProfile) Valid() bool {
-	return len(p.GroupCycles) > 0 && p.IssueCycles > 0
+	return p.TagCycles > 0 && p.MemCycles > 0
 }
 
 // LatencyProfiler is implemented by organizations (and wrappers like

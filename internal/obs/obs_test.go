@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 // canonicalEvents covers every kind with its meaningful fields set.
@@ -66,6 +67,14 @@ func TestKindStringRoundTrip(t *testing.T) {
 	}
 }
 
+// TestEventSize pins the overhead contract's fixed 48-byte event: the
+// port stamps live in what was padding after the flags.
+func TestEventSize(t *testing.T) {
+	if got := unsafe.Sizeof(Event{}); got != 48 {
+		t.Fatalf("obs.Event is %d bytes, want 48", got)
+	}
+}
+
 // TestTraceRoundTrip pins the JSONL encoding and checks decode restores
 // every canonical event exactly.
 func TestTraceRoundTrip(t *testing.T) {
@@ -78,8 +87,14 @@ func TestTraceRoundTrip(t *testing.T) {
 	if err := sink.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if sink.Events() != int64(len(events)) {
-		t.Fatalf("sink counted %d events, want %d", sink.Events(), len(events))
+	if kv := sink.Snapshot(); len(kv) != 1 || kv[0].Name != "trace_events" || kv[0].Value != float64(len(events)) {
+		t.Fatalf("sink snapshot %+v, want trace_events = %d", kv, len(events))
+	}
+	// The port stamps are not part of the trace format.
+	for _, e := range []Event{Hit(16, 0, 14), Miss(20, 0x10000400)} {
+		if got, want := appendEvent(nil, e.Stamp(3, 1)), appendEvent(nil, e); !bytes.Equal(got, want) {
+			t.Fatalf("stamped %v encodes as %s, want %s", e.Kind, got, want)
+		}
 	}
 
 	wantFirst := `{"k":"access","t":12,"addr":268435456,"w":true}`

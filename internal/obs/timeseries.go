@@ -118,20 +118,11 @@ type tsOpen struct {
 	depth       int64
 	enq         int64 // arrival cycle (enqueue, or access when unqueued)
 	queueWait   int64
-	orgNow      int64 // cycle the organization saw the request
 	haveOutcome bool
 	hit         bool
 	attributed  bool
 	done        int64
 	comps       [NumWaterfall]int64
-}
-
-// tsPort mirrors the organization's single-port scoreboard from the
-// event stream alone: freeAt is the modeled memsys.Port.FreeAt, and
-// issueEnd excludes movement-chain extensions, so freeAt-issueEnd is
-// the promotion-ripple debt the next access will absorb.
-type tsPort struct {
-	freeAt, issueEnd int64
 }
 
 // latency histogram geometry: 16-cycle buckets to 512 cycles cover a
@@ -150,7 +141,10 @@ const (
 // per-core latency and per-bank wait histograms, and — when the
 // observed organization supplies a LatencyProfile — attributes every
 // completed access's latency into the five waterfall components, whose
-// sum equals the access's reported latency exactly.
+// sum equals the access's reported latency exactly. The queue wait
+// comes from KindIssue, the port wait and its ripple part from the
+// outcome event's stamps, and the tag and memory cycles from the
+// profile; the data part of a hit is what its latency leaves.
 //
 // Like every probe it is strictly observational and single-goroutine.
 // Emit allocates only while growing (first sight of a core, bank, or
@@ -159,7 +153,6 @@ type TimeSeries struct {
 	name        string
 	epochCycles int64
 	profile     LatencyProfile
-	hasProfile  bool
 
 	ring    []tsWindow
 	head    int
@@ -174,8 +167,7 @@ type TimeSeries struct {
 	wfAccesses     int64
 	wfUnattributed int64
 
-	a    tsOpen
-	port tsPort
+	a tsOpen
 }
 
 // NewTimeSeries builds a registry named name (metric-name convention:
@@ -198,12 +190,9 @@ func NewTimeSeries(name string, epochCycles int64) *TimeSeries {
 // invalid (zero) profile is ignored, leaving the registry in its
 // histogram-only mode.
 func (ts *TimeSeries) SetProfile(p LatencyProfile) {
-	if !p.Valid() {
-		return
+	if p.Valid() {
+		ts.profile = p
 	}
-	p.GroupCycles = append([]int64(nil), p.GroupCycles...)
-	ts.profile = p
-	ts.hasProfile = true
 }
 
 // Name returns the registry's metric name prefix.
@@ -223,88 +212,51 @@ func (ts *TimeSeries) Emit(e Event) {
 			bank:  int(e.Group),
 			depth: int64(e.Depth),
 			enq:   e.Now,
-			// orgNow is refined by the KindIssue/KindAccess that follow;
-			// starting at the arrival cycle keeps a truncated stream sane.
-			orgNow: e.Now,
 		}
 	case KindIssue:
 		ts.a.queueWait = e.Lat
-		ts.a.orgNow = e.Now
 	case KindAccess:
 		if !ts.a.open {
 			ts.finalize()
 			ts.a = tsOpen{open: true, core: int(e.Core), bank: -1, enq: e.Now}
 		}
 		ts.a.core = int(e.Core)
-		ts.a.orgNow = e.Now
-	case KindHit:
-		ts.outcome(e.Now, true, e.Lat)
-	case KindMiss:
-		ts.outcome(e.Now, false, 0)
-	case KindDemote:
-		if ts.hasProfile {
-			ts.port.freeAt += ts.profile.MoveCycles
-		}
+	case KindHit, KindMiss:
+		ts.outcome(e)
 	case KindInval:
 		ts.growCores(int(e.Core))
 		ts.cores[e.Core].invals++
 	}
 }
 
-// outcome applies the modeled port acquire and, with a profile, splits
-// the access's latency into the waterfall components. The split is
-// exact by construction: the five parts always sum to done-enq.
-func (ts *TimeSeries) outcome(now int64, hit bool, hitLat int64) {
+// outcome records the access's result and, with a profile, splits its
+// latency into the waterfall components from the event's port stamps.
+// The five parts sum to done-enq by construction.
+func (ts *TimeSeries) outcome(e Event) {
 	if !ts.a.open || ts.a.haveOutcome {
 		// Ignore inner-level outcomes of multi-level organizations; the
 		// first outcome is the shared level's.
 		return
 	}
-	ts.a.haveOutcome = true
-	ts.a.hit = hit
-	if !ts.hasProfile {
-		if hit {
-			ts.a.done = now + hitLat
-		}
+	a := &ts.a
+	a.haveOutcome = true
+	a.hit = e.Kind == KindHit
+	if a.hit {
+		a.done = e.Now + e.Lat
+	}
+	if !ts.profile.Valid() {
 		return
 	}
-	start := now
-	if ts.port.freeAt > start {
-		start = ts.port.freeAt
+	wait, ripple, tag := int64(e.PortWait), int64(e.Ripple), ts.profile.TagCycles
+	data := ts.profile.MemCycles
+	if a.hit {
+		data = e.Lat - wait - tag
+	} else {
+		a.done = e.Now + wait + tag + data
 	}
-	wait := start - now
-	debt := ts.port.freeAt - ts.port.issueEnd
-	ts.port.issueEnd = start + ts.profile.IssueCycles
-	ts.port.freeAt = ts.port.issueEnd
-
-	orgLat := hitLat
-	if !hit {
-		orgLat = wait + ts.profile.TagCycles + ts.profile.MemCycles
-	}
-	// Guard against model drift on organizations whose port differs
-	// from the profile: clamping keeps the sum exact regardless.
-	if wait > orgLat {
-		wait = orgLat
-	}
-	ripple := debt
-	if ripple > wait {
-		ripple = wait
-	}
-	busy := wait - ripple
-	rem := orgLat - wait
-	tag := ts.profile.TagCycles
-	if tag > rem {
-		tag = rem
-	}
-	data := rem - tag
-
-	ts.a.done = now + orgLat
-	ts.a.attributed = true
-	ts.a.comps[WfQueueWait] = ts.a.queueWait
-	ts.a.comps[WfBankBusy] = busy
-	ts.a.comps[WfTagProbe] = tag
-	ts.a.comps[WfDataAccess] = data
-	ts.a.comps[WfPromotionRipple] = ripple
+	a.attributed = true
+	a.comps = [NumWaterfall]int64{WfQueueWait: a.queueWait, WfBankBusy: wait - ripple,
+		WfTagProbe: tag, WfDataAccess: data, WfPromotionRipple: ripple}
 }
 
 // finalize folds the completed in-flight access into the aggregates

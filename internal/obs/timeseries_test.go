@@ -6,16 +6,9 @@ import (
 )
 
 // tsTestProfile mirrors the default NuRAPID timing: 8-cycle tag probe,
-// one 21-cycle d-group, 4-cycle issue interval, 4-cycle movement
-// extension, 194-cycle memory round-trip.
+// 194-cycle memory round-trip.
 func tsTestProfile() LatencyProfile {
-	return LatencyProfile{
-		TagCycles:   8,
-		GroupCycles: []int64{21},
-		IssueCycles: 4,
-		MoveCycles:  4,
-		MemCycles:   194,
-	}
+	return LatencyProfile{TagCycles: 8, MemCycles: 194}
 }
 
 // wfDelta drives fn, flushes, and returns the waterfall totals gained.
@@ -32,9 +25,10 @@ func wfDelta(ts *TimeSeries, fn func()) ([NumWaterfall]int64, int64) {
 }
 
 // TestTimeSeriesWaterfallExactSum hand-traces three queued accesses
-// through the modeled port and checks each access's five components
-// individually and their exact sum against DoneAt minus the enqueue
-// cycle.
+// through a NuRAPID-like port (4-cycle issue interval, 4 cycles per
+// demotion link), feeds the events stamped as the organization would,
+// and checks each access's five components individually and their
+// exact sum against DoneAt minus the enqueue cycle.
 func TestTimeSeriesWaterfallExactSum(t *testing.T) {
 	ts := NewTimeSeries("ts", 1<<16)
 	ts.SetProfile(tsTestProfile())
@@ -44,7 +38,7 @@ func TestTimeSeriesWaterfallExactSum(t *testing.T) {
 		ts.Emit(Enqueue(0, 0x100, 0, 0, false, 0))
 		ts.Emit(Issue(0, 0, 0, 0))
 		ts.Emit(Access(0, 0x100, false, 0))
-		ts.Emit(Hit(0, 0, 21))
+		ts.Emit(Hit(0, 0, 21).Stamp(0, 0))
 	})
 	if want := [NumWaterfall]int64{0, 0, 8, 13, 0}; d != want || n != 1 {
 		t.Fatalf("access A components = %v (%d attributed), want %v", d, n, want)
@@ -57,7 +51,7 @@ func TestTimeSeriesWaterfallExactSum(t *testing.T) {
 		ts.Emit(Enqueue(2, 0x200, 0, 0, false, 0))
 		ts.Emit(Issue(2, 0, 0, 0))
 		ts.Emit(Access(2, 0x200, false, 0))
-		ts.Emit(Hit(2, 0, 23))
+		ts.Emit(Hit(2, 0, 23).Stamp(2, 0))
 		ts.Emit(DemoteLink(2, 0, 0, 1))
 	})
 	if want := [NumWaterfall]int64{0, 2, 8, 13, 0}; d != want || n != 1 {
@@ -71,7 +65,7 @@ func TestTimeSeriesWaterfallExactSum(t *testing.T) {
 		ts.Emit(Enqueue(4, 0x300, 1, 1, true, 2))
 		ts.Emit(Issue(8, 1, 1, 4))
 		ts.Emit(Access(8, 0x300, true, 1))
-		ts.Emit(Miss(8, 0x300))
+		ts.Emit(Miss(8, 0x300).Stamp(4, 4))
 	})
 	// orgLat = 4 wait + 8 tag + 194 memory = 206; done-enq = 210.
 	if want := [NumWaterfall]int64{4, 0, 8, 194, 4}; d != want || n != 1 {

@@ -70,9 +70,6 @@ func (s *TraceSink) Emit(e Event) {
 	s.events++
 }
 
-// Events returns the number of events written so far.
-func (s *TraceSink) Events() int64 { return s.events }
-
 // Err returns the first write error, if any.
 func (s *TraceSink) Err() error { return s.err }
 

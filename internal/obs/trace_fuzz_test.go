@@ -27,9 +27,7 @@ func FuzzDecodeTrace(f *testing.F) {
 		samp := NewSampler("occupancy", 64)
 		ts := NewTimeSeries("ts", 64)
 		profiled := NewTimeSeries("wf", 64)
-		profiled.SetProfile(LatencyProfile{
-			TagCycles: 4, GroupCycles: []int64{14, 24}, IssueCycles: 2, MoveCycles: 4, MemCycles: 100,
-		})
+		profiled.SetProfile(LatencyProfile{TagCycles: 4, MemCycles: 100})
 		probe := Multi(coll, samp, ts, profiled)
 		_ = DecodeTrace(bytes.NewReader(data), func(e Event) error {
 			probe.Emit(e)

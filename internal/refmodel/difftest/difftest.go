@@ -87,7 +87,8 @@ func (r *recorder) Emit(e obs.Event) { r.events = append(r.events, e) }
 // divergence, or nil when the two agree on everything. A third fast
 // instance replays the same sequence through the batched AccessMany
 // path and is compared against the per-access path element by element,
-// so the replay loop's clock threading is oracle-gated too.
+// so the replay loop's clock threading is oracle-gated too. Last, a
+// fresh pair replays it with overlapping arrivals (diffContended).
 func Diff(cfg nurapid.Config, seq []Access, opt Options) *Divergence {
 	m := cacti.Default()
 	fastMem := memsys.NewMemory(cfg.BlockBytes)
@@ -131,8 +132,36 @@ func Diff(cfg nurapid.Config, seq []Access, opt Options) *Divergence {
 	if d := diffBatched(cfg, m, seq, fast, fastMem, fastRec, fastResults, now); d != nil {
 		return d
 	}
+	if d := diffFinalState(fast, ref, fastMem, refMem, seq); d != nil {
+		return d
+	}
+	return diffContended(cfg, m, seq, opt)
+}
 
-	return diffFinalState(fast, ref, fastMem, refMem, seq)
+// diffContended replays seq on a fresh fast instance and a fresh
+// reference model with each access arriving Gap cycles after the
+// previous one arrived, not after it completed. The completion-paced
+// replay above leaves the single port idle by the time the next access
+// arrives; here accesses queue behind each other's issue intervals and
+// demotion chains, so the results and the port stamps on hit and miss
+// events are compared under real port contention.
+func diffContended(cfg nurapid.Config, m *cacti.Model, seq []Access, opt Options) *Divergence {
+	fast := nurapid.MustNew(cfg, m, memsys.NewMemory(cfg.BlockBytes))
+	ref := refmodel.MustNew(cfg, m, memsys.NewMemory(cfg.BlockBytes))
+	ref.InjectFault(opt.Fault)
+	fastRec, refRec := &recorder{}, &recorder{}
+	fast.SetProbe(fastRec)
+	ref.SetProbe(refRec)
+	now := int64(0)
+	for i, a := range seq {
+		now += a.Gap
+		req := memsys.Req{Now: now, Addr: a.Addr, Write: a.Write}
+		if fr, rr := fast.Access(req), ref.Access(req); fr != rr {
+			return &Divergence{Index: i, Field: "contended:result",
+				Fast: fmt.Sprintf("%+v", fr), Ref: fmt.Sprintf("%+v", rr)}
+		}
+	}
+	return diffEvents("contended:", fastRec.events, refRec.events)
 }
 
 // DiffShared replays seq through the 2-core shared front end: both the

@@ -349,6 +349,7 @@ func (c *Cache) hit(now int64, b *block, write, predictedDead bool) memsys.Acces
 		b.hits++ // the hardware counter is 8 bits and saturates
 	}
 
+	ripple := c.port.Ripple(now)
 	start := c.port.Acquire(now, accessIssueInterval)
 	done := start + c.latency[g]
 	c.chargeAccess(g)
@@ -358,7 +359,7 @@ func (c *Cache) hit(now int64, b *block, write, predictedDead bool) memsys.Acces
 	}
 	c.dist.AddHit(g)
 	if c.probe != nil {
-		c.probe.Emit(obs.Hit(now, g, done-now))
+		c.probe.Emit(obs.Hit(now, g, done-now).Stamp(start-now, ripple))
 	}
 
 	// Promotion (paper Sec. 2.4.1): after the trigger-th hit since
@@ -406,12 +407,13 @@ func (c *Cache) hit(now int64, b *block, write, predictedDead bool) memsys.Acces
 // fastest d-group, demotions rippling outward until a free frame — at the
 // latest the victim's — absorbs the chain.
 func (c *Cache) miss(now int64, addr uint64, write, predictedDead bool) memsys.AccessResult {
+	ripple := c.port.Ripple(now)
 	start := c.port.Acquire(now, accessIssueInterval)
 	c.energy += c.tagNJ
 	c.dist.AddMiss()
 	c.ctrs.Inc("misses")
 	if c.probe != nil {
-		c.probe.Emit(obs.Miss(now, addr))
+		c.probe.Emit(obs.Miss(now, addr).Stamp(start-now, ripple))
 	}
 
 	set := c.geo.SetIndex(addr)

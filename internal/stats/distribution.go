@@ -64,9 +64,6 @@ func (d *Distribution) MissCount() int64 { return d.misses }
 // NumCategories returns the number of hit categories (excluding misses).
 func (d *Distribution) NumCategories() int { return len(d.labels) }
 
-// Label returns the label of category i.
-func (d *Distribution) Label(i int) string { return d.labels[i] }
-
 // Fracs returns the per-category hit fractions followed by the miss
 // fraction; the slice sums to ~1 when Total() > 0.
 func (d *Distribution) Fracs() []float64 {
@@ -76,18 +73,6 @@ func (d *Distribution) Fracs() []float64 {
 	}
 	out[len(d.counts)] = d.MissFrac()
 	return out
-}
-
-// Merge adds other's tallies into d. The two distributions must have the
-// same number of categories.
-func (d *Distribution) Merge(other *Distribution) {
-	if len(other.counts) != len(d.counts) {
-		panic("stats: merging distributions with different category counts")
-	}
-	for i, c := range other.counts {
-		d.counts[i] += c
-	}
-	d.misses += other.misses
 }
 
 // String renders the distribution as "label: NN.N%" segments.

@@ -82,21 +82,6 @@ func (h *Histogram) BucketLabel(i int) string {
 	return fmt.Sprintf("[%d,%d)", lo, lo+h.width)
 }
 
-// Merge adds other's tallies into h. The two histograms must share
-// bucket geometry.
-func (h *Histogram) Merge(other *Histogram) {
-	if other.width != h.width || len(other.buckets) != len(h.buckets) {
-		panic(fmt.Sprintf("stats: merging histogram %q (%dx%d) into %q (%dx%d)",
-			other.name, len(other.buckets), other.width, h.name, len(h.buckets), h.width))
-	}
-	for i, c := range other.buckets {
-		h.buckets[i] += c
-	}
-	h.over += other.over
-	h.total += other.total
-	h.sum += other.sum
-}
-
 // Snapshot emits every bucket in order, then the overflow, total, and
 // sum (statsreg convention: every counter field must appear here).
 func (h *Histogram) Snapshot() []KV {

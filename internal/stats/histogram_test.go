@@ -59,47 +59,6 @@ func TestHistogramBucketLabel(t *testing.T) {
 	}
 }
 
-func TestHistogramMerge(t *testing.T) {
-	a := NewHistogram("lat", 2, 4)
-	b := NewHistogram("lat", 2, 4)
-	a.Add(1)
-	b.Add(5)
-	b.Add(9) // overflow
-	a.Merge(b)
-	if a.Count(0) != 1 || a.Count(1) != 1 || a.Overflow() != 1 || a.Total() != 3 {
-		t.Fatalf("merged tallies = %d %d over %d total %d",
-			a.Count(0), a.Count(1), a.Overflow(), a.Total())
-	}
-	if got, want := a.Mean(), 5.0; got != want {
-		t.Fatalf("merged Mean = %v, want %v", got, want)
-	}
-	if b.Total() != 2 {
-		t.Fatalf("Merge modified its argument: Total = %d", b.Total())
-	}
-}
-
-func TestHistogramMergeMismatchPanics(t *testing.T) {
-	for _, c := range []struct {
-		name    string
-		buckets int
-		width   int64
-	}{
-		{"width", 2, 8},
-		{"buckets", 3, 4},
-	} {
-		a := NewHistogram("lat", 2, 4)
-		b := NewHistogram("lat", c.buckets, c.width)
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("Merge with different %s must panic", c.name)
-				}
-			}()
-			a.Merge(b)
-		}()
-	}
-}
-
 func TestNewHistogramRejectsBadGeometry(t *testing.T) {
 	for _, c := range []struct {
 		buckets int

@@ -64,7 +64,6 @@ type Generator struct {
 	pc        uint64
 	codeBytes uint64
 	runLen    int // remaining instructions before the next fetch jump
-	generated int64
 }
 
 // Streaming geometry: the stream region is streamScale working sets
@@ -146,14 +145,10 @@ func MustNewGenerator(app App, seed uint64) *Generator {
 // App returns the generated application model.
 func (g *Generator) App() App { return g.app }
 
-// Generated returns the number of instructions produced so far.
-func (g *Generator) Generated() int64 { return g.generated }
-
 // Next implements Source; generators never exhaust.
 //
 //nurapid:hotpath
 func (g *Generator) Next() (Instr, bool) {
-	g.generated++
 	in := Instr{PC: g.nextPC()}
 	r := g.rng.Float64()
 	switch {

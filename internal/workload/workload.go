@@ -161,17 +161,6 @@ func Apps() []App {
 	}
 }
 
-// HighLoadApps returns just the high-load subset.
-func HighLoadApps() []App {
-	var out []App
-	for _, a := range Apps() {
-		if a.Class == HighLoad {
-			out = append(out, a)
-		}
-	}
-	return out
-}
-
 // Streaming returns a synthetic streaming-heavy application: most of its
 // references sweep a working set three times the 8-MB L2, so the swept
 // blocks are genuinely dead on arrival (evicted before the scan wraps),
