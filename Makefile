@@ -56,10 +56,11 @@ fmt:
 # golden: regenerate the small-run paper outputs (-n 50000 -seed 1) that
 # TestSmallRunGolden (cmd/experiments) compares an in-process render
 # against, after a deliberate re-baseline; review and commit the diff.
-# The experiment list is the test's goldenExperiments.
+# The run list is the test's goldenExperiments.
 GOLDEN = cmd/experiments/testdata/golden-n50000-seed1.txt
 golden:
-	set -e; for e in all sweep-capacity sweep-block sweep-tech predictor cmp; do \
+	set -e; for e in all sweep-capacity sweep-block sweep-tech predictor cmp \
+		"cmp -sharing private" "cmp -cores 3"; do \
 		$(GO) run ./cmd/experiments -experiment $$e -n 50000 -seed 1 -q; \
 	done > $(GOLDEN).tmp
 	mv $(GOLDEN).tmp $(GOLDEN)
@@ -104,7 +105,7 @@ bench-smoke:
 # decodes), the binary workload trace reader and the differential
 # harness's artifact reader —, over the core's per-instruction timing
 # engine against its cycle-stepped oracle, on one core and in lockstep
-# on up to four, and over nurapid.New's configuration checks.
+# on up to six, and over nurapid.New's configuration checks.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz=FuzzDecodeTrace -fuzztime=15s ./internal/obs/
 	$(GO) test -run '^$$' -fuzz=FuzzTraceReader -fuzztime=15s ./internal/workload/

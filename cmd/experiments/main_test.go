@@ -10,16 +10,31 @@ import (
 	"nurapid/internal/sim"
 )
 
-// goldenExperiments are the experiments of the small-run golden, in its
-// order; `make golden` runs the same list.
-var goldenExperiments = []string{"all", "sweep-capacity", "sweep-block", "sweep-tech", "predictor", "cmp"}
+// goldenExperiments are the runs of the small-run golden, in its order:
+// each experiment id with the -cores and -sharing it renders at. `make
+// golden` runs the same list. The CMP entries cover both sharing
+// patterns and an odd core count, where the lockstep rank rotation does
+// not divide evenly.
+var goldenExperiments = []struct {
+	id      string
+	cores   int
+	sharing cmp.Sharing
+}{
+	{"all", 2, cmp.Shared},
+	{"sweep-capacity", 2, cmp.Shared},
+	{"sweep-block", 2, cmp.Shared},
+	{"sweep-tech", 2, cmp.Shared},
+	{"predictor", 2, cmp.Shared},
+	{"cmp", 2, cmp.Shared},
+	{"cmp", 2, cmp.Private},
+	{"cmp", 3, cmp.Shared},
+}
 
 const goldenFile = "testdata/golden-n50000-seed1.txt"
 
 // TestSmallRunGolden pins every paper output to committed bytes: it
-// renders goldenExperiments at 50 000 instructions, seed 1, with this
-// command's defaults (two shared-stream CMP cores), in-process on a
-// 2-worker Runner, and compares the text with the file `make golden`
+// renders goldenExperiments at 50 000 instructions, seed 1, in-process
+// on a 2-worker Runner, and compares the text with the file `make golden`
 // writes from the command itself. The run is warm-up dominated, so the
 // golden pins the code's behaviour, not the paper's claims
 // (experiments_output.txt is the claims reference). A deliberate
@@ -30,10 +45,10 @@ func TestSmallRunGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got bytes.Buffer
-	for _, id := range goldenExperiments {
+	for _, g := range goldenExperiments {
 		r := sim.NewRunner(sim.WithInstructions(50_000), sim.WithSeed(1), sim.WithWorkers(2),
-			sim.WithCores(2), sim.WithSharing(cmp.Shared))
-		exps, err := experiments(r, id)
+			sim.WithCores(g.cores), sim.WithSharing(g.sharing))
+		exps, err := experiments(r, g.id)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -15,8 +15,10 @@
 //     rotating round-robin arbitration. It applies coherence-lite: a
 //     write reaching the shared L2 shoots the block down from every
 //     other core's private L1D (no writeback — the writer's copy
-//     supersedes). Under Shared sharing its Sources generate the one
-//     stream once and fan it out to the cores through workload.Tee.
+//     supersedes). The cores run recorded fronts (RecordFronts): each
+//     instruction stream with its L1I outcomes resolved and its loads
+//     and stores left to the core's live L1D. Under Shared sharing
+//     every core runs the one front of the one stream.
 //   - Result aggregates per-core IPC, Jain's fairness index, and
 //     d-group contention stalls into one statsreg-compliant snapshot.
 //

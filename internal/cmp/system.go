@@ -126,22 +126,26 @@ func (s *System) SetProbe(p obs.Probe) {
 // Queue exposes the shared bank-queue model (contention figures).
 func (s *System) Queue() *Queue { return s.queue }
 
-// Sources builds one instruction source per core for app at seed under
-// the configured sharing pattern. Shared generates the stream once and
-// hands every core a reader of it through workload.Tee (identical
-// streams, truly shared blocks); Private perturbs each core's seed and
-// offsets its address space by privateStride so streams never alias.
+// Sources builds the instruction sources of app at seed under the
+// configured sharing pattern. Shared returns one source, the stream
+// every core runs (identical streams, truly shared blocks); Private
+// returns one per core, each core's seed perturbed and its address
+// space offset by privateStride so streams never alias.
 func (s *System) Sources(app workload.App, seed uint64) ([]workload.Source, error) {
-	n := len(s.cores)
-	switch s.cfg.Sharing {
+	return s.cfg.Sources(app, seed)
+}
+
+// Sources is System.Sources for a system configured by c.
+func (c Config) Sources(app workload.App, seed uint64) ([]workload.Source, error) {
+	switch c.Sharing {
 	case Shared:
 		g, err := workload.NewGenerator(app, seed)
 		if err != nil {
 			return nil, err
 		}
-		return workload.Tee(g, n), nil
+		return []workload.Source{g}, nil
 	case Private:
-		srcs := make([]workload.Source, n)
+		srcs := make([]workload.Source, c.Cores)
 		for i := range srcs {
 			g, err := workload.NewGenerator(app, seed+uint64(i)*0x9E37_79B9_7F4A_7C15)
 			if err != nil {
@@ -151,20 +155,44 @@ func (s *System) Sources(app workload.App, seed uint64) ([]workload.Source, erro
 		}
 		return srcs, nil
 	default:
-		return nil, fmt.Errorf("cmp: unknown sharing pattern %d", s.cfg.Sharing)
+		return nil, fmt.Errorf("cmp: unknown sharing pattern %d", c.Sharing)
 	}
 }
 
-// Run runs every core on its source until each retires maxInstrPerCore
-// instructions (or exhausts its source), through cpu.Lockstep: requests
-// and shoot-downs come in the order of a cycle-by-cycle loop whose core
-// order rotates round-robin, so no core gets a standing first-access
-// advantage at the shared queue, and runs stay deterministic.
-func (s *System) Run(srcs []workload.Source, maxInstrPerCore int64) Result {
-	if len(srcs) != len(s.cores) {
-		panic(fmt.Sprintf("cmp: %d sources for %d cores", len(srcs), len(s.cores)))
+// RecordFronts records the first maxInstrPerCore instructions of each
+// source as a front for the system's cores (cpu.Stream.RecordFront),
+// into reuse's streams where it has them. A run's fronts depend only on
+// its sources, not on the shared organization, so one recording serves
+// a run on every organization.
+func RecordFronts(srcs []workload.Source, maxInstrPerCore int64, reuse []*cpu.Stream) []*cpu.Stream {
+	for len(reuse) < len(srcs) {
+		reuse = append(reuse, &cpu.Stream{})
 	}
-	cpu.Lockstep(s.cores, srcs, maxInstrPerCore)
+	fronts := reuse[:len(srcs)]
+	for i, src := range srcs {
+		if err := fronts[i].RecordFront(src, maxInstrPerCore, cpu.DefaultConfig()); err != nil {
+			panic(fmt.Sprintf("cmp: the cores' configuration rejected: %v", err))
+		}
+	}
+	return fronts
+}
+
+// Run records each source's front (RecordFronts), then runs the cores on
+// them (RunFronts): srcs are what Sources returns.
+func (s *System) Run(srcs []workload.Source, maxInstrPerCore int64) Result {
+	return s.RunFronts(RecordFronts(srcs, maxInstrPerCore, nil))
+}
+
+// RunFronts runs every core on its front until each retires its
+// front's budget (or the whole recording, if its source ended first),
+// through cpu.Lockstep: requests and shoot-downs come in the order of a
+// cycle-by-cycle loop whose core order rotates round-robin, so no core
+// gets a standing first-access advantage at the shared queue, and runs
+// stay deterministic. fronts are those of what Sources returns: one,
+// which every core runs, under Shared, one per core under Private. It
+// only reads them, so they may serve other runs too.
+func (s *System) RunFronts(fronts []*cpu.Stream) Result {
+	cpu.Lockstep(s.cores, fronts)
 	return s.Result()
 }
 

@@ -212,54 +212,82 @@ func TestOffsetSourceDisjoint(t *testing.T) {
 	}
 }
 
-// TestSharedTeeHighWater holds the Shared stream's tee to a small ring
-// on a 4-core mcf run: the cores of one stream stay a few hundred
-// instructions apart, so the ring holds under a thousand instructions.
-func TestSharedTeeHighWater(t *testing.T) {
-	sys, err := New(newNuRAPID(t), Config{Cores: 4, Sharing: Shared, L1EnergyNJ: cacti.Default().L1NJ})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srcs, err := sys.Sources(testApp(t), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := sys.Run(srcs, 200_000)
-	if res.Instructions != 4*200_000 {
-		t.Fatalf("retired %d instructions, want %d", res.Instructions, 4*200_000)
-	}
-	if hw := srcs[0].(*workload.TeeReader).HighWater(); hw <= 0 || hw > 1000 {
-		t.Fatalf("tee high-water mark %d instructions, want 1 to 1000", hw)
-	}
-}
-
-// TestSharedRunAllocsFlatInN holds a Shared System.Run to a fixed
-// allocation count: building the system, its one generator and the
-// tee's ring allocates the same at 20 k and 200 k instructions per
-// core, so the tee allocates nothing per refill. The collector is off
-// while it counts: a collection cycle makes a few allocations of the
-// runtime's own.
-func TestSharedRunAllocsFlatInN(t *testing.T) {
+// TestRunFrontsAllocsFlatInN holds a Shared System.RunFronts to a fixed
+// allocation count: with the front recorded and the systems built
+// outside the count, running four cores on the one front allocates the
+// same at 20 k and 200 k instructions per core, so the lockstep run
+// allocates nothing per instruction. Building a system stays outside
+// the count because it formats names through fmt, whose printer pool
+// the race detector drops entries from at random, so its count varies
+// from run to run under -race. The collector is off while it counts: a
+// collection cycle makes a few allocations of the runtime's own.
+func TestRunFrontsAllocsFlatInN(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	app := testApp(t)
+	cfg := Config{Cores: 4, Sharing: Shared, L1EnergyNJ: cacti.Default().L1NJ}
 	allocs := func(n int64) float64 {
-		return testing.AllocsPerRun(2, func() {
-			sys, err := New(newNuRAPID(t), Config{Cores: 4, Sharing: Shared, L1EnergyNJ: cacti.Default().L1NJ})
-			if err != nil {
+		srcs, err := cfg.Sources(testApp(t), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fronts := RecordFronts(srcs, n, nil)
+		// AllocsPerRun calls its function once more than it counts.
+		systems := make([]*System, 3)
+		for i := range systems {
+			if systems[i], err = New(newNuRAPID(t), cfg); err != nil {
 				t.Fatal(err)
 			}
-			srcs, err := sys.Sources(app, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res := sys.Run(srcs, n); res.Instructions != 4*n {
+		}
+		return testing.AllocsPerRun(len(systems)-1, func() {
+			sys := systems[0]
+			systems = systems[1:]
+			if res := sys.RunFronts(fronts); res.Instructions != 4*n {
 				t.Fatalf("retired %d of %d instructions", res.Instructions, 4*n)
 			}
 		})
 	}
 	short, long := allocs(20_000), allocs(200_000)
 	if long != short {
-		t.Fatalf("Shared System.Run allocations grow with n: %.0f at 20k, %.0f at 200k instructions per core", short, long)
+		t.Fatalf("Shared System.RunFronts allocations grow with n: %.0f at 20k, %.0f at 200k instructions per core", short, long)
+	}
+}
+
+// TestFrontsServeManyRuns records one set of fronts per sharing pattern
+// and runs two systems on it in turn, as one app's organizations share
+// their fronts: each run must equal a System.Run from fresh sources,
+// and a front count that does not fit the sharing pattern must panic.
+func TestFrontsServeManyRuns(t *testing.T) {
+	for _, sharing := range []Sharing{Shared, Private} {
+		cfg := Config{Cores: 3, Sharing: sharing, L1EnergyNJ: cacti.Default().L1NJ}
+		srcs, err := cfg.Sources(testApp(t), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fronts := RecordFronts(srcs, testInstr, nil)
+		if want := map[Sharing]int{Shared: 1, Private: 3}[sharing]; len(fronts) != want {
+			t.Fatalf("%s: %d fronts, want %d", sharing, len(fronts), want)
+		}
+		for run := 0; run < 2; run++ {
+			sys, err := New(newNuRAPID(t), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := sys.RunFronts(fronts)
+			if want := runShared(t, 3, sharing, nil); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s, run %d on shared fronts:\n got  %+v\n want %+v", sharing, run, got, want)
+			}
+		}
+		sys, err := New(newNuRAPID(t), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s: RunFronts took %d fronts for 3 cores", sharing, len(fronts)+1)
+				}
+			}()
+			sys.RunFronts(append(fronts, fronts[0]))
+		}()
 	}
 }
 

@@ -130,10 +130,13 @@ func (c *CPU) Run(src workload.Source, maxInstr int64) Result {
 }
 
 // RunStream is Run on a recorded front end: it times s, which must have
-// been recorded for this core's L1 geometry and fetch block. The result
-// and the lower-level request stream are those of Run over the source
-// and budget s was recorded from.
+// been recorded by Record (not RecordFront) for this core's L1 geometry
+// and fetch block. The result and the lower-level request stream are
+// those of Run over the source and budget s was recorded from.
 func (c *CPU) RunStream(s *Stream) Result {
+	if s.front {
+		panic("cpu: RunStream on a front; Lockstep times fronts")
+	}
 	s.checkCore(c.cfg)
 	c.begin()
 	c.replay(s)

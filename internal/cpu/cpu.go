@@ -17,8 +17,8 @@
 // computes them one instruction at a time (backend.go), so a run costs
 // per instruction, not per simulated cycle. Run and RunStream time one
 // core from a recorded front end; Lockstep (lockstep.go) times several
-// cores over one shared level on their live L1s, for the multi-core
-// system (internal/cmp). The tests hold both to a cycle-stepped
+// cores over one shared level from recorded fronts on their live L1Ds,
+// for the multi-core system (internal/cmp). The tests hold both to a cycle-stepped
 // reference core, Result and lower-level request stream alike.
 package cpu
 
@@ -110,7 +110,7 @@ func (r Result) Snapshot() []stats.KV {
 // under test, timing it one instruction at a time (backend.go). Run and
 // RunStream time a recorded front end (frontend.go): a Stream, or for
 // Run chunks of the source recorded as the run goes. Lockstep times
-// several cores together on their live L1s (lockstep.go).
+// several cores together from fronts, on their live L1Ds (lockstep.go).
 type CPU struct {
 	cfg  Config
 	fe   frontEnd
@@ -184,7 +184,7 @@ func (c *CPU) begin() {
 
 // liveFrontEnd builds the core's L1s, cold.
 func (c *CPU) liveFrontEnd() {
-	fe, err := newFrontEnd(c.cfg)
+	fe, err := newFrontEnd(c.cfg, false)
 	if err != nil {
 		panic(fmt.Sprintf("cpu: validated config rejected by the L1s: %v", err))
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 
 	"nurapid/internal/cache"
 	"nurapid/internal/workload"
@@ -18,35 +19,31 @@ import (
 // touches the L1s. So the L1 hit, miss and victim sequence of (source, n)
 // is the same against every lower level: a Stream records it once for
 // any number of timing runs (RunStream), and Run records its source
-// into one, chunk by chunk, as it goes. Multi-core runs (Lockstep)
-// access the live front end at each load or store's event: a coherence
-// shoot-down mutates the L1D between a core's events, so its outcomes
-// depend on the other cores' timing.
+// into one, chunk by chunk, as it goes. In a multi-core run a coherence
+// shoot-down mutates a core's L1D between its events, so its L1D
+// outcomes depend on the other cores' timing, but its L1I is touched by
+// its own fetches alone: Lockstep times a front, a Stream whose loads
+// and stores are left to the live L1D.
 
 // frontEnd is the live front end's state: the L1 pair and the current
-// fetch block. Lockstep and a Stream's recording share it.
+// fetch block. A Stream's recording uses it, without the L1D for a
+// front; a Lockstep core keeps only the L1D.
 type frontEnd struct {
 	l1d, l1i      *cache.Cache
 	curFetchBlock uint64
 	fetchShift    uint // log2(FetchBytes): PC >> fetchShift is the fetch block
 }
 
-// newFrontEnd builds cold L1s for a validated cfg.
-func newFrontEnd(cfg Config) (frontEnd, error) {
-	l1d, err := cache.NewCache(cfg.L1Geometry)
-	if err != nil {
-		return frontEnd{}, err
+// newFrontEnd builds cold L1s for a validated cfg: the L1I, and the L1D
+// unless front.
+func newFrontEnd(cfg Config, front bool) (frontEnd, error) {
+	fe := frontEnd{curFetchBlock: ^uint64(0), fetchShift: uint(bits.TrailingZeros(uint(cfg.FetchBytes)))}
+	var err error
+	if fe.l1i, err = cache.NewCache(cfg.L1Geometry); err != nil || front {
+		return fe, err
 	}
-	l1i, err := cache.NewCache(cfg.L1Geometry)
-	if err != nil {
-		return frontEnd{}, err
-	}
-	return frontEnd{
-		l1d:           l1d,
-		l1i:           l1i,
-		curFetchBlock: ^uint64(0),
-		fetchShift:    uint(bits.TrailingZeros(uint(cfg.FetchBytes))),
-	}, nil
+	fe.l1d, err = cache.NewCache(cfg.L1Geometry)
+	return fe, err
 }
 
 // fetch is the instruction fetch of pc: when pc starts a new fetch block
@@ -130,6 +127,8 @@ func flagIndex(f byte) byte { return f&0x0f | f>>1&0x10 }
 // hundred KB per 400 k instructions. A Stream is reusable: Record keeps
 // its buffers, so recording the next app allocates nothing once they
 // have grown to size.
+// A front (RecordFront) records every load or store as an L1D miss with
+// its address, for Lockstep's live L1D: about two bytes per instruction.
 type Stream struct {
 	codes []byte   // two 4-bit codes per byte, the first in the low nibble
 	rare  []byte   // the flag bytes of codeEscape instructions
@@ -137,10 +136,11 @@ type Stream struct {
 	wide  []uint64 // the addresses stored as wideAddr
 	count int      // instructions recorded
 
-	// The recording's L1 access and miss counts.
+	// The recording's L1 access and miss counts (a front's L1D ones are 0).
 	fetches, iMisses, dAccesses, dMisses int64
 
 	n          int64 // instruction budget the stream was recorded for
+	front      bool  // recorded by RecordFront
 	geo        cache.Geometry
 	fetchBytes int
 }
@@ -149,10 +149,21 @@ type Stream struct {
 // for a core configured by cfg, overwriting s. A CPU with the same L1
 // geometry and fetch block replays it with RunStream.
 func (s *Stream) Record(src workload.Source, n int64, cfg Config) error {
+	return s.recordFrom(src, n, cfg, false)
+}
+
+// RecordFront is Record without the L1D: it records a front, which any
+// number of cores with the same L1 geometry and fetch block time with
+// Lockstep.
+func (s *Stream) RecordFront(src workload.Source, n int64, cfg Config) error {
+	return s.recordFrom(src, n, cfg, true)
+}
+
+func (s *Stream) recordFrom(src workload.Source, n int64, cfg Config, front bool) error {
 	if err := cfg.Validate(); err != nil {
 		return err
 	}
-	fe, err := newFrontEnd(cfg)
+	fe, err := newFrontEnd(cfg, front)
 	if err != nil {
 		return err
 	}
@@ -164,7 +175,14 @@ func (s *Stream) Record(src workload.Source, n int64, cfg Config) error {
 		s.codes = make([]byte, 0, want)
 	}
 	s.reset(n)
+	s.front = front
 	s.record(&fe, src)
+	if front {
+		// A front stays resident through every run that times it, on
+		// every organization, so it keeps its exact size rather than
+		// the slack its lists grew with.
+		s.codes, s.addrs = slices.Clone(s.codes), slices.Clone(s.addrs)
+	}
 	return nil
 }
 
@@ -175,9 +193,10 @@ func (s *Stream) reset(n int64) {
 		n: n, geo: s.geo, fetchBytes: s.fetchBytes}
 }
 
-// record is the recording loop of Record and Run: each instruction's
-// fetch and L1D access in program order, exactly as dispatch makes them
-// on the live front end.
+// record is the recording loop of Record, RecordFront and Run: each
+// instruction's fetch and L1D access in program order, exactly as
+// dispatch makes them on the live front end. Without an L1D (a front)
+// every load or store keeps its address and no outcome.
 //
 //nurapid:hotpath
 func (s *Stream) record(fe *frontEnd, src workload.Source) {
@@ -200,17 +219,21 @@ func (s *Stream) record(fe *frontEnd, src workload.Source) {
 			}
 		}
 		if in.Kind == workload.Load || in.Kind == workload.Store {
-			out := fe.l1d.Access(in.Addr, in.Kind == workload.Store)
-			s.dAccesses++
-			if out.Hit {
-				f |= recDHit
-			} else {
-				s.dMisses++
+			if fe.l1d == nil {
 				s.addAddr(in.Addr)
-			}
-			if out.Evicted && out.Victim.Dirty {
-				f |= recVictim
-				s.addAddr(out.Victim.Addr)
+			} else {
+				out := fe.l1d.Access(in.Addr, in.Kind == workload.Store)
+				s.dAccesses++
+				if out.Hit {
+					f |= recDHit
+				} else {
+					s.dMisses++
+					s.addAddr(in.Addr)
+				}
+				if out.Evicted && out.Victim.Dirty {
+					f |= recVictim
+					s.addAddr(out.Victim.Addr)
+				}
 			}
 		}
 		code := codeEscape

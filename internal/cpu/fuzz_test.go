@@ -170,19 +170,19 @@ func FuzzBackEndMatchesStep(f *testing.F) {
 }
 
 // decodeLockstepFuzz turns fuzz bytes into a multi-core run: the first
-// byte picks one to four cores (bits 0-1) and how their sources relate
-// (bits 2-3, modulo 3): the same program on every core, the program in
-// a private address space per core, or the program started at a
-// different point on each core, so the cores share blocks but not
-// timing. The rest is decodeFuzz's format, with the MSHR file cut to at
-// most four entries and the LSQ to at most eight, so misses wait for
-// both; small address spans keep the cores on a few blocks, where
-// shoot-downs fire.
+// byte picks one to six cores (bits 0-2, modulo 6) and how their sources
+// relate (bits 3-4, modulo 3): the same program on every core, run from
+// one shared front, the program in a private address space per core, or
+// the program started at a different point on each core, so the cores
+// share blocks but not timing. The rest is decodeFuzz's format, with
+// the MSHR file cut to at most four entries and the LSQ to at most
+// eight, so misses wait for both; small address spans keep the cores on
+// a few blocks, where shoot-downs fire.
 func decodeLockstepFuzz(data []byte) (tc lockstepCase, ok bool) {
 	if len(data) < 1 {
 		return tc, false
 	}
-	cores, mode := 1+int(data[0]&3), data[0]>>2&3%3
+	cores, mode := 1+int(data[0]&7)%6, data[0]>>3&3%3
 	cfg, latency, instrs, loop, budget, ok := decodeFuzz(data[1:])
 	if !ok {
 		return tc, false
@@ -206,8 +206,9 @@ func decodeLockstepFuzz(data []byte) (tc lockstepCase, ok bool) {
 			}
 			return srcs
 		},
-		n:   budget,
-		cfg: cfg,
+		n:      budget,
+		cfg:    cfg,
+		shared: mode == 0,
 	}
 	return tc, true
 }
@@ -217,12 +218,13 @@ func decodeLockstepFuzz(data []byte) (tc lockstepCase, ok bool) {
 // Result, the shared request log (Now, Addr, Write, Core, DoneAt) and
 // the shoot-down count. The seed corpus is the single-core stall cases
 // at two and four cores, shared and skewed, and a loop of loads and
-// stores over ten blocks of a small L1 at every sharing mode.
+// stores over ten blocks of a small L1 at two to six cores and every
+// sharing mode.
 func FuzzLockstepMatchesStep(f *testing.F) {
 	for _, tc := range stallCases() {
 		data := encodeFuzz(f, tc.cfg, tc.latency, tc.instrs, tc.loop, tc.n)
 		f.Add(append([]byte{1}, data...))
-		f.Add(append([]byte{3 | 2<<2}, data...))
+		f.Add(append([]byte{3 | 2<<3}, data...))
 	}
 	few := make([]workload.Instr, 64)
 	for i := range few {
@@ -232,7 +234,7 @@ func FuzzLockstepMatchesStep(f *testing.F) {
 	cfg.MSHRs, cfg.LSQ = 2, 4
 	cfg.L1Geometry.CapacityBytes, cfg.L1Geometry.Assoc = 512, 1
 	data := encodeFuzz(f, cfg, 40, few, true, 3000)
-	for _, head := range []byte{1, 2 | 1<<2, 3 | 2<<2} {
+	for _, head := range []byte{1, 2 | 1<<3, 3 | 2<<3, 5, 4 | 1<<3} {
 		f.Add(append([]byte{head}, data...))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {

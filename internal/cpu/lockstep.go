@@ -1,19 +1,23 @@
 package cpu
 
 import (
+	"fmt"
 	"math"
 	"math/bits"
 
+	"nurapid/internal/cache"
 	"nurapid/internal/workload"
 )
 
 // The lockstep driver: several cores over one shared lower level, each
-// timed by the per-instruction recurrence (backend.go) on its live L1s.
+// timed by the per-instruction recurrence (backend.go) from a recorded
+// front (Stream.RecordFront) on its live L1D.
 //
 // A write that reaches the shared level shoots its block down from the
 // other cores' L1Ds (InvalidateL1, called by the lower level the writer
 // was built on), so a core's L1D outcomes depend on the other cores and
-// cannot be recorded ahead. Instead each core is timed eagerly up to its
+// cannot be recorded ahead; its fetches touch its own L1I alone, so the
+// front carries them resolved. Each core is timed eagerly up to its
 // next event, the next thing it does that another core can see or
 // change: an I-miss request at A_i, or a load or store's L1D probe and
 // access at D_i, with its dirty writeback and its fill (a miss that
@@ -34,28 +38,40 @@ const (
 	laneDone = math.MaxInt64 // later than any event
 )
 
-// lane is one core's place in a lockstep run: the instruction being
-// timed and the event the core waits for.
+// lane is one core's place in a lockstep run: its front and cursor, the
+// instruction being timed and the event the core waits for.
 type lane struct {
-	c      *CPU
-	src    workload.Source
-	budget int64
-	in     workload.Instr
-	at     int64
-	wait   int
+	c        *CPU
+	s        *Stream
+	cur      cursor
+	f        byte   // the flag byte of the instruction being timed
+	pc, addr uint64 // its PC, if it takes an I-miss, and its load or store address
+	at       int64
+	wait     int
 }
 
-// Lockstep runs each core on its source, up to maxInstr instructions
-// each (or until the source ends), with the cores' shared-level
-// requests and shoot-downs in the order set out above; each core's
-// Result then holds its run. The cores must be new, each built on its
-// own view of the shared level.
-func Lockstep(cores []*CPU, srcs []workload.Source, maxInstr int64) {
+// Lockstep times each core on its front (RecordFront, for the cores' L1s
+// and fetch block): one front that every core runs, or one per core.
+// The cores' shared-level requests and shoot-downs come in the order
+// set out above, and each core's Result then holds its run. The cores
+// must be new, each built on its own view of the shared level.
+func Lockstep(cores []*CPU, fronts []*Stream) {
+	if len(fronts) != 1 && len(fronts) != len(cores) {
+		panic(fmt.Sprintf("cpu: %d fronts for %d cores; want one, or one per core", len(fronts), len(cores)))
+	}
 	lanes := make([]lane, len(cores))
 	for i, c := range cores {
+		s := fronts[0]
+		if len(fronts) > 1 {
+			s = fronts[i]
+		}
+		if !s.front {
+			panic("cpu: Lockstep on a full stream; it times fronts (RecordFront)")
+		}
+		s.checkCore(c.cfg)
 		c.begin()
-		c.liveFrontEnd()
-		lanes[i] = lane{c: c, src: srcs[i], budget: max(maxInstr, 0)}
+		c.fe.l1d = cache.MustNewCache(c.cfg.L1Geometry)
+		lanes[i] = lane{c: c, s: s}
 	}
 	m := newCycleMod(len(lanes))
 	for {
@@ -112,14 +128,14 @@ func (m *cycleMod) of(t int64) int {
 
 // step runs the event the lane waits for, then times the core's
 // instructions up to its next event, which it leaves waiting, or to the
-// end of its run.
+// end of its front.
 //
 //nurapid:hotpath
 func (l *lane) step() {
 	c := l.c
 	switch l.wait {
 	case waitIMiss:
-		l.at = max(l.at+1, c.l2Request(l.at, l.in.PC, false))
+		l.at = max(l.at+1, c.l2Request(l.at, l.pc, false))
 		if l.schedule() {
 			return
 		}
@@ -128,29 +144,41 @@ func (l *lane) step() {
 			return
 		}
 	}
-	for {
-		ok := int64(c.timed) < l.budget
-		if ok {
-			l.in, ok = l.src.Next()
-		}
-		if !ok {
-			l.at = laneDone
-			c.finish(int64(c.timed) == l.budget)
-			return
-		}
+	for c.timed < l.s.count {
+		l.decode(c.timed)
 		l.at = c.attempt(c.tm, c.timed)
-		if access, miss := c.fe.fetch(l.in.PC); access {
-			c.l1iAccesses++
-			if miss {
-				c.l1iMisses++
-				l.wait = waitIMiss
-				return
-			}
+		if l.f&recIMiss != 0 {
+			l.wait = waitIMiss
+			return
 		}
 		if l.schedule() {
 			return
 		}
 	}
+	l.at = laneDone
+	c.l1iAccesses, c.l1iMisses = l.s.fetches, l.s.iMisses
+	c.finish(int64(l.s.count) == l.s.n)
+}
+
+// decode reads the flag byte and addresses of the front's j-th
+// instruction through the lane's cursor.
+//
+//nurapid:hotpath
+func (l *lane) decode(j int) {
+	s := l.s
+	code := s.codes[j>>1] >> (j & 1 << 2) & 0x0f
+	f := codeFlags[code]
+	if code == codeEscape {
+		f = s.rare[l.cur.rare]
+		l.cur.rare++
+	}
+	if f&recIMiss != 0 {
+		l.pc = l.cur.addr(s)
+	}
+	if k := workload.Kind(f & recKind); k == workload.Load || k == workload.Store {
+		l.addr = l.cur.addr(s)
+	}
+	l.f = f
 }
 
 // schedule times the lane's ALU op or branch, dispatched at l.at, or
@@ -160,14 +188,14 @@ func (l *lane) step() {
 //
 //nurapid:hotpath
 func (l *lane) schedule() bool {
-	c, in := l.c, &l.in
-	if in.Kind == workload.Load || in.Kind == workload.Store {
+	c, kind := l.c, workload.Kind(l.f&recKind)
+	if kind == workload.Load || kind == workload.Store {
 		l.at = max(l.at, c.memCommits[(c.tm.k-c.cfg.LSQ)&ringMask], c.tm.memNext)
 		l.wait = waitL1D
 		return true
 	}
 	next := l.at
-	if in.Kind == workload.Branch && in.Mispredicted {
+	if kind == workload.Branch && l.f&recMispredict != 0 {
 		next += 1 + c.cfg.MispredictPenalty
 	}
 	c.tm = c.retire(c.tm, c.timed, l.at, l.at+1, next, false)
@@ -182,7 +210,7 @@ func (l *lane) schedule() bool {
 //nurapid:hotpath
 func (l *lane) accessL1D() bool {
 	c, d := l.c, l.at
-	addr, write := l.in.Addr, l.in.Kind == workload.Store
+	addr, write := l.addr, workload.Kind(l.f&recKind) == workload.Store
 	block := addr / l2BlockBytes
 	probe := c.fe.l1d.Probe(addr)
 	if !probe.Hit {

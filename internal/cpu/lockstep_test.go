@@ -76,7 +76,7 @@ type lockstepRun struct {
 	events  []obs.Event
 }
 
-// newShared builds one core per source on a fresh shared level.
+// newShared builds cores cores on a fresh shared level.
 func newShared(l2 memsys.LowerLevel, cores int, cfg Config) (*sharedL2, []*CPU) {
 	s := &sharedL2{LowerLevel: l2}
 	if p, ok := l2.(obs.Probeable); ok {
@@ -127,21 +127,49 @@ func (s *sharedL2) summary(t testing.TB) lockstepRun {
 }
 
 // lockstepCase is one multi-core run: a fresh shared level, one source
-// per core, a budget and a core configuration.
+// per core, a budget and a core configuration. When shared, the sources
+// yield one stream, and Lockstep runs every core from one front.
 type lockstepCase struct {
 	mkL2   func() memsys.LowerLevel
 	mkSrcs func() []workload.Source
 	n      int64
 	cfg    Config
+	shared bool
+}
+
+// recordFront records src's first n instructions as a front for cfg.
+func recordFront(t testing.TB, src workload.Source, n int64, cfg Config) *Stream {
+	t.Helper()
+	s := &Stream{}
+	if err := s.RecordFront(src, n, cfg); err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// fronts records tc's fronts from fresh sources: one, when shared, or
+// one per core.
+func (tc lockstepCase) fronts(t testing.TB) []*Stream {
+	t.Helper()
+	srcs := tc.mkSrcs()
+	if tc.shared {
+		srcs = srcs[:1]
+	}
+	fronts := make([]*Stream, len(srcs))
+	for i, src := range srcs {
+		fronts[i] = recordFront(t, src, tc.n, tc.cfg)
+	}
+	return fronts
 }
 
 // checkLockstep runs tc through the test-only Step lockstep loop (the
-// reference) and through Lockstep on fresh lower levels and sources, and
-// fails unless every core's Result, the shared request log (completion
-// cycles included), the shoot-down count and the event stream are
-// identical. hook, when set, is installed on the reference run's shared
-// level and Step loop with the reference cores in hand. It returns the
-// reference run.
+// reference), on fresh lower levels and sources, and through Lockstep
+// from tc's fronts, and fails unless every core's Result (L1 counts and
+// energy included), the shared request log (completion cycles
+// included), the shoot-down count and the event stream are identical.
+// hook, when set, is installed on the reference run's shared level and
+// Step loop with the reference cores in hand. It returns the reference
+// run.
 func checkLockstep(t testing.TB, tc lockstepCase, hook func(s *sharedL2, cores []*stepCore) func(i int, c *stepCore)) lockstepRun {
 	t.Helper()
 	srcs := tc.mkSrcs()
@@ -157,9 +185,8 @@ func checkLockstep(t testing.TB, tc lockstepCase, hook func(s *sharedL2, cores [
 	stepLockstep(stepped, reached)
 	want := ref.summary(t)
 
-	srcs = tc.mkSrcs()
 	got, cores := newShared(tc.mkL2(), len(srcs), tc.cfg)
-	Lockstep(cores, srcs, tc.n)
+	Lockstep(cores, tc.fronts(t))
 	compareLockstep(t, got.summary(t), want)
 	return want
 }
@@ -257,7 +284,7 @@ func TestLockstepMatchesStepOnEveryApp(t *testing.T) {
 	for _, app := range workload.Apps() {
 		for _, org := range sharedOrgs() {
 			t.Run(app.Name+"/"+org.name, func(t *testing.T) {
-				ref := checkLockstep(t, lockstepCase{org.mk, appSources(app, 2, false), n, DefaultConfig()}, nil)
+				ref := checkLockstep(t, lockstepCase{org.mk, appSources(app, 2, false), n, DefaultConfig(), true}, nil)
 				if ref.results[0].Instructions != n || ref.results[1].Instructions != n {
 					t.Fatalf("committed %d and %d of %d", ref.results[0].Instructions, ref.results[1].Instructions, n)
 				}
@@ -279,7 +306,7 @@ func TestLockstepMatchesStepAtEveryCoreCount(t *testing.T) {
 	org := sharedOrgs()[1]
 	for cores := 1; cores <= 6; cores++ {
 		for _, private := range []bool{false, true} {
-			ref := checkLockstep(t, lockstepCase{org.mk, appSources(app, cores, private), n, DefaultConfig()}, nil)
+			ref := checkLockstep(t, lockstepCase{org.mk, appSources(app, cores, private), n, DefaultConfig(), !private}, nil)
 			if shares := cores > 1 && !private; (ref.invals > 0) != shares {
 				t.Fatalf("%d cores, private %v: %d shoot-downs", cores, private, ref.invals)
 			}
@@ -323,7 +350,7 @@ func TestLockstepMatchesStepOnSmallCores(t *testing.T) {
 			cfg := DefaultConfig()
 			cfg.MSHRs, cfg.LSQ = mshrs, 4
 			waits := 0
-			checkLockstep(t, lockstepCase{sharedOrgs()[1].mk, appSources(app, 3, false), 10_000, cfg},
+			checkLockstep(t, lockstepCase{sharedOrgs()[1].mk, appSources(app, 3, false), 10_000, cfg, true},
 				func(*sharedL2, []*stepCore) func(int, *stepCore) {
 					return func(_ int, c *stepCore) {
 						if mshrWait(c) {
@@ -393,7 +420,7 @@ func TestLockstepShootDownOnWaitingCore(t *testing.T) {
 				return []workload.Source{&fixedSource{instrs: tc.core0}, &fixedSource{instrs: tc.core1}}
 			}
 			landed := false
-			ref := checkLockstep(t, lockstepCase{func() memsys.LowerLevel { return newStubL2(100) }, mkSrcs, 1 << 20, tc.cfg},
+			ref := checkLockstep(t, lockstepCase{func() memsys.LowerLevel { return newStubL2(100) }, mkSrcs, 1 << 20, tc.cfg, false},
 				func(s *sharedL2, cores []*stepCore) func(int, *stepCore) {
 					s.onShootDown = func(victim int, addr uint64) {
 						landed = landed || victim == 0 && addr == b && tc.waiting(cores[0])
@@ -418,11 +445,121 @@ func TestLockstepBudgetAndDrySource(t *testing.T) {
 		return []workload.Source{&fixedSource{instrs: progs[0]}, &fixedSource{instrs: progs[1]}, &fixedSource{}}
 	}
 	for _, n := range []int64{0, 20, 1 << 20} {
-		ref := checkLockstep(t, lockstepCase{func() memsys.LowerLevel { return newStubL2(30) }, mkSrcs, n, DefaultConfig()}, nil)
+		ref := checkLockstep(t, lockstepCase{func() memsys.LowerLevel { return newStubL2(30) }, mkSrcs, n, DefaultConfig(), false}, nil)
 		for i, want := range []int64{min(n, 100), min(n, 38), 0} {
 			if ref.results[i].Instructions != want {
 				t.Fatalf("budget %d: core %d committed %d, want %d", n, i, ref.results[i].Instructions, want)
 			}
 		}
+	}
+}
+
+// TestStreamKindChecked requires each engine to refuse the other's
+// recording: RunStream a front, whose loads and stores carry no L1D
+// outcome, and Lockstep a full stream, whose L1D outcomes were resolved
+// without the other cores.
+func TestStreamKindChecked(t *testing.T) {
+	app, _ := workload.ByName("gzip")
+	mkSrc := func() workload.Source { return workload.MustNewGenerator(app, 1) }
+	mustPanic := func(name string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Fatalf("%s did not panic", name)
+			}
+		}()
+		f()
+	}
+	front := recordFront(t, mkSrc(), 1000, DefaultConfig())
+	full := record(t, mkSrc, 1000, DefaultConfig())
+	mustPanic("RunStream on a front", func() { MustNew(newStubL2(20)).RunStream(front) })
+	_, cores := newShared(newStubL2(20), 2, DefaultConfig())
+	mustPanic("Lockstep on a full stream", func() { Lockstep(cores, []*Stream{full}) })
+	_, cores = newShared(newStubL2(20), 3, DefaultConfig())
+	mustPanic("Lockstep with two fronts for three cores", func() { Lockstep(cores, []*Stream{front, front}) })
+}
+
+// TestLockstepLimitEndsTogether runs three cores from one front of a
+// source cut short by workload.Limit, with a budget beyond the cut, and
+// requires the Step loop's result from every core, each ending after
+// the same count.
+func TestLockstepLimitEndsTogether(t *testing.T) {
+	app, _ := workload.ByName("art")
+	for _, limit := range []int64{0, 1, 256, 1000, 6151} {
+		mkSrcs := func() []workload.Source {
+			srcs := make([]workload.Source, 3)
+			for i := range srcs {
+				srcs[i] = workload.Limit(workload.MustNewGenerator(app, 1), limit)
+			}
+			return srcs
+		}
+		ref := checkLockstep(t, lockstepCase{sharedOrgs()[1].mk, mkSrcs, limit + 100, DefaultConfig(), true}, nil)
+		for i, res := range ref.results {
+			if res.Instructions != limit {
+				t.Fatalf("limit %d: core %d committed %d", limit, i, res.Instructions)
+			}
+		}
+	}
+}
+
+// TestFrontRoundTripsWideAddresses records a private core's front, its
+// PCs and addresses offset to 2^36 and beyond as cmp's Private sharing
+// offsets them, and decodes it through a lane's cursor: every I-miss
+// PC and every load or store address must come back as the source gave
+// it, through the wide side list.
+func TestFrontRoundTripsWideAddresses(t *testing.T) {
+	app, _ := workload.ByName("mcf")
+	const n = 20_000
+	for _, offset := range []uint64{1 << 36, 3 << 36} {
+		mkSrc := func() workload.Source { return &offsetSource{workload.MustNewGenerator(app, 2), offset} }
+		s := recordFront(t, mkSrc(), n, DefaultConfig())
+		if len(s.wide) == 0 || len(s.wide) != len(s.addrs) {
+			t.Fatalf("offset %#x: %d of %d addresses wide, want all", offset, len(s.wide), len(s.addrs))
+		}
+		fe, err := newFrontEnd(DefaultConfig(), true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		src, l := mkSrc(), lane{s: s}
+		for j := 0; j < s.count; j++ {
+			in, _ := src.Next()
+			l.decode(j)
+			want := byte(in.Kind)
+			if in.Mispredicted {
+				want |= recMispredict
+			}
+			access, miss := fe.fetch(in.PC)
+			if access {
+				want |= recFetch
+			}
+			if miss {
+				want |= recIMiss
+			}
+			if l.f != want {
+				t.Fatalf("offset %#x, instruction %d: flags %#x, want %#x", offset, j, l.f, want)
+			}
+			if miss && l.pc != in.PC {
+				t.Fatalf("offset %#x, instruction %d: I-miss PC %#x, want %#x", offset, j, l.pc, in.PC)
+			}
+			if isMem(in.Kind) && l.addr != in.Addr {
+				t.Fatalf("offset %#x, instruction %d: address %#x, want %#x", offset, j, l.addr, in.Addr)
+			}
+		}
+		if l.cur.addrs != len(s.addrs) || l.cur.wide != len(s.wide) || l.cur.rare != len(s.rare) {
+			t.Fatalf("offset %#x: decoding read %+v of %d addresses, %d wide, %d escapes", offset, l.cur, len(s.addrs), len(s.wide), len(s.rare))
+		}
+	}
+}
+
+// TestSharedFrontSize bounds the memory of the front every core of a
+// Shared CMP run reads: an mcf front at 200 k instructions, its codes
+// and side lists as allocated, stays under 2.5 bytes per instruction.
+func TestSharedFrontSize(t *testing.T) {
+	app, _ := workload.ByName("mcf")
+	const n = 200_000
+	s := recordFront(t, workload.MustNewGenerator(app, 1), n, DefaultConfig())
+	bytes := cap(s.codes) + cap(s.rare) + 4*cap(s.addrs) + 8*cap(s.wide)
+	if perInstr := float64(bytes) / n; s.count != n || perInstr > 2.5 {
+		t.Fatalf("front of %d instructions holds %d bytes (%.2f per instruction), want at most 2.5", s.count, bytes, perInstr)
 	}
 }

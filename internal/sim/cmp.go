@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"nurapid/internal/cmp"
+	"nurapid/internal/cpu"
 	"nurapid/internal/memsys"
 	"nurapid/internal/nuca"
 	"nurapid/internal/nurapid"
@@ -80,14 +81,48 @@ func (r *Runner) cmpCores() int {
 	return 2
 }
 
+// cmpFronts holds the recorded CMP fronts (cmp.RecordFronts) that CMP
+// runs time: one set per (app, seed, n, cores, sharing), recorded once
+// for every organization the app runs on and shared by all Runners in
+// the process, as frontEnds is.
+var cmpFronts producers[[]*cpu.Stream]
+
+// cmpFronts returns the Runner's CMP front cache.
+func (r *Runner) cmpFronts() *producers[[]*cpu.Stream] {
+	if r.fronts != nil {
+		return r.fronts
+	}
+	return &cmpFronts
+}
+
+// frontKey names app's CMP fronts.
+func (r *Runner) frontKey(app workload.App) streamKey {
+	return streamKey{app: app, seed: r.seed, n: r.instructions, cores: r.cmpCores(), sharing: r.sharing}
+}
+
+// frontRecorder records app's CMP fronts into recycled streams (or new
+// ones).
+func (r *Runner) frontRecorder(app workload.App) func([]*cpu.Stream) []*cpu.Stream {
+	return func(reuse []*cpu.Stream) []*cpu.Stream {
+		srcs, err := cmp.Config{Cores: r.cmpCores(), Sharing: r.sharing}.Sources(app, r.seed)
+		if err != nil {
+			panic(fmt.Sprintf("sim: cmp sources failed: %v", err))
+		}
+		return cmp.RecordFronts(srcs, r.instructions, reuse)
+	}
+}
+
 // RunCMP simulates app on Cores copies of the out-of-order core over
 // one shared org, memoized on (app, cores, sharing, org key). Each core
 // retires Instructions instructions, so the aggregate work scales with
-// the core count. Probes and traces attach to the shared organization
-// exactly as in single-core runs, under the cmp label.
+// the core count. The cores time app's recorded fronts, which every
+// organization shares: the fronts the CMP prefetch planned for the app,
+// or else ones recorded for this run alone. Probes and traces attach to
+// the shared organization exactly as in single-core runs, under the cmp
+// label.
 func (r *Runner) RunCMP(app workload.App, org Organization) *CMPRunResult {
 	label := r.cmpLabel(org)
-	return runOnce(r, &r.cmpMemo, app.Name+"/"+label, app.Name, label, func(context.Context) (*CMPRunResult, RunEvent) {
+	return runOnce(r, &r.cmpMemo, app.Name+"/"+label, app.Name, label, func(ctx context.Context) (*CMPRunResult, RunEvent) {
 		mem := memsys.NewMemory(org.blockBytes())
 		l2 := org.Factory(r.model, mem)
 		sys, err := cmp.New(l2, cmp.Config{
@@ -106,11 +141,11 @@ func (r *Runner) RunCMP(app workload.App, org Organization) *CMPRunResult {
 			panic(fmt.Sprintf("sim: cmp system construction failed: %v", err))
 		}
 		probes := r.instrumentCMP(app.Name, label, sys)
-		srcs, err := sys.Sources(app, r.seed)
-		if err != nil {
-			panic(fmt.Sprintf("sim: cmp sources failed: %v", err))
-		}
-		cres := sys.Run(srcs, r.instructions)
+		t0 := r.now()
+		fronts := r.cmpFronts().get(ctx, r.frontKey(app), "front-end", r.frontRecorder(app))
+		defer r.cmpFronts().release(fronts)
+		frontEnd := r.now() - t0
+		cres := sys.RunFronts(fronts.val)
 
 		res := &CMPRunResult{
 			App:          app.Name,
@@ -122,7 +157,7 @@ func (r *Runner) RunCMP(app workload.App, org Organization) *CMPRunResult {
 			QueueMetrics: sys.Queue().Snapshot(),
 			ObsMetrics:   r.finishProbes(probes),
 		}
-		return res, RunEvent{IPC: cres.AggregateIPC, Metrics: res.Snapshot()}
+		return res, RunEvent{IPC: cres.AggregateIPC, Metrics: res.Snapshot(), FrontEnd: frontEnd}
 	})
 }
 

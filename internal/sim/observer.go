@@ -50,10 +50,11 @@ type RunEvent struct {
 	HasAPKI bool          // false for variants that do not report APKI
 	Elapsed time.Duration // zero unless the Runner has a clock
 	// FrontEnd is the host time the run spent obtaining its app's
-	// recorded front end (recording it, or waiting for the task that
-	// does), zero unless the Runner has a clock. Elapsed excludes it:
-	// the stream is shared by every organization the app runs on, so
-	// Elapsed stays the cost of this organization alone.
+	// recorded front end, a stream or a CMP run's fronts (recording
+	// it, or waiting for the task that does), zero unless the Runner
+	// has a clock. Elapsed excludes it: the recording is shared by
+	// every organization the app runs on, so Elapsed stays the cost of
+	// this organization alone.
 	FrontEnd time.Duration
 	// Metrics is the run's full metrics snapshot (RunResult.Snapshot),
 	// including any obs_-prefixed probe metrics. Observers must not

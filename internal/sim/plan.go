@@ -79,8 +79,10 @@ func ExperimentIDs() []string {
 }
 
 // prefetch simulates p's run set on the worker pool and blocks until
-// all of it is done. CMP cores run the live front end, so a CMP set
-// has no stream to plan: its runs go out app by app.
+// all of it is done. A CMP set is scheduled as Prefetch schedules
+// single-core runs, with the app's CMP fronts in place of its front-end
+// stream: one task recording them, then its organizations' runs, the
+// last of which retires them.
 func (r *Runner) prefetch(p runSet) {
 	if !p.cmp {
 		r.Prefetch(p.apps, p.orgs)
@@ -88,8 +90,16 @@ func (r *Runner) prefetch(p runSet) {
 	}
 	var tasks []func()
 	for _, app := range p.apps {
+		var runs []func()
+		r.mu.Lock()
 		for _, org := range p.orgs {
-			tasks = append(tasks, func() { r.RunCMP(app, org) })
+			if r.cmpMemo[app.Name+"/"+r.cmpLabel(org)] == nil {
+				runs = append(runs, func() { r.RunCMP(app, org) })
+			}
+		}
+		r.mu.Unlock()
+		if len(runs) > 0 {
+			tasks = schedule(tasks, r.cmpFronts(), r.frontKey(app), r.frontRecorder(app), runs)
 		}
 	}
 	runPool(r.workers, tasks)

@@ -172,9 +172,11 @@ type Runner struct {
 	memo    map[string]*memoCell[*RunResult]
 	cmpMemo map[string]*memoCell[*CMPRunResult]
 
-	// streams overrides the process-wide front-end cache (frontEnds);
-	// nil uses it. Tests set a private one to observe its bookkeeping.
+	// streams and fronts override the process-wide front-end caches
+	// (frontEnds, cmpFronts); nil uses them. Tests set private ones to
+	// observe their bookkeeping.
 	streams *producers[*cpu.Stream]
+	fronts  *producers[[]*cpu.Stream]
 }
 
 // frontEnds holds the recorded front ends (cpu.Stream) that single-core
@@ -356,27 +358,16 @@ func (r *Runner) recorder(app workload.App) func(*cpu.Stream) *cpu.Stream {
 func (r *Runner) Prefetch(apps []workload.App, orgs []Organization) {
 	var tasks []func()
 	for _, app := range apps {
-		var todo []Organization
+		var runs []func()
 		r.mu.Lock()
 		for _, org := range orgs {
 			if r.memo[app.Name+"/"+org.Key] == nil {
-				todo = append(todo, org)
+				runs = append(runs, func() { r.Run(app, org) })
 			}
 		}
 		r.mu.Unlock()
-		if len(todo) == 0 {
-			continue
-		}
-		streams := r.frontEnds()
-		fe, fresh := streams.plan(r.streamKey(app), len(todo))
-		if fresh {
-			tasks = append(tasks, func() { streams.fill(context.Background(), fe, "front-end", r.recorder(app)) })
-		}
-		for _, org := range todo {
-			tasks = append(tasks, func() {
-				defer streams.release(fe)
-				r.Run(app, org)
-			})
+		if len(runs) > 0 {
+			tasks = schedule(tasks, r.frontEnds(), r.streamKey(app), r.recorder(app), runs)
 		}
 	}
 	runPool(r.workers, tasks)

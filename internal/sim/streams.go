@@ -7,22 +7,31 @@ import (
 	"strconv"
 	"sync"
 
+	"nurapid/internal/cmp"
 	"nurapid/internal/workload"
 )
 
 // streamKey names one organization-independent stream: an app's
 // instruction stream at a seed, cut at n (instructions for the Runner's
-// front-end streams, requests for ReplayAll's traces). The whole App
-// value is part of the key, not just its name, so two app models that
-// share a name never share a stream.
+// front-end streams and CMP fronts, requests for ReplayAll's traces).
+// The whole App value is part of the key, not just its name, so two app
+// models that share a name never share a stream. CMP fronts also depend
+// on the core count and sharing pattern; cores is zero for the other
+// streams.
 type streamKey struct {
-	app  workload.App
-	seed uint64
-	n    int64
+	app     workload.App
+	seed    uint64
+	n       int64
+	cores   int
+	sharing cmp.Sharing
 }
 
 func (k streamKey) String() string {
-	return k.app.Name + "/seed=" + strconv.FormatUint(k.seed, 10) + "/n=" + strconv.FormatInt(k.n, 10)
+	s := k.app.Name + "/seed=" + strconv.FormatUint(k.seed, 10) + "/n=" + strconv.FormatInt(k.n, 10)
+	if k.cores > 0 {
+		s += "/cmp" + strconv.Itoa(k.cores) + "-" + k.sharing.String()
+	}
+	return s
 }
 
 // shared is one produced stream and the count of its holders.
@@ -46,8 +55,8 @@ func (e *shared[T]) wait() T {
 }
 
 // producers shares each stream among the jobs that consume it: the one
-// producer cache behind the Runner's front-end streams and ReplayAll's
-// traces. A stream is produced once per key and lives while it has
+// producer cache behind the Runner's front-end streams, its CMP fronts
+// and ReplayAll's traces. A stream is produced once per key and lives while it has
 // holders; the last release recycles its value into a short free list
 // the next producer reuses, so a campaign's streams stop allocating
 // once the buffers have grown.
@@ -178,4 +187,21 @@ func (p *producers[T]) retireLocked(e *shared[T]) {
 	}
 	var zero T
 	e.val = zero
+}
+
+// schedule appends the tasks of one app's planned runs to tasks: a task
+// producing key's stream, unless a live one is already planned, then
+// the runs, each releasing the stream when done.
+func schedule[T any](tasks []func(), p *producers[T], key streamKey, produce func(reuse T) T, runs []func()) []func() {
+	e, fresh := p.plan(key, len(runs))
+	if fresh {
+		tasks = append(tasks, func() { p.fill(context.Background(), e, "front-end", produce) })
+	}
+	for _, run := range runs {
+		tasks = append(tasks, func() {
+			defer p.release(e)
+			run()
+		})
+	}
+	return tasks
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"nurapid/internal/cacti"
+	"nurapid/internal/cmp"
 	"nurapid/internal/cpu"
 	"nurapid/internal/nuca"
 	"nurapid/internal/nurapid"
@@ -78,26 +79,85 @@ func TestStreamSerialRunnerHoldsOne(t *testing.T) {
 
 // TestStreamRecordedOncePerApp pins the one schedule end to end: on a
 // serial Runner, All() and every experiment ByID records each distinct
-// app's front end exactly once, however many organizations it runs on.
-// CMP runs keep the live front end and record none.
+// app's front end exactly once, however many organizations it runs on:
+// its stream for single-core runs, its fronts for CMP runs.
 func TestStreamRecordedOncePerApp(t *testing.T) {
 	for _, id := range append([]string{"all"}, ExperimentIDs()...) {
 		r := smallRunner(t, WithInstructions(30_000))
 		r.streams = &producers[*cpu.Stream]{}
+		r.fronts = &producers[[]*cpu.Stream]{}
 		if id == "all" {
 			r.All()
 		} else if _, err := r.ByID(id); err != nil {
 			t.Fatal(err)
 		}
-		apps := map[string]bool{}
+		apps, cmpApps := map[string]bool{}, map[string]bool{}
 		for key := range r.memo {
 			apps[key[:strings.IndexByte(key, '/')]] = true
+		}
+		for key := range r.cmpMemo {
+			cmpApps[key[:strings.IndexByte(key, '/')]] = true
 		}
 		if got := produced(r.streams); got != len(apps) {
 			t.Errorf("%s: recorded %d front ends for %d distinct apps", id, got, len(apps))
 		}
+		if got := produced(r.fronts); got != len(cmpApps) {
+			t.Errorf("%s: recorded %d CMP fronts for %d distinct apps", id, got, len(cmpApps))
+		}
 		if filled, peak, live := streamState(r.streams); filled != 0 || peak > 1 || len(live) != 0 {
 			t.Errorf("%s: %d streams held, peak %d, live %v; want 0, at most 1, none", id, filled, peak, live)
+		}
+		if filled, peak, live := streamState(r.fronts); filled != 0 || peak > 1 || len(live) != 0 {
+			t.Errorf("%s: %d CMP fronts held, peak %d, live %v; want 0, at most 1, none", id, filled, peak, live)
+		}
+	}
+}
+
+// TestStreamCMPFrontsLifecycle pins the CMP schedule at both sharing
+// patterns: every CMP run starts with its app's fronts live, each app's
+// fronts are recorded once, at most Workers+1 sets hold buffers at once
+// (and a serial Runner records every app into the same streams), and
+// every set is retired once its last run is done.
+func TestStreamCMPFrontsLifecycle(t *testing.T) {
+	for _, sharing := range []cmp.Sharing{cmp.Shared, cmp.Private} {
+		for _, workers := range []int{1, 2} {
+			t.Run(fmt.Sprintf("%s/workers=%d", sharing, workers), func(t *testing.T) {
+				var r *Runner
+				var missing []string
+				buffers := map[*cpu.Stream]bool{}
+				r = smallRunner(t, WithInstructions(20_000), WithWorkers(workers), WithCores(3), WithSharing(sharing),
+					WithObserver(ObserverFunc(func(e RunEvent) {
+						if e.Kind != RunStart {
+							return
+						}
+						app, _ := workload.ByName(e.App)
+						r.fronts.mu.Lock()
+						if fe := r.fronts.live[r.frontKey(app)]; fe == nil {
+							missing = append(missing, e.App+"/"+e.Org)
+						} else if fe.done {
+							buffers[fe.val[0]] = true
+						}
+						r.fronts.mu.Unlock()
+					})))
+				r.fronts = &producers[[]*cpu.Stream]{}
+				r.CMP()
+				if len(missing) > 0 {
+					t.Fatalf("runs started without their app's fronts live: %v", missing)
+				}
+				filled, peak, live := streamState(r.fronts)
+				if filled != 0 || len(live) != 0 {
+					t.Fatalf("after CMP %d front sets still held, live keys %v; want none", filled, live)
+				}
+				if peak < 1 || peak > workers+1 {
+					t.Fatalf("peak %d front sets held at once, want 1..%d", peak, workers+1)
+				}
+				if got := produced(r.fronts); got != len(r.apps) {
+					t.Fatalf("recorded %d front sets for %d apps", got, len(r.apps))
+				}
+				if workers == 1 && len(buffers) != 1 {
+					t.Fatalf("a serial Runner's runs read %d distinct front buffers, want the one reused for every app", len(buffers))
+				}
+			})
 		}
 	}
 }
