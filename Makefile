@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build perfbench-build test race race-runner lint escape-rebaseline fmt golden reference bench bench-smoke fuzz-smoke audit diff-fuzz diff-fuzz-long ci
+.PHONY: build perfbench-build test race lint escape-rebaseline fmt golden reference bench bench-smoke fuzz-smoke audit diff-fuzz diff-fuzz-long ci
 
 build:
 	$(GO) build ./...
@@ -18,20 +18,7 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./...
-
-# race-runner: the parallel experiment runner's determinism contract —
-# All() on an 8-worker pool must render the same bytes as the serial
-# runner — plus the sharded trace-gen / parallel replay pipeline
-# (ReplayAll at 1/2/4/8 workers byte-identical to serial, shared trace
-# generation, tail-gap accounting), the shared producer cache's stream
-# lifecycle (one recording per app at every worker count, one stream
-# held serially, at most workers+1 pooled, each retired after its last
-# consumer), pool panic latching at every worker count, each
-# experiment's declared run set covering its build, and the
-# singleflight, observer, and probe/trace machinery, under -race.
-race-runner:
-	$(GO) test -race -count=1 -run 'TestParallel|TestSingleflight|TestPrefetch|TestStream|TestReplayAll|TestReplayTrace|TestExtractTrace|TestRunPool|TestRunPanic|TestTextObserver|TestObserver|TestClock|TestProbe|TestTrace' ./internal/sim/
+	$(GO) test -race -count=1 ./...
 
 # lint = custom analyzers (determinism, panicstyle, statsreg, hotpath +
 # the directives meta-check) + go vet via the multichecker, the compiler
@@ -132,4 +119,4 @@ diff-fuzz:
 diff-fuzz-long:
 	DIFF_FUZZ_LONG=1 $(GO) test -count=1 -timeout 60m -v -run TestDifferentialMatrix ./internal/refmodel/difftest/
 
-ci: build perfbench-build test race race-runner lint reference bench bench-smoke fuzz-smoke diff-fuzz
+ci: build perfbench-build test race lint reference bench bench-smoke fuzz-smoke diff-fuzz

@@ -27,6 +27,10 @@
 // rendering anything, and aborts on the first divergence — a cheap
 // pre-flight for long measurement campaigns (`make diff-fuzz` is the
 // full matrix).
+//
+// -replay <app> replays the app's L2 trace through the standard
+// organizations instead of running experiments; it reads -n, -seed and
+// -workers, and exits 2 if any flag it does not read is set.
 package main
 
 import (
@@ -39,6 +43,7 @@ import (
 	_ "net/http/pprof"
 	"os"
 	"runtime"
+	"slices"
 	"strings"
 	"time"
 
@@ -74,6 +79,10 @@ func main() {
 	}
 
 	if *replay != "" {
+		if err := checkReplayFlags(flag.CommandLine); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(2)
+		}
 		if err := runReplay(os.Stdout, *replay, *seed, *n, *workers); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
@@ -144,6 +153,26 @@ func checkFlags(n int64, cores int, sharing string) (cmp.Sharing, error) {
 		return 0, fmt.Errorf("-cores must be at least 1, got %d", cores)
 	}
 	return cmp.ParseSharing(sharing)
+}
+
+// replayIgnored names the flags a -replay run does not read. -q is not
+// among them: the replay prints no progress lines, so it has nothing to
+// quiet.
+var replayIgnored = []string{"experiment", "csv", "trace", "selfcheck", "cores", "sharing", "http"}
+
+// checkReplayFlags rejects a -replay run given any flag of
+// replayIgnored explicitly, rather than silently dropping it.
+func checkReplayFlags(fs *flag.FlagSet) error {
+	var set []string
+	fs.Visit(func(f *flag.Flag) {
+		if slices.Contains(replayIgnored, f.Name) {
+			set = append(set, "-"+f.Name)
+		}
+	})
+	if len(set) > 0 {
+		return fmt.Errorf("-replay does not read %s", strings.Join(set, ", "))
+	}
+	return nil
 }
 
 // experiments runs the experiment named by id, or every one for "all".

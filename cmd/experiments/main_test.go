@@ -2,7 +2,10 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"os"
+	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -28,6 +31,66 @@ var goldenExperiments = []struct {
 	{"cmp", 2, cmp.Shared},
 	{"cmp", 2, cmp.Private},
 	{"cmp", 3, cmp.Shared},
+}
+
+// TestMain runs the command itself, not the tests, when the test binary
+// is re-executed with runMainEnv set, so tests can check its exit status
+// and output.
+func TestMain(m *testing.M) {
+	if os.Getenv(runMainEnv) == "1" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+const runMainEnv = "EXPERIMENTS_TEST_RUN_MAIN"
+
+// runCommand runs the command with args in a child process and returns
+// its stdout, stderr and exit status.
+func runCommand(t *testing.T, args ...string) (stdout, stderr string, status int) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), runMainEnv+"=1")
+	var out, errOut bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &out, &errOut
+	err := cmd.Run()
+	var exit *exec.ExitError
+	if err != nil && !errors.As(err, &exit) {
+		t.Fatal(err)
+	}
+	return out.String(), errOut.String(), cmd.ProcessState.ExitCode()
+}
+
+// TestReplayRejectsIgnoredFlags pins -replay's flag check: a flag its
+// path does not read, set explicitly, exits 2 with a message naming it,
+// before anything runs (no replay output, no trace directory); -q, which
+// has nothing to quiet, is accepted.
+func TestReplayRejectsIgnoredFlags(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "traces")
+	for _, c := range []struct {
+		args []string
+		want string // message; "" for a run that must succeed
+	}{
+		{[]string{"-replay", "mcf", "-n", "2000", "-selfcheck", "-trace", dir, "-csv"}, "-replay does not read -csv, -selfcheck, -trace"},
+		{[]string{"-replay", "mcf", "-n", "2000", "-experiment", "all"}, "-replay does not read -experiment"},
+		{[]string{"-replay", "mcf", "-n", "2000", "-cores", "2", "-sharing", "shared", "-http", "localhost:0"}, "-replay does not read -cores, -http, -sharing"},
+		{[]string{"-replay", "mcf", "-n", "2000", "-q", "-seed", "3", "-workers", "1"}, ""},
+	} {
+		stdout, stderr, status := runCommand(t, c.args...)
+		if c.want == "" {
+			if status != 0 || !strings.Contains(stdout, "fingerprint") {
+				t.Errorf("%v: exit %d, stdout %q, stderr %q; want a replay and exit 0", c.args, status, stdout, stderr)
+			}
+			continue
+		}
+		if status != 2 || strings.TrimSpace(stderr) != c.want || stdout != "" {
+			t.Errorf("%v: exit %d, stdout %q, stderr %q; want exit 2, no output and %q", c.args, status, stdout, stderr, c.want)
+		}
+	}
+	if _, err := os.Stat(dir); !os.IsNotExist(err) {
+		t.Errorf("a rejected -replay -trace created %s (stat: %v)", dir, err)
+	}
 }
 
 const goldenFile = "testdata/golden-n50000-seed1.txt"

@@ -81,42 +81,11 @@ func (r *Runner) cmpCores() int {
 	return 2
 }
 
-// cmpFronts holds the recorded CMP fronts (cmp.RecordFronts) that CMP
-// runs time: one set per (app, seed, n, cores, sharing), recorded once
-// for every organization the app runs on and shared by all Runners in
-// the process, as frontEnds is.
-var cmpFronts producers[[]*cpu.Stream]
-
-// cmpFronts returns the Runner's CMP front cache.
-func (r *Runner) cmpFronts() *producers[[]*cpu.Stream] {
-	if r.fronts != nil {
-		return r.fronts
-	}
-	return &cmpFronts
-}
-
-// frontKey names app's CMP fronts.
-func (r *Runner) frontKey(app workload.App) streamKey {
-	return streamKey{app: app, seed: r.seed, n: r.instructions, cores: r.cmpCores(), sharing: r.sharing}
-}
-
-// frontRecorder records app's CMP fronts into recycled streams (or new
-// ones).
-func (r *Runner) frontRecorder(app workload.App) func([]*cpu.Stream) []*cpu.Stream {
-	return func(reuse []*cpu.Stream) []*cpu.Stream {
-		srcs, err := cmp.Config{Cores: r.cmpCores(), Sharing: r.sharing}.Sources(app, r.seed)
-		if err != nil {
-			panic(fmt.Sprintf("sim: cmp sources failed: %v", err))
-		}
-		return cmp.RecordFronts(srcs, r.instructions, reuse)
-	}
-}
-
 // RunCMP simulates app on Cores copies of the out-of-order core over
 // one shared org, memoized on (app, cores, sharing, org key). Each core
 // retires Instructions instructions, so the aggregate work scales with
 // the core count. The cores time app's recorded fronts, which every
-// organization shares: the fronts the CMP prefetch planned for the app,
+// organization shares: the fronts prefetch planned for the app,
 // or else ones recorded for this run alone. Probes and traces attach to
 // the shared organization exactly as in single-core runs, under the cmp
 // label.
@@ -141,11 +110,8 @@ func (r *Runner) RunCMP(app workload.App, org Organization) *CMPRunResult {
 			panic(fmt.Sprintf("sim: cmp system construction failed: %v", err))
 		}
 		probes := r.instrumentCMP(app.Name, label, sys)
-		t0 := r.now()
-		fronts := r.cmpFronts().get(ctx, r.frontKey(app), "front-end", r.frontRecorder(app))
-		defer r.cmpFronts().release(fronts)
-		frontEnd := r.now() - t0
-		cres := sys.RunFronts(fronts.val)
+		var cres cmp.Result
+		frontEnd := r.withFrontEnd(ctx, app, true, func(fronts []*cpu.Stream) { cres = sys.RunFronts(fronts) })
 
 		res := &CMPRunResult{
 			App:          app.Name,

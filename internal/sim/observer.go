@@ -47,7 +47,7 @@ type RunEvent struct {
 	// Finish-only fields.
 	IPC     float64
 	APKI    float64
-	HasAPKI bool          // false for variants that do not report APKI
+	HasAPKI bool          // false for CMP runs, which report no APKI
 	Elapsed time.Duration // zero unless the Runner has a clock
 	// FrontEnd is the host time the run spent obtaining its app's
 	// recorded front end, a stream or a CMP run's fronts (recording

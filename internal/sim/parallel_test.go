@@ -30,7 +30,7 @@ func renderEverything(t *testing.T, workers int) string {
 // TestParallelAllMatchesSerial is the parallel runner's determinism
 // contract: rendering every experiment on an 8-worker pool must produce
 // the same bytes as the serial runner at the same seed. Run under
-// -race (make race-runner / CI) this also shakes out data races in the
+// -race (make race / CI) this also shakes out data races in the
 // fan-out and singleflight layers.
 func TestParallelAllMatchesSerial(t *testing.T) {
 	serial := renderEverything(t, 1)
@@ -82,7 +82,7 @@ func TestSingleflightConcurrentRun(t *testing.T) {
 	}
 }
 
-// TestPrefetchWarmsMemo checks that Prefetch executes the submitted
+// TestPrefetchWarmsMemo checks that prefetch executes the submitted
 // matrix on the pool, so subsequent Run calls are pure memo lookups
 // (no further events).
 func TestPrefetchWarmsMemo(t *testing.T) {
@@ -94,7 +94,7 @@ func TestPrefetchWarmsMemo(t *testing.T) {
 	})
 	r := smallRunner(t, WithInstructions(60_000), WithWorkers(4), WithObserver(obs))
 	orgs := []Organization{Base(), Ideal()}
-	r.Prefetch(r.apps, orgs)
+	r.prefetch(runSet{apps: r.apps, orgs: orgs})
 	want := len(r.apps) * len(orgs)
 	if finishes != want {
 		t.Fatalf("prefetch executed %d runs, want %d", finishes, want)

@@ -134,7 +134,7 @@ func replaySnapshotString(r *ReplayResult) string {
 // contract: at 1, 2, 4, and 8 workers, with shuffled task submission
 // standing in for shuffled completion order, and at several chunk
 // sizes, ReplayAll must reproduce the serial per-job ReplayTrace bytes
-// exactly. Run under -race (make race-runner / CI) this also shakes
+// exactly. Run under -race (make race / CI) this also shakes
 // out data races in the producer/consumer pipeline.
 func TestReplayAllMatchesSerial(t *testing.T) {
 	const n = 4000
@@ -260,12 +260,12 @@ func TestRunPanicReleasesSingleflight(t *testing.T) {
 	}
 }
 
-// TestPrefetchPanicPropagates seeds a panic into one task of Prefetch,
+// TestPrefetchPanicPropagates seeds a panic into one task of prefetch,
 // serial and pooled, and checks the pool finishes the remaining tasks,
-// then re-raises the failure from Prefetch on the caller's goroutine —
+// then re-raises the failure from prefetch on the caller's goroutine —
 // instead of killing the process from an anonymous worker goroutine
 // mid-fan-out. Draining matters for the shared stream cache too: a
-// stream Prefetch planned but never filled would block a later
+// stream prefetch planned but never filled would block a later
 // Runner's run of that app forever.
 func TestPrefetchPanicPropagates(t *testing.T) {
 	for _, workers := range []int{1, 4} {
@@ -277,8 +277,8 @@ func TestPrefetchPanicPropagates(t *testing.T) {
 						finishes++
 					}
 				})))
-			streams := &producers[*cpu.Stream]{}
-			r.streams = streams
+			fronts := &producers[[]*cpu.Stream]{}
+			r.fronts = fronts
 
 			var caught string
 			func() {
@@ -287,27 +287,27 @@ func TestPrefetchPanicPropagates(t *testing.T) {
 						caught = fmt.Sprint(p)
 					}
 				}()
-				r.Prefetch(r.apps, []Organization{Base(), panickingOrg(), Ideal()})
+				r.prefetch(runSet{apps: r.apps, orgs: []Organization{Base(), panickingOrg(), Ideal()}})
 			}()
 
 			if caught == "" {
-				t.Fatal("Prefetch swallowed the task panic")
+				t.Fatal("prefetch swallowed the task panic")
 			}
 			if !strings.Contains(caught, "seeded test panic") {
-				t.Fatalf("Prefetch panic %q does not carry the seeded failure", caught)
+				t.Fatalf("prefetch panic %q does not carry the seeded failure", caught)
 			}
 			// Every healthy (app, org) pair still ran: the pool drained
 			// instead of dying mid-flight.
 			if want := len(r.apps) * 2; finishes != want {
 				t.Fatalf("pool finished %d healthy runs before re-raising, want %d", finishes, want)
 			}
-			if filled, _, live := streamState(streams); filled != 0 || len(live) != 0 {
-				t.Fatalf("after the failed Prefetch %d streams held, live keys %v; want none", filled, live)
+			if filled, _, live := streamState(fronts); filled != 0 || len(live) != 0 {
+				t.Fatalf("after the failed prefetch %d streams held, live keys %v; want none", filled, live)
 			}
 
 			// A fresh Runner on the same cache runs the last planned app.
 			later := smallRunner(t, WithInstructions(60_000))
-			later.streams = streams
+			later.fronts = fronts
 			done := make(chan struct{})
 			go func() {
 				defer close(done)
@@ -316,7 +316,7 @@ func TestPrefetchPanicPropagates(t *testing.T) {
 			select {
 			case <-done:
 			case <-time.After(time.Minute):
-				t.Fatal("a later Runner's Run blocked on a stream the failed Prefetch planned")
+				t.Fatal("a later Runner's Run blocked on a stream the failed prefetch planned")
 			}
 		})
 	}

@@ -78,28 +78,32 @@ func ExperimentIDs() []string {
 	return ids
 }
 
-// prefetch simulates p's run set on the worker pool and blocks until
-// all of it is done. A CMP set is scheduled as Prefetch schedules
-// single-core runs, with the app's CMP fronts in place of its front-end
-// stream: one task recording them, then its organizations' runs, the
-// last of which retires them.
+// prefetch simulates every run of p not yet memoized on the worker
+// pool and blocks until all are done. Each experiment calls it with its
+// full run set up front, then assembles its table from memoized results
+// in deterministic order.
+//
+// Tasks go out app by app: one task recording the app's front end (its
+// stream, or for a CMP set its fronts), then its organizations' runs,
+// which time it; the last of them retires it. So the pool holds at most
+// workers+1 front ends (one on a serial Runner), each app is recorded
+// once, and each run's RunEvent.Elapsed stays the cost of its own
+// organization.
 func (r *Runner) prefetch(p runSet) {
-	if !p.cmp {
-		r.Prefetch(p.apps, p.orgs)
-		return
-	}
 	var tasks []func()
 	for _, app := range p.apps {
 		var runs []func()
 		r.mu.Lock()
 		for _, org := range p.orgs {
-			if r.cmpMemo[app.Name+"/"+r.cmpLabel(org)] == nil {
+			if !p.cmp && r.memo[app.Name+"/"+org.Key] == nil {
+				runs = append(runs, func() { r.Run(app, org) })
+			} else if p.cmp && r.cmpMemo[app.Name+"/"+r.cmpLabel(org)] == nil {
 				runs = append(runs, func() { r.RunCMP(app, org) })
 			}
 		}
 		r.mu.Unlock()
 		if len(runs) > 0 {
-			tasks = schedule(tasks, r.cmpFronts(), r.frontKey(app), r.frontRecorder(app), runs)
+			tasks = schedule(tasks, r.frontEnds(), r.frontKey(app, p.cmp), r.recorder(app, p.cmp), runs)
 		}
 	}
 	runPool(r.workers, tasks)
@@ -136,7 +140,7 @@ func (r *Runner) All() []*Experiment {
 			}
 		}
 	}
-	r.Prefetch(r.apps, orgs)
+	r.prefetch(runSet{apps: r.apps, orgs: orgs})
 	exps := make([]*Experiment, len(plans))
 	for i, p := range plans {
 		exps[i] = r.execute(p)

@@ -51,7 +51,7 @@ func TestProbeObserverParallelDelivery(t *testing.T) {
 
 	r := smallRunner(t, WithWorkers(4), WithObserver(obsv))
 	orgs := []Organization{Base(), NuRAPID(nurapid.DefaultConfig())}
-	r.Prefetch(r.apps, orgs)
+	r.prefetch(runSet{apps: r.apps, orgs: orgs})
 	// Re-running everything must observe nothing new (memoized).
 	for _, app := range r.apps {
 		for _, org := range orgs {
@@ -98,7 +98,7 @@ func TestTraceDeterminismFixedSeed(t *testing.T) {
 		m := &memProbe{}
 		r := smallRunner(t, WithWorkers(workers), WithProbe(m.factory))
 		orgs := []Organization{NuRAPID(nurapid.DefaultConfig()), Base()}
-		r.Prefetch(r.apps, orgs)
+		r.prefetch(runSet{apps: r.apps, orgs: orgs})
 		if err := r.ProbeErr(); err != nil {
 			t.Fatal(err)
 		}

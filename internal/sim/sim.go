@@ -172,27 +172,26 @@ type Runner struct {
 	memo    map[string]*memoCell[*RunResult]
 	cmpMemo map[string]*memoCell[*CMPRunResult]
 
-	// streams and fronts override the process-wide front-end caches
-	// (frontEnds, cmpFronts); nil uses them. Tests set private ones to
-	// observe their bookkeeping.
-	streams *producers[*cpu.Stream]
-	fronts  *producers[[]*cpu.Stream]
+	// fronts overrides the process-wide front-end cache (frontEnds);
+	// nil uses it. Tests set a private one to observe its bookkeeping.
+	fronts *producers[[]*cpu.Stream]
 }
 
-// frontEnds holds the recorded front ends (cpu.Stream) that single-core
-// runs replay: one per (app, seed, n), produced once for every
-// organization the app runs on. A stream depends on nothing else — not
-// the Runner's model or organizations, and every Runner uses the Table 1
-// core — so the cache is shared by all Runners in the process: a
-// program that builds a Runner per experiment (or per benchmark
-// iteration) reuses the same buffers instead of allocating a stream per
-// Runner. With no run in flight it holds at most maxFree spare buffers.
-var frontEnds producers[*cpu.Stream]
+// frontEnds holds the recorded front ends that runs time, one set per
+// frontKey: a single-core run's stream (cpu.Stream) as a one-element
+// set, a CMP run's fronts (cmp.RecordFronts). Each set is recorded once
+// for every organization the app runs on. A set depends on nothing else
+// — not the Runner's model or organizations, and every Runner uses the
+// Table 1 core — so the cache is shared by all Runners in the process:
+// a program that builds a Runner per experiment (or per benchmark
+// iteration) reuses the same buffers instead of allocating them per
+// Runner. With no run in flight it holds at most maxFree spare sets.
+var frontEnds producers[[]*cpu.Stream]
 
 // frontEnds returns the Runner's front-end cache.
-func (r *Runner) frontEnds() *producers[*cpu.Stream] {
-	if r.streams != nil {
-		return r.streams
+func (r *Runner) frontEnds() *producers[[]*cpu.Stream] {
+	if r.fronts != nil {
+		return r.fronts
 	}
 	return &frontEnds
 }
@@ -276,14 +275,9 @@ func runOnce[T any](r *Runner, memo *map[string]*memoCell[T], key, app, org stri
 	return c.res
 }
 
-// finished is a completed run's finish-event payload.
-func (res *RunResult) finished(hasAPKI bool) RunEvent {
-	return RunEvent{IPC: res.CPU.IPC, APKI: res.CPU.APKI, HasAPKI: hasAPKI, Metrics: res.Snapshot()}
-}
-
 // Run simulates app on org, memoized on (app, org key). The core
 // replays app's recorded front end (cpu.Stream), which every
-// organization shares: the stream Prefetch planned for the app, or
+// organization shares: the stream prefetch planned for the app, or
 // else one recorded for this run alone. The result is identical to
 // running the core on the live front end.
 func (r *Runner) Run(app workload.App, org Organization) *RunResult {
@@ -292,11 +286,8 @@ func (r *Runner) Run(app workload.App, org Organization) *RunResult {
 		l2 := org.Factory(r.model, mem)
 		probes := r.instrument(app.Name, org.Key, l2)
 		core := cpu.MustNew(l2, cpu.WithL1EnergyNJ(r.model.L1NJ))
-		t0 := r.now()
-		fe := r.frontEnds().get(ctx, r.streamKey(app), "front-end", r.recorder(app))
-		defer r.frontEnds().release(fe)
-		frontEnd := r.now() - t0
-		cres := core.RunStream(fe.val)
+		var cres cpu.Result
+		frontEnd := r.withFrontEnd(ctx, app, false, func(fe []*cpu.Stream) { cres = core.RunStream(fe[0]) })
 
 		params := energy.DefaultParams(r.model)
 		bd := params.Collect(cres.Cycles, cres.Instructions,
@@ -320,57 +311,62 @@ func (r *Runner) Run(app workload.App, org Organization) *RunResult {
 			res.L2GroupAccesses = nc.GroupAccesses()
 		}
 		res.ObsMetrics = r.finishProbes(probes)
-		fin := res.finished(true)
-		fin.FrontEnd = frontEnd
-		return res, fin
+		return res, RunEvent{IPC: cres.IPC, APKI: cres.APKI, HasAPKI: true, Metrics: res.Snapshot(), FrontEnd: frontEnd}
 	})
 }
 
-// streamKey names app's front-end stream.
-func (r *Runner) streamKey(app workload.App) streamKey {
-	return streamKey{app: app, seed: r.seed, n: r.instructions}
+// withFrontEnd runs run on app's recorded front end — its stream as a
+// one-element set, or its CMP fronts when cmpRun is set —, holding it
+// for run's duration, and returns the time spent obtaining it (the
+// RunEvent.FrontEnd of the run).
+func (r *Runner) withFrontEnd(ctx context.Context, app workload.App, cmpRun bool, run func([]*cpu.Stream)) time.Duration {
+	t0 := r.now()
+	fe := r.frontEnds().get(ctx, r.frontKey(app, cmpRun), "front-end", r.recorder(app, cmpRun))
+	defer r.frontEnds().release(fe)
+	wait := r.now() - t0
+	run(fe.val)
+	return wait
+}
+
+// frontKey names app's front end: its stream, or its CMP fronts, which
+// also depend on the core count and sharing pattern.
+func (r *Runner) frontKey(app workload.App, cmpRun bool) streamKey {
+	k := streamKey{app: app, seed: r.seed, n: r.instructions}
+	if cmpRun {
+		k.cores, k.sharing = r.cmpCores(), r.sharing
+	}
+	return k
 }
 
 // recorder records app's front end for the paper's Table 1 core into a
-// recycled stream (or a new one).
-func (r *Runner) recorder(app workload.App) func(*cpu.Stream) *cpu.Stream {
-	return func(s *cpu.Stream) *cpu.Stream {
-		if s == nil {
-			s = &cpu.Stream{}
-		}
-		if err := s.Record(workload.MustNewGenerator(app, r.seed), r.instructions, cpu.DefaultConfig()); err != nil {
-			panic(fmt.Sprintf("sim: recording %s: %v", app.Name, err))
-		}
-		return s
-	}
-}
-
-// Prefetch simulates every (app, org) pair not yet memoized on the
-// worker pool and blocks until all are done. Each experiment calls it
-// with its full run set up front, then assembles its table from
-// memoized results in deterministic order.
-//
-// Tasks go out app by app: one task recording the app's front end,
-// then its organizations' runs, which replay it; the last of them
-// retires the stream. So the pool holds at most workers+1 streams (one
-// on a serial Runner), each app is recorded once, and each run's
-// RunEvent.Elapsed stays the cost of its own organization.
-func (r *Runner) Prefetch(apps []workload.App, orgs []Organization) {
-	var tasks []func()
-	for _, app := range apps {
-		var runs []func()
-		r.mu.Lock()
-		for _, org := range orgs {
-			if r.memo[app.Name+"/"+org.Key] == nil {
-				runs = append(runs, func() { r.Run(app, org) })
+// recycled set (or a new one): its stream, or its CMP fronts when
+// cmpRun is set.
+func (r *Runner) recorder(app workload.App, cmpRun bool) func([]*cpu.Stream) []*cpu.Stream {
+	return func(reuse []*cpu.Stream) []*cpu.Stream {
+		var set []*cpu.Stream
+		if cmpRun {
+			srcs, err := cmp.Config{Cores: r.cmpCores(), Sharing: r.sharing}.Sources(app, r.seed)
+			if err != nil {
+				panic(fmt.Sprintf("sim: cmp sources failed: %v", err))
+			}
+			set = cmp.RecordFronts(srcs, r.instructions, reuse)
+		} else {
+			if len(reuse) == 0 {
+				reuse = []*cpu.Stream{{}}
+			}
+			set = reuse[:1]
+			if err := set[0].Record(workload.MustNewGenerator(app, r.seed), r.instructions, cpu.DefaultConfig()); err != nil {
+				panic(fmt.Sprintf("sim: recording %s: %v", app.Name, err))
 			}
 		}
-		r.mu.Unlock()
-		if len(runs) > 0 {
-			tasks = schedule(tasks, r.frontEnds(), r.streamKey(app), r.recorder(app), runs)
-		}
+		// A set recycled from a wider one (a private CMP run's fronts)
+		// still points at that one's other members past its length. No
+		// recording reads them again (RecordFronts appends new streams
+		// when it needs more), so drop them rather than hold their
+		// buffers.
+		clear(set[len(set):cap(set)])
+		return set
 	}
-	runPool(r.workers, tasks)
 }
 
 // l2NJPerKInstr is the run's L2 dynamic energy per 1000 instructions.

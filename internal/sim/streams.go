@@ -54,12 +54,12 @@ func (e *shared[T]) wait() T {
 	return e.val
 }
 
-// producers shares each stream among the jobs that consume it: the one
-// producer cache behind the Runner's front-end streams, its CMP fronts
-// and ReplayAll's traces. A stream is produced once per key and lives while it has
-// holders; the last release recycles its value into a short free list
-// the next producer reuses, so a campaign's streams stop allocating
-// once the buffers have grown.
+// producers shares each stream among the jobs that consume it: the
+// producer cache behind the Runner's front ends (streams and CMP fronts
+// alike) and ReplayAll's traces. A stream is produced once per key and
+// lives while it has holders; the last release recycles its value into
+// a short free list the next producer reuses, so a campaign's streams
+// stop allocating once the buffers have grown.
 //
 // Planned streams are the schedule: plan registers a stream and its
 // consumer count before any task runs, and the caller submits one

@@ -34,7 +34,7 @@ func produced[T any](p *producers[T]) int {
 }
 
 // TestStreamSerialRunnerHoldsOne pins the serial schedule's memory
-// budget: a serial Runner's Prefetch records each app once, holds one
+// budget: a serial Runner's prefetch records each app once, holds one
 // front-end stream at a time, records every app into the same buffer,
 // and retires it after the app's last run; a Run outside any plan holds
 // its own stream only while it runs.
@@ -46,20 +46,20 @@ func TestStreamSerialRunnerHoldsOne(t *testing.T) {
 			return
 		}
 		app, _ := workload.ByName(e.App)
-		r.streams.mu.Lock()
-		if fe := r.streams.live[r.streamKey(app)]; fe != nil {
-			buffers[fe.val] = true
+		r.fronts.mu.Lock()
+		if fe := r.fronts.live[r.frontKey(app, false)]; fe != nil {
+			buffers[fe.val[0]] = true
 		}
-		r.streams.mu.Unlock()
+		r.fronts.mu.Unlock()
 	})))
-	r.streams = &producers[*cpu.Stream]{}
+	r.fronts = &producers[[]*cpu.Stream]{}
 	orgs := []Organization{Base(), NuRAPID(nurapid.DefaultConfig()), Ideal()}
-	r.Prefetch(r.apps, orgs)
-	filled, peak, live := streamState(r.streams)
+	r.prefetch(runSet{apps: r.apps, orgs: orgs})
+	filled, peak, live := streamState(r.fronts)
 	if filled != 0 || peak != 1 || len(live) != 0 {
-		t.Fatalf("after a serial Prefetch: %d streams held, peak %d, live %v; want 0, 1, none", filled, peak, live)
+		t.Fatalf("after a serial prefetch: %d streams held, peak %d, live %v; want 0, 1, none", filled, peak, live)
 	}
-	if got := produced(r.streams); got != len(r.apps) {
+	if got := produced(r.fronts); got != len(r.apps) {
 		t.Fatalf("recorded %d streams for %d apps", got, len(r.apps))
 	}
 	if len(buffers) != 1 {
@@ -69,10 +69,10 @@ func TestStreamSerialRunnerHoldsOne(t *testing.T) {
 	// Outside any plan, each Run records its own stream and retires it.
 	app := r.apps[0]
 	r.Run(app, DNUCA(nuca.DefaultConfig()))
-	if filled, peak, live := streamState(r.streams); filled != 0 || peak != 1 || len(live) != 0 {
+	if filled, peak, live := streamState(r.fronts); filled != 0 || peak != 1 || len(live) != 0 {
 		t.Fatalf("after an unplanned Run: %d streams held, peak %d, live %v; want 0, 1, none", filled, peak, live)
 	}
-	if got := produced(r.streams); got != len(r.apps)+1 {
+	if got := produced(r.fronts); got != len(r.apps)+1 {
 		t.Fatalf("an unplanned Run recorded %d streams, want 1", got-len(r.apps))
 	}
 }
@@ -80,16 +80,25 @@ func TestStreamSerialRunnerHoldsOne(t *testing.T) {
 // TestStreamRecordedOncePerApp pins the one schedule end to end: on a
 // serial Runner, All() and every experiment ByID records each distinct
 // app's front end exactly once, however many organizations it runs on:
-// its stream for single-core runs, its fronts for CMP runs.
+// its stream for single-core runs, its fronts for CMP runs, both in the
+// one cache. The last input runs fig6 and then cmp on one Runner, so
+// both kinds pass through that cache.
 func TestStreamRecordedOncePerApp(t *testing.T) {
-	for _, id := range append([]string{"all"}, ExperimentIDs()...) {
+	inputs := [][]string{{"all"}}
+	for _, id := range ExperimentIDs() {
+		inputs = append(inputs, []string{id})
+	}
+	inputs = append(inputs, []string{"fig6", "cmp"})
+	for _, ids := range inputs {
+		name := strings.Join(ids, "+")
 		r := smallRunner(t, WithInstructions(30_000))
-		r.streams = &producers[*cpu.Stream]{}
 		r.fronts = &producers[[]*cpu.Stream]{}
-		if id == "all" {
-			r.All()
-		} else if _, err := r.ByID(id); err != nil {
-			t.Fatal(err)
+		for _, id := range ids {
+			if id == "all" {
+				r.All()
+			} else if _, err := r.ByID(id); err != nil {
+				t.Fatal(err)
+			}
 		}
 		apps, cmpApps := map[string]bool{}, map[string]bool{}
 		for key := range r.memo {
@@ -98,41 +107,46 @@ func TestStreamRecordedOncePerApp(t *testing.T) {
 		for key := range r.cmpMemo {
 			cmpApps[key[:strings.IndexByte(key, '/')]] = true
 		}
-		if got := produced(r.streams); got != len(apps) {
-			t.Errorf("%s: recorded %d front ends for %d distinct apps", id, got, len(apps))
-		}
-		if got := produced(r.fronts); got != len(cmpApps) {
-			t.Errorf("%s: recorded %d CMP fronts for %d distinct apps", id, got, len(cmpApps))
-		}
-		if filled, peak, live := streamState(r.streams); filled != 0 || peak > 1 || len(live) != 0 {
-			t.Errorf("%s: %d streams held, peak %d, live %v; want 0, at most 1, none", id, filled, peak, live)
+		if got, want := produced(r.fronts), len(apps)+len(cmpApps); got != want {
+			t.Errorf("%s: recorded %d front ends for %d distinct single-core and %d distinct CMP apps", name, got, len(apps), len(cmpApps))
 		}
 		if filled, peak, live := streamState(r.fronts); filled != 0 || peak > 1 || len(live) != 0 {
-			t.Errorf("%s: %d CMP fronts held, peak %d, live %v; want 0, at most 1, none", id, filled, peak, live)
+			t.Errorf("%s: %d front ends held, peak %d, live %v; want 0, at most 1, none", name, filled, peak, live)
 		}
 	}
 }
 
-// TestStreamCMPFrontsLifecycle pins the CMP schedule at both sharing
-// patterns: every CMP run starts with its app's fronts live, each app's
-// fronts are recorded once, at most Workers+1 sets hold buffers at once
-// (and a serial Runner records every app into the same streams), and
-// every set is retired once its last run is done.
-func TestStreamCMPFrontsLifecycle(t *testing.T) {
-	for _, sharing := range []cmp.Sharing{cmp.Shared, cmp.Private} {
-		for _, workers := range []int{1, 2} {
-			t.Run(fmt.Sprintf("%s/workers=%d", sharing, workers), func(t *testing.T) {
+// TestStreamPrefetchLifecycle pins prefetch's schedule for single-core
+// runs and for CMP runs at both sharing patterns, serial and pooled:
+// every run starts with its app's front end live, each app's front end
+// is recorded once, at most Workers+1 hold buffers at once (and a
+// serial Runner records every app into the same buffer), every front
+// end is retired once its last run is done, and memoized runs leave
+// the cache untouched.
+func TestStreamPrefetchLifecycle(t *testing.T) {
+	kinds := []struct {
+		name    string
+		cmp     bool
+		sharing cmp.Sharing
+	}{
+		{"single-core", false, 0},
+		{"cmp-shared", true, cmp.Shared},
+		{"cmp-private", true, cmp.Private},
+	}
+	for _, k := range kinds {
+		for _, workers := range []int{1, 2, 4} {
+			t.Run(fmt.Sprintf("%s/workers=%d", k.name, workers), func(t *testing.T) {
 				var r *Runner
 				var missing []string
 				buffers := map[*cpu.Stream]bool{}
-				r = smallRunner(t, WithInstructions(20_000), WithWorkers(workers), WithCores(3), WithSharing(sharing),
+				r = smallRunner(t, WithInstructions(20_000), WithWorkers(workers), WithCores(3), WithSharing(k.sharing),
 					WithObserver(ObserverFunc(func(e RunEvent) {
 						if e.Kind != RunStart {
 							return
 						}
 						app, _ := workload.ByName(e.App)
 						r.fronts.mu.Lock()
-						if fe := r.fronts.live[r.frontKey(app)]; fe == nil {
+						if fe := r.fronts.live[r.frontKey(app, k.cmp)]; fe == nil {
 							missing = append(missing, e.App+"/"+e.Org)
 						} else if fe.done {
 							buffers[fe.val[0]] = true
@@ -140,72 +154,68 @@ func TestStreamCMPFrontsLifecycle(t *testing.T) {
 						r.fronts.mu.Unlock()
 					})))
 				r.fronts = &producers[[]*cpu.Stream]{}
-				r.CMP()
+				p := runSet{apps: r.apps, orgs: []Organization{Base(), NuRAPID(nurapid.DefaultConfig()), Ideal()}}
+				if k.cmp {
+					p = r.cmpStudy()
+				}
+				r.prefetch(p)
 				if len(missing) > 0 {
-					t.Fatalf("runs started without their app's fronts live: %v", missing)
+					t.Fatalf("runs started without their app's front end live: %v", missing)
 				}
 				filled, peak, live := streamState(r.fronts)
 				if filled != 0 || len(live) != 0 {
-					t.Fatalf("after CMP %d front sets still held, live keys %v; want none", filled, live)
+					t.Fatalf("after prefetch %d front ends still held, live keys %v; want none", filled, live)
 				}
 				if peak < 1 || peak > workers+1 {
-					t.Fatalf("peak %d front sets held at once, want 1..%d", peak, workers+1)
+					t.Fatalf("peak %d front ends held at once, want 1..%d", peak, workers+1)
 				}
-				if got := produced(r.fronts); got != len(r.apps) {
-					t.Fatalf("recorded %d front sets for %d apps", got, len(r.apps))
+				recorded := produced(r.fronts)
+				if recorded != len(r.apps) {
+					t.Fatalf("recorded %d front ends for %d apps", recorded, len(r.apps))
 				}
 				if workers == 1 && len(buffers) != 1 {
-					t.Fatalf("a serial Runner's runs read %d distinct front buffers, want the one reused for every app", len(buffers))
+					t.Fatalf("a serial Runner's runs read %d distinct front-end buffers, want the one reused for every app", len(buffers))
+				}
+				// The memo is complete: assembling results runs nothing and
+				// records nothing.
+				for _, app := range p.apps {
+					for _, org := range p.orgs {
+						if k.cmp {
+							r.RunCMP(app, org)
+						} else {
+							r.Run(app, org)
+						}
+					}
+				}
+				if _, peak2, live := streamState(r.fronts); peak2 != peak || len(live) != 0 || produced(r.fronts) != recorded {
+					t.Fatalf("memoized runs touched the front-end cache: peak %d -> %d, live %v, recorded %d -> %d",
+						peak, peak2, live, recorded, produced(r.fronts))
 				}
 			})
 		}
 	}
 }
 
-// TestStreamPrefetchLifecycle pins the pooled path: every run starts
-// with its app's stream live, at most Workers+1 streams hold buffers at
-// once, and every stream is retired once its last run is done.
-func TestStreamPrefetchLifecycle(t *testing.T) {
-	orgs := []Organization{Base(), NuRAPID(nurapid.DefaultConfig()), Ideal()}
-	for _, workers := range []int{2, 4} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			var r *Runner
-			var missing []string
-			r = smallRunner(t, WithInstructions(60_000), WithWorkers(workers),
-				WithObserver(ObserverFunc(func(e RunEvent) {
-					if e.Kind != RunStart {
-						return
-					}
-					app, _ := workload.ByName(e.App)
-					r.streams.mu.Lock()
-					if r.streams.live[r.streamKey(app)] == nil {
-						missing = append(missing, e.App+"/"+e.Org)
-					}
-					r.streams.mu.Unlock()
-				})))
-			r.streams = &producers[*cpu.Stream]{}
-			r.Prefetch(r.apps, orgs)
-			if len(missing) > 0 {
-				t.Fatalf("runs started without their app's stream live: %v", missing)
-			}
-			filled, peak, live := streamState(r.streams)
-			if filled != 0 || len(live) != 0 {
-				t.Fatalf("after Prefetch %d streams still held, live keys %v; want none", filled, live)
-			}
-			if peak < 1 || peak > workers+1 {
-				t.Fatalf("peak %d streams held at once, want 1..%d", peak, workers+1)
-			}
-			// The memo is complete: assembling results runs nothing and
-			// records nothing.
-			for _, app := range r.apps {
-				for _, org := range orgs {
-					r.Run(app, org)
-				}
-			}
-			if _, peak2, live := streamState(r.streams); peak2 != peak || len(live) != 0 {
-				t.Fatalf("memoized runs touched the stream cache: peak %d -> %d, live %v", peak, peak2, live)
-			}
-		})
+// TestStreamRecycledSetDropsSpareFronts pins the recycling of a wider
+// set into a narrower one in the one cache: a single-core stream
+// recorded into a private CMP run's retired fronts keeps one of them and
+// holds no pointer to the others.
+func TestStreamRecycledSetDropsSpareFronts(t *testing.T) {
+	r := smallRunner(t, WithInstructions(20_000), WithCores(3), WithSharing(cmp.Private))
+	r.fronts = &producers[[]*cpu.Stream]{}
+	r.RunCMP(r.apps[0], Base())
+	r.Run(r.apps[0], Base())
+	if n := len(r.fronts.free); n != 1 {
+		t.Fatalf("free list holds %d sets, want the one recycled set", n)
+	}
+	set := r.fronts.free[0]
+	if len(set) != 1 {
+		t.Fatalf("recycled set has %d members, want the stream alone", len(set))
+	}
+	for i, s := range set[1:cap(set)] {
+		if s != nil {
+			t.Fatalf("recycled set still holds front %d past its length", i+1)
+		}
 	}
 }
 
@@ -286,14 +296,14 @@ func TestStreamReplayAllRecycles(t *testing.T) {
 func TestStreamSharedAcrossRunners(t *testing.T) {
 	fresh := func(app workload.App, org Organization) *RunResult {
 		r := smallRunner(t, WithInstructions(60_000))
-		r.streams = &producers[*cpu.Stream]{}
+		r.fronts = &producers[[]*cpu.Stream]{}
 		return r.Run(app, org)
 	}
 	lastFree := func() *cpu.Stream {
 		frontEnds.mu.Lock()
 		defer frontEnds.mu.Unlock()
 		if n := len(frontEnds.free); n > 0 {
-			return frontEnds.free[n-1]
+			return frontEnds.free[n-1][0]
 		}
 		return nil
 	}
@@ -331,7 +341,7 @@ func TestStreamConcurrentRunners(t *testing.T) {
 	apps := smallRunner(t).apps
 	want := map[string]cpu.Result{}
 	ref := smallRunner(t, WithInstructions(30_000))
-	ref.streams = &producers[*cpu.Stream]{}
+	ref.fronts = &producers[[]*cpu.Stream]{}
 	for _, app := range apps {
 		for _, org := range orgs {
 			want[app.Name+"/"+org.Key] = ref.Run(app, org).CPU
