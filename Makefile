@@ -66,8 +66,9 @@ reference:
 	done > sweeps_output.txt.tmp
 	mv sweeps_output.txt.tmp sweeps_output.txt
 
-# bench: one iteration per benchmark, to catch bit-rot without waiting
-# for real measurements (the timed gates are bench-smoke's).
+# bench: one iteration of every Go benchmark (the access-path and core
+# benchmarks), to catch bit-rot without waiting for real measurements
+# (the timed gates are bench-smoke's).
 bench:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./...
 
@@ -78,7 +79,7 @@ bench:
 #   cmp    - shared-L2 accesses/s at 1/2/4/8 cores >= 0.85x the record;
 #   obs    - serial Fig6 and 2-core CMP, probe-free vs nil-probe vs full
 #            probes: byte-identical renders, CMP disabled-probe
-#            overhead <= 3%;
+#            overhead <= 3%, enabled-probe overhead within its budget;
 #   runner - replay pipeline at 1/2/4/8/16 workers with identical
 #            fingerprints, efficiency >= 0.5 at 4 workers (skipped when
 #            GOMAXPROCS < 4), serial vs parallel Fig6 byte-identical.

@@ -38,6 +38,10 @@ const (
 	// probeBudget is the queued CMP path's disabled-probe overhead
 	// budget; that path carries the Enqueue/Issue/Inval emission sites.
 	probeBudget = 0.03
+	// enabledProbeBudget is the same path's budget with Collector and
+	// Sampler probes attached to every run: twice the median of 23
+	// smoke runs on a 2-proc host, which read 0.11-0.39 (DESIGN §7).
+	enabledProbeBudget = 0.50
 	// efficiencyFloor is the replay pipeline's parallel efficiency at 4
 	// workers, enforced only on hosts with at least 4 procs.
 	efficiencyFloor = 0.5
@@ -53,8 +57,44 @@ const (
 // simulated work while still reaching L2 steady state.
 const cmpBenchInstructions = 200_000
 
+// benchInstructions is the per-application run length of the obs and
+// runner sections.
+const benchInstructions = 400_000
+
+// benchApps is the obs and runner sections' roster: three high-load
+// applications spanning small and large working sets, plus one
+// low-load control.
+var benchApps = []string{"applu", "art", "mcf", "galgel", "gzip"}
+
 // benchSweepWorkers are the replay pipeline sweep's worker counts.
 var benchSweepWorkers = []int{1, 2, 4, 8, 16}
+
+// benchRunnerWorkers builds the bench roster's runner on a pool of
+// workers; extra options apply after the defaults.
+func benchRunnerWorkers(tb testing.TB, workers int, extra ...sim.Option) *sim.Runner {
+	tb.Helper()
+	opts := []sim.Option{
+		sim.WithInstructions(benchInstructions),
+		sim.WithSeed(1),
+		sim.WithApps(benchAppList(tb)...),
+		sim.WithWorkers(workers),
+	}
+	return sim.NewRunner(append(opts, extra...)...)
+}
+
+// benchAppList resolves benchApps to their workload models.
+func benchAppList(tb testing.TB) []workload.App {
+	tb.Helper()
+	var apps []workload.App
+	for _, name := range benchApps {
+		a, ok := workload.ByName(name)
+		if !ok {
+			tb.Fatalf("app %s missing", name)
+		}
+		apps = append(apps, a)
+	}
+	return apps
+}
 
 // benchGate is one gate's verdict as recorded: Status is "enforced",
 // "skipped (<reason>)" or "FAILED".
@@ -375,6 +415,7 @@ func obsSmoke(t *testing.T) (benchSection, time.Duration, string) {
 		s.gate(checkGate(p+"render_mismatches", float64(e.diffs), 0, lower))
 	}
 	s.gate(checkGate("cmp2.disabled_overhead", s.Measurements["cmp2.disabled_overhead"], probeBudget, lower))
+	s.gate(checkGate("cmp2.enabled_overhead", s.Measurements["cmp2.enabled_overhead"], enabledProbeBudget, lower))
 	return s, fig6[0], fig6Out
 }
 
@@ -472,6 +513,8 @@ func TestCheckGate(t *testing.T) {
 		{"cmp-rate-doctored", vsBaseline("cores4.l2_accesses_per_sec", 339e3, 400e3, cmpRateFloor, higher), "FAILED"},
 		{"cmp2-overhead-good", checkGate("cmp2.disabled_overhead", 0.03, probeBudget, lower), "enforced"},
 		{"cmp2-overhead-doctored", checkGate("cmp2.disabled_overhead", 0.031, probeBudget, lower), "FAILED"},
+		{"cmp2-enabled-overhead-good", checkGate("cmp2.enabled_overhead", 0.50, enabledProbeBudget, lower), "enforced"},
+		{"cmp2-enabled-overhead-doctored", checkGate("cmp2.enabled_overhead", 0.51, enabledProbeBudget, lower), "FAILED"},
 		{"efficiency-good", sweepEntryGate(4, 0.5, 4), "enforced"},
 		{"efficiency-doctored", sweepEntryGate(4, 0.49, 8), "FAILED"},
 		{"efficiency-few-procs", sweepEntryGate(4, 0.49, 2), "skipped (GOMAXPROCS=2)"},

@@ -161,16 +161,21 @@ func (c Config) Sources(app workload.App, seed uint64) ([]workload.Source, error
 
 // RecordFronts records the first maxInstrPerCore instructions of each
 // source as a front for the system's cores (cpu.Stream.RecordFront),
-// into reuse's streams where it has them. A run's fronts depend only on
-// its sources, not on the shared organization, so one recording serves
-// a run on every organization.
+// into reuse's streams where it has them. A Private core's front is
+// based at its address-space offset. A run's fronts depend only on its
+// sources, not on the shared organization, so one recording serves a
+// run on every organization.
 func RecordFronts(srcs []workload.Source, maxInstrPerCore int64, reuse []*cpu.Stream) []*cpu.Stream {
 	for len(reuse) < len(srcs) {
 		reuse = append(reuse, &cpu.Stream{})
 	}
 	fronts := reuse[:len(srcs)]
 	for i, src := range srcs {
-		if err := fronts[i].RecordFront(src, maxInstrPerCore, cpu.DefaultConfig()); err != nil {
+		var base uint64
+		if o, ok := src.(*offsetSource); ok {
+			base = o.offset
+		}
+		if err := fronts[i].RecordFront(src, maxInstrPerCore, cpu.DefaultConfig(), base); err != nil {
 			panic(fmt.Sprintf("cmp: the cores' configuration rejected: %v", err))
 		}
 	}

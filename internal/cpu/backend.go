@@ -301,7 +301,7 @@ func (r *cursor) addr(s *Stream) uint64 {
 	a := s.addrs[r.addrs]
 	r.addrs++
 	if a != wideAddr {
-		return uint64(a)
+		return uint64(a) + s.base
 	}
 	w := s.wide[r.wide]
 	r.wide++

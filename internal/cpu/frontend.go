@@ -83,8 +83,9 @@ const (
 // byte. The fourteen common flag bytes — every kind, misprediction,
 // fetch transition and L1D hit or miss — have a code of their own; an
 // instruction with an I-miss or a dirty victim, or any other flag byte,
-// takes codeEscape and its flag byte goes to rare. Addresses are 32-bit
-// where they fit; a wider one is stored as wideAddr, its value in wide.
+// takes codeEscape and its flag byte goes to rare. An address is stored
+// as its 32-bit distance above the stream's base where that fits; any
+// other is stored as wideAddr, its value in wide.
 const (
 	codeEscape = 15
 	wideAddr   = math.MaxUint32
@@ -129,11 +130,15 @@ func flagIndex(f byte) byte { return f&0x0f | f>>1&0x10 }
 // have grown to size.
 // A front (RecordFront) records every load or store as an L1D miss with
 // its address, for Lockstep's live L1D: about two bytes per instruction.
+// A front's base is the offset of its core's address space, so a
+// private CMP core's addresses fit their 32-bit slots as a shared
+// core's do.
 type Stream struct {
 	codes []byte   // two 4-bit codes per byte, the first in the low nibble
 	rare  []byte   // the flag bytes of codeEscape instructions
-	addrs []uint32 // the addresses, wideAddr for one that does not fit
+	addrs []uint32 // the addresses less base, wideAddr for one that does not fit
 	wide  []uint64 // the addresses stored as wideAddr
+	base  uint64   // added to every address an addrs slot holds
 	count int      // instructions recorded
 
 	// The recording's L1 access and miss counts (a front's L1D ones are 0).
@@ -149,17 +154,20 @@ type Stream struct {
 // for a core configured by cfg, overwriting s. A CPU with the same L1
 // geometry and fetch block replays it with RunStream.
 func (s *Stream) Record(src workload.Source, n int64, cfg Config) error {
-	return s.recordFrom(src, n, cfg, false)
+	return s.recordFrom(src, n, cfg, false, 0)
 }
 
 // RecordFront is Record without the L1D: it records a front, which any
 // number of cores with the same L1 geometry and fetch block time with
-// Lockstep.
-func (s *Stream) RecordFront(src workload.Source, n int64, cfg Config) error {
-	return s.recordFrom(src, n, cfg, true)
+// Lockstep. Addresses are stored relative to base, the lowest address
+// the source's core uses (0 for an unshifted source); any address
+// decodes correctly, and one that is at least base and within 4 GB of
+// it takes 4 bytes.
+func (s *Stream) RecordFront(src workload.Source, n int64, cfg Config, base uint64) error {
+	return s.recordFrom(src, n, cfg, true, base)
 }
 
-func (s *Stream) recordFrom(src workload.Source, n int64, cfg Config, front bool) error {
+func (s *Stream) recordFrom(src workload.Source, n int64, cfg Config, front bool, base uint64) error {
 	if err := cfg.Validate(); err != nil {
 		return err
 	}
@@ -175,7 +183,7 @@ func (s *Stream) recordFrom(src workload.Source, n int64, cfg Config, front bool
 		s.codes = make([]byte, 0, want)
 	}
 	s.reset(n)
-	s.front = front
+	s.front, s.base = front, base
 	s.record(&fe, src)
 	if front {
 		// A front stays resident through every run that times it, on
@@ -256,11 +264,12 @@ func (s *Stream) record(fe *frontEnd, src workload.Source) {
 //
 //nurapid:hotpath
 func (s *Stream) addAddr(a uint64) {
-	if a >= wideAddr {
+	d := a - s.base
+	if d >= wideAddr {
 		s.wide = append(s.wide, a)
-		a = wideAddr
+		d = wideAddr
 	}
-	s.addrs = append(s.addrs, uint32(a))
+	s.addrs = append(s.addrs, uint32(d))
 }
 
 // checkCore panics unless cfg's front end is the one s was recorded for.

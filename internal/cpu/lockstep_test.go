@@ -137,11 +137,24 @@ type lockstepCase struct {
 	shared bool
 }
 
-// recordFront records src's first n instructions as a front for cfg.
+// recordFront records src's first n instructions as a front for cfg,
+// based at src's offset when it is an offsetSource, as cmp bases a
+// Private core's front.
 func recordFront(t testing.TB, src workload.Source, n int64, cfg Config) *Stream {
 	t.Helper()
+	var base uint64
+	if o, ok := src.(*offsetSource); ok {
+		base = o.offset
+	}
+	return recordFrontAt(t, src, n, cfg, base)
+}
+
+// recordFrontAt records src's first n instructions as a front for cfg,
+// its addresses stored relative to base.
+func recordFrontAt(t testing.TB, src workload.Source, n int64, cfg Config, base uint64) *Stream {
+	t.Helper()
 	s := &Stream{}
-	if err := s.RecordFront(src, n, cfg); err != nil {
+	if err := s.RecordFront(src, n, cfg, base); err != nil {
 		t.Fatal(err)
 	}
 	return s
@@ -506,15 +519,23 @@ func TestLockstepLimitEndsTogether(t *testing.T) {
 // PCs and addresses offset to 2^36 and beyond as cmp's Private sharing
 // offsets them, and decodes it through a lane's cursor: every I-miss
 // PC and every load or store address must come back as the source gave
-// it, through the wide side list.
+// it. Based at the offset, as cmp records it, every address fits its
+// 4-byte slot; based at 0, every one goes through the wide side list.
 func TestFrontRoundTripsWideAddresses(t *testing.T) {
 	app, _ := workload.ByName("mcf")
 	const n = 20_000
-	for _, offset := range []uint64{1 << 36, 3 << 36} {
+	for _, tc := range []struct{ offset, base uint64 }{
+		{1 << 36, 1 << 36}, {3 << 36, 3 << 36}, {1 << 36, 0}, {3 << 36, 0},
+	} {
+		offset := tc.offset
 		mkSrc := func() workload.Source { return &offsetSource{workload.MustNewGenerator(app, 2), offset} }
-		s := recordFront(t, mkSrc(), n, DefaultConfig())
-		if len(s.wide) == 0 || len(s.wide) != len(s.addrs) {
-			t.Fatalf("offset %#x: %d of %d addresses wide, want all", offset, len(s.wide), len(s.addrs))
+		s := recordFrontAt(t, mkSrc(), n, DefaultConfig(), tc.base)
+		wantWide := 0
+		if tc.base == 0 {
+			wantWide = len(s.addrs)
+		}
+		if len(s.addrs) == 0 || len(s.wide) != wantWide {
+			t.Fatalf("offset %#x, base %#x: %d of %d addresses wide, want %d", offset, tc.base, len(s.wide), len(s.addrs), wantWide)
 		}
 		fe, err := newFrontEnd(DefaultConfig(), true)
 		if err != nil {
@@ -551,15 +572,39 @@ func TestFrontRoundTripsWideAddresses(t *testing.T) {
 	}
 }
 
+// frontBytesPerInstr is the memory of a front of n instructions, its
+// codes and side lists as allocated, per instruction.
+func frontBytesPerInstr(t *testing.T, s *Stream, n int) float64 {
+	t.Helper()
+	if s.count != n {
+		t.Fatalf("front holds %d instructions, want %d", s.count, n)
+	}
+	return float64(cap(s.codes)+cap(s.rare)+4*cap(s.addrs)+8*cap(s.wide)) / float64(n)
+}
+
 // TestSharedFrontSize bounds the memory of the front every core of a
-// Shared CMP run reads: an mcf front at 200 k instructions, its codes
-// and side lists as allocated, stays under 2.5 bytes per instruction.
+// Shared CMP run reads: an mcf front at 200 k instructions stays under
+// 2.5 bytes per instruction.
 func TestSharedFrontSize(t *testing.T) {
 	app, _ := workload.ByName("mcf")
 	const n = 200_000
 	s := recordFront(t, workload.MustNewGenerator(app, 1), n, DefaultConfig())
-	bytes := cap(s.codes) + cap(s.rare) + 4*cap(s.addrs) + 8*cap(s.wide)
-	if perInstr := float64(bytes) / n; s.count != n || perInstr > 2.5 {
-		t.Fatalf("front of %d instructions holds %d bytes (%.2f per instruction), want at most 2.5", s.count, bytes, perInstr)
+	if perInstr := frontBytesPerInstr(t, s, n); perInstr > 2.5 {
+		t.Fatalf("front holds %.2f bytes per instruction, want at most 2.5", perInstr)
+	}
+}
+
+// TestPrivateFrontSize holds a Private CMP core's front, its addresses
+// at an offset of 2^36 and more, to the same bound as a shared front:
+// based at its offset, no address takes the 8-byte wide list.
+func TestPrivateFrontSize(t *testing.T) {
+	app, _ := workload.ByName("mcf")
+	const n = 200_000
+	for _, offset := range []uint64{1 << 36, 3 << 36} {
+		s := recordFront(t, &offsetSource{workload.MustNewGenerator(app, 2), offset}, n, DefaultConfig())
+		if perInstr := frontBytesPerInstr(t, s, n); perInstr > 2.5 || len(s.wide) != 0 {
+			t.Fatalf("offset %#x: front holds %.2f bytes per instruction, %d addresses wide; want at most 2.5 and none",
+				offset, perInstr, len(s.wide))
+		}
 	}
 }

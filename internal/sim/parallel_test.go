@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -29,10 +30,13 @@ func renderEverything(t *testing.T, workers int) string {
 
 // TestParallelAllMatchesSerial is the parallel runner's determinism
 // contract: rendering every experiment on an 8-worker pool must produce
-// the same bytes as the serial runner at the same seed. Run under
-// -race (make race / CI) this also shakes out data races in the
-// fan-out and singleflight layers.
+// the same bytes as the serial runner at the same seed. GOMAXPROCS is
+// raised to 8 for the test, so the 8 workers run on 8 threads that the
+// OS interleaves even on a host with fewer procs, which reaches more
+// orderings. Run under -race (make race / CI) this also shakes out data
+// races in the fan-out and singleflight layers.
 func TestParallelAllMatchesSerial(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
 	serial := renderEverything(t, 1)
 	parallel := renderEverything(t, 8)
 	if serial != parallel {

@@ -131,11 +131,11 @@ func replaySnapshotString(r *ReplayResult) string {
 }
 
 // TestReplayAllMatchesSerial is the chunked-replay determinism
-// contract: at 1, 2, 4, and 8 workers, with shuffled task submission
-// standing in for shuffled completion order, and at several chunk
-// sizes, ReplayAll must reproduce the serial per-job ReplayTrace bytes
-// exactly. Run under -race (make race / CI) this also shakes
-// out data races in the producer/consumer pipeline.
+// contract: at 1, 2, 4, 8 and 16 workers (the bench smoke's sweep
+// widths), with shuffled task submission standing in for shuffled
+// completion order, ReplayAll must reproduce the serial per-job
+// ReplayTrace bytes exactly. Run under -race (make race / CI) this also
+// shakes out data races in the producer/consumer pipeline.
 func TestReplayAllMatchesSerial(t *testing.T) {
 	const n = 4000
 	jobs := parReplayJobs(t, n)
@@ -154,7 +154,7 @@ func TestReplayAllMatchesSerial(t *testing.T) {
 		shuffled[i] = len(jobs) - 1 - i
 	}
 
-	for _, workers := range []int{1, 2, 4, 8} {
+	for _, workers := range []int{1, 2, 4, 8, 16} {
 		got := ReplayAll(model, jobs, ReplayOptions{Workers: workers, order: shuffled})
 		if len(got) != len(jobs) {
 			t.Fatalf("workers=%d: %d results for %d jobs", workers, len(got), len(jobs))

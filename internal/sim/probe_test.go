@@ -295,6 +295,43 @@ func TestTraceProbeDisabledResultsIdentical(t *testing.T) {
 	}
 }
 
+// TestProbeModesRenderIdentical is the plain-test twin of the bench
+// smoke's render_mismatches gates: Fig6 and the 2-core shared CMP
+// experiment render the same bytes with no probe, with a factory that
+// returns nil, and with Collector+Sampler probes on every run.
+func TestProbeModesRenderIdentical(t *testing.T) {
+	modes := []struct {
+		name string
+		opts []Option
+	}{
+		{"no-probe", nil},
+		{"nil-factory", []Option{WithProbe(func(app, org string) obs.Probe { return nil })}},
+		{"collector-sampler", []Option{WithProbe(func(app, org string) obs.Probe {
+			return obs.Multi(obs.NewCollector(), obs.NewSampler("occupancy", 0))
+		})}},
+	}
+	var want string
+	for i, m := range modes {
+		opts := append([]Option{WithInstructions(50_000), WithCores(2), WithSharing(cmp.Shared)}, m.opts...)
+		r := smallRunner(t, opts...)
+		var b strings.Builder
+		for _, e := range []*Experiment{r.Fig6(), r.CMP()} {
+			if err := e.Render(&b, false); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := r.ProbeErr(); err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			want = b.String()
+		} else if got := b.String(); got != want {
+			t.Fatalf("%s rendered different bytes than %s:\n%d bytes against %d\nfirst diff near %q",
+				m.name, modes[0].name, len(got), len(want), firstDiff(want, got))
+		}
+	}
+}
+
 // TestTraceWithTraceWritesFiles checks the WithTrace plumbing end to
 // end: one decodable JSONL file per executed run, and a latched
 // ProbeErr when the directory cannot be written.
