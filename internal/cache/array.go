@@ -26,7 +26,15 @@ type Array struct {
 	stamps []uint64 // last-use stamp per line; the LRU victim has the smallest
 }
 
-// NewArray builds a tag array.
+// The process-wide free lists behind every Array's storage.
+var (
+	lineSpares  Spares[Line]
+	stampSpares Spares[uint64]
+)
+
+// NewArray builds a tag array, cold. Its storage comes from a
+// process-wide free list (ReleaseArrays) when a spare of its size is
+// held.
 func NewArray(geo Geometry) (*Array, error) {
 	if err := geo.Validate(); err != nil {
 		return nil, err
@@ -34,9 +42,27 @@ func NewArray(geo Geometry) (*Array, error) {
 	return &Array{
 		geo:    geo,
 		idx:    geo.Index(),
-		lines:  make([]Line, geo.NumBlocks()),
-		stamps: make([]uint64, geo.NumBlocks()),
+		lines:  lineSpares.Get(geo.NumBlocks()),
+		stamps: stampSpares.Get(geo.NumBlocks()),
 	}, nil
+}
+
+// ReleaseArrays hands the arrays' storage back to the process-wide free
+// list, as one job's release, and drops it from the arrays: any later
+// use of one panics rather than reading another job's lines. Arrays
+// already released are skipped.
+func ReleaseArrays(arrs ...*Array) {
+	lines := make([][]Line, 0, len(arrs))
+	stamps := make([][]uint64, 0, len(arrs))
+	for _, a := range arrs {
+		if a == nil || a.lines == nil {
+			continue
+		}
+		lines, stamps = append(lines, a.lines), append(stamps, a.stamps)
+		a.lines, a.stamps, a.clock = nil, nil, 0
+	}
+	lineSpares.Put(lines...)
+	stampSpares.Put(stamps...)
 }
 
 // MustNewArray is NewArray that panics on configuration errors; for

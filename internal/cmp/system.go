@@ -123,6 +123,16 @@ func (s *System) SetProbe(p obs.Probe) {
 	s.queue.SetProbe(p)
 }
 
+// Release hands the cores' L1Ds, and the shared organization's storage
+// when it is a memsys.Releaser, back to the process-wide free lists
+// once the run's results are harvested; any later run or access panics.
+func (s *System) Release() {
+	cpu.Release(s.cores...)
+	if r, ok := s.queue.l2.(memsys.Releaser); ok {
+		r.Release()
+	}
+}
+
 // Queue exposes the shared bank-queue model (contention figures).
 func (s *System) Queue() *Queue { return s.queue }
 

@@ -174,6 +174,17 @@ func MustNew(l2 memsys.LowerLevel, opts ...Option) *CPU {
 	return c
 }
 
+// Release hands the cores' L1 tag arrays back to the process-wide free
+// list as one job's release, once their runs are done; each core's
+// Result stays valid.
+func Release(cores ...*CPU) {
+	var arrs []*cache.Array
+	for _, c := range cores {
+		arrs = append(arrs, c.fe.arrays()...)
+	}
+	cache.ReleaseArrays(arrs...)
+}
+
 // begin marks the core's one run as started.
 func (c *CPU) begin() {
 	if c.ran {

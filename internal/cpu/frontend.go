@@ -46,6 +46,17 @@ func newFrontEnd(cfg Config, front bool) (frontEnd, error) {
 	return fe, err
 }
 
+// arrays returns the tag arrays of the L1s the front end has.
+func (f *frontEnd) arrays() []*cache.Array {
+	var arrs []*cache.Array
+	for _, c := range []*cache.Cache{f.l1i, f.l1d} {
+		if c != nil {
+			arrs = append(arrs, c.Array())
+		}
+	}
+	return arrs
+}
+
 // fetch is the instruction fetch of pc: when pc starts a new fetch block
 // it accesses the L1I once and reports whether that access missed. It
 // is small enough to inline, so the common case (same block) costs no
@@ -179,16 +190,21 @@ func (s *Stream) recordFrom(src workload.Source, n int64, cfg Config, front bool
 	// Every instruction takes a code, so size codes for the budget up
 	// front (bounded, for effectively unbounded budgets over short
 	// sources); the rest grows with the miss count.
+	fits := true
 	if want := int(min(n, 1<<21)+1) / 2; cap(s.codes) < want {
-		s.codes = make([]byte, 0, want)
+		s.codes, fits = make([]byte, 0, want), false
 	}
 	s.reset(n)
 	s.front, s.base = front, base
+	addrCap := cap(s.addrs)
 	s.record(&fe, src)
-	if front {
+	cache.ReleaseArrays(fe.arrays()...)
+	if front && (!fits || cap(s.addrs) != addrCap) {
 		// A front stays resident through every run that times it, on
-		// every organization, so it keeps its exact size rather than
-		// the slack its lists grew with.
+		// every organization, so one whose lists had to grow keeps their
+		// exact size rather than the slack they grew with. One recorded
+		// into the lists of a recycled front that held it keeps those,
+		// so recording the next app allocates nothing.
 		s.codes, s.addrs = slices.Clone(s.codes), slices.Clone(s.addrs)
 	}
 	return nil

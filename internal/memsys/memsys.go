@@ -64,6 +64,15 @@ type LowerLevel interface {
 	Counters() *stats.Counters
 }
 
+// Releaser is implemented by organizations whose large storage (tag
+// arrays, frame stores) comes from process-wide free lists. Release
+// hands that storage back once the organization's results are
+// harvested, so the next organization built reuses it; the results
+// already read stay valid, and any later access panics.
+type Releaser interface {
+	Release()
+}
+
 // BatchAccessor is implemented by lower levels that take a whole batch
 // in one call; AccessMany hands such a batch over unchanged. No
 // organization implements it — every organization is replayed by the

@@ -189,6 +189,10 @@ func MustNew(cfg Config, m *cacti.Model, mem *memsys.Memory) *Cache {
 	return c
 }
 
+// Release hands the cache's tag array back to the process-wide free
+// list (memsys.Releaser); any later access panics.
+func (c *Cache) Release() { cache.ReleaseArrays(c.tags) }
+
 // Name implements memsys.LowerLevel.
 func (c *Cache) Name() string { return "dnuca-" + c.cfg.Policy.String() }
 

@@ -3,6 +3,7 @@ package nurapid
 import (
 	"fmt"
 
+	"nurapid/internal/cache"
 	"nurapid/internal/mathx"
 )
 
@@ -56,6 +57,17 @@ type frameStore struct {
 
 const nilFrame = int32(-1)
 
+// The process-wide free lists behind every frame store's slices (and
+// the caches' partition tables).
+var (
+	frameSpares cache.Spares[frameMeta]
+	int32Spares cache.Spares[int32]
+)
+
+// newFrameStore builds a store with every frame free. Its slices come
+// from the process-wide free lists when spares of their sizes are held,
+// and every entry is written here, so a recycled store is built exactly
+// as a fresh one.
 func newFrameStore(nGroups, framesPerGroup, nParts, partSize int) frameStore {
 	n := nGroups * framesPerGroup
 	homes := nGroups * nParts
@@ -64,13 +76,13 @@ func newFrameStore(nGroups, framesPerGroup, nParts, partSize int) frameStore {
 		framesPerGroup: framesPerGroup,
 		nParts:         nParts,
 		partSize:       partSize,
-		frames:         make([]frameMeta, n),
-		prev:           make([]int32, n),
-		next:           make([]int32, n),
-		lruHead:        make([]int32, homes),
-		lruTail:        make([]int32, homes),
-		freeHead:       make([]int32, homes),
-		freeCount:      make([]int32, homes),
+		frames:         frameSpares.Get(n),
+		prev:           int32Spares.Get(n),
+		next:           int32Spares.Get(n),
+		lruHead:        int32Spares.Get(homes),
+		lruTail:        int32Spares.Get(homes),
+		freeHead:       int32Spares.Get(homes),
+		freeCount:      int32Spares.Get(homes),
 	}
 	for g := 0; g < nGroups; g++ {
 		for p := 0; p < nParts; p++ {
@@ -96,6 +108,15 @@ func newFrameStore(nGroups, framesPerGroup, nParts, partSize int) frameStore {
 		}
 	}
 	return s
+}
+
+// recycle hands the store's slices back to the free lists, with the
+// cache's other int32 slices, as one job's release, and drops them:
+// any later use panics.
+func (s *frameStore) recycle(more ...[]int32) {
+	frameSpares.Put(s.frames)
+	int32Spares.Put(append([][]int32{s.prev, s.next, s.lruHead, s.lruTail, s.freeHead, s.freeCount}, more...)...)
+	*s = frameStore{}
 }
 
 func (s *frameStore) numFrames() int { return len(s.frames) }

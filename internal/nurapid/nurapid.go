@@ -334,7 +334,7 @@ func New(cfg Config, m *cacti.Model, mem *memsys.Memory) (*Cache, error) {
 	// in every d-group, so demotion chains stay within one partition and
 	// the conservation argument (a freed frame is always reachable)
 	// holds. Memoized so the access loop never divides.
-	partTab := make([]int32, geo.NumSets())
+	partTab := int32Spares.Get(geo.NumSets())
 	if nParts > 1 {
 		for s := range partTab {
 			if cfg.Placement == SetAssociative {
@@ -399,6 +399,20 @@ func MustNew(cfg Config, m *cacti.Model, mem *memsys.Memory) *Cache {
 		panic(err)
 	}
 	return c
+}
+
+// Release hands the cache's tag arrays, frame store and partition table
+// back to the process-wide free lists, for the next cache built; call it
+// once the cache's results are harvested (memsys.Releaser). Results
+// already read stay valid; any later access panics.
+func (c *Cache) Release() {
+	arrs := []*cache.Array{c.tags}
+	if c.pred != nil {
+		arrs = append(arrs, c.pred.shadow)
+	}
+	cache.ReleaseArrays(arrs...)
+	c.store.recycle(c.partTab)
+	c.partTab = nil
 }
 
 // Name implements memsys.LowerLevel.

@@ -123,6 +123,7 @@ func (r *Runner) RunCMP(app workload.App, org Organization) *CMPRunResult {
 			QueueMetrics: sys.Queue().Snapshot(),
 			ObsMetrics:   r.finishProbes(probes),
 		}
+		sys.Release()
 		return res, RunEvent{IPC: cres.AggregateIPC, Metrics: res.Snapshot(), FrontEnd: frontEnd}
 	})
 }

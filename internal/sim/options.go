@@ -39,8 +39,9 @@ func WithSeed(seed uint64) Option {
 }
 
 // WithWorkers bounds the worker pool that executes prefetched runs.
-// n <= 1 is a pool of one, which runs every task inline, in submission
-// order; the schedule and the rendered output are the same at every n.
+// n <= 1 is a pool of one worker, which runs the runs in submission
+// order while the pool's front-end lane records the next app's front
+// end; the schedule and the rendered output are the same at every n.
 func WithWorkers(n int) Option {
 	return func(r *Runner) { r.workers = n }
 }

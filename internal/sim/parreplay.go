@@ -1,9 +1,10 @@
 // Parallel trace-gen + replay pipeline. The measurement campaigns'
 // replay work factors into two kinds of independence the serial path
-// never exploited: trace generation is embarrassingly parallel across
-// (app, seed) streams (each stream is independently seeded, so shards
-// need no coordination), and replay is embarrassingly parallel across
-// (app, org) jobs (each job builds a private L2 and memory). Within one
+// never exploited: trace generation is independent across (app, seed)
+// streams (each stream is independently seeded), so one stream's
+// generation overlaps the replay of the streams before it, and replay
+// is embarrassingly parallel across (app, org) jobs (each job builds a
+// private L2 and memory). Within one
 // job, cache state cannot be split, so each replay is one sequential
 // ReplayTrace; the per-job results merge deterministically by job
 // index, reproducing the serial ReplayResult and Fingerprint bytes
@@ -15,6 +16,7 @@ import (
 	"fmt"
 	"runtime/pprof"
 	"sync"
+	"sync/atomic"
 
 	"nurapid/internal/cacti"
 	"nurapid/internal/workload"
@@ -31,8 +33,9 @@ type ReplayJob struct {
 
 // ReplayOptions configures ReplayAll's worker pool.
 type ReplayOptions struct {
-	// Workers bounds the pool; <= 1 replays serially on the calling
-	// goroutine, in job order.
+	// Workers bounds the pool that replays the jobs; <= 1 is a pool of
+	// one, which replays them in job order while the lane generates the
+	// next trace.
 	Workers int
 
 	// order permutes replay-task submission (a test hook: shuffled
@@ -43,13 +46,12 @@ type ReplayOptions struct {
 // ReplayAll runs every job on a bounded worker pool and returns the
 // results indexed like jobs (the deterministic merge). Trace generation
 // is sharded per (app, seed, n) stream on the shared producer cache
-// (streams.go): jobs replaying the same stream share one generation
-// pass, submitted just ahead of the stream's first replay, and the
-// trace is recycled after its last. So generation overlaps with the
-// replay of streams already generated, and a few traces are held at a
-// time rather than all of them. The results are byte-identical to
-// calling ReplayTrace serially per job, whatever Workers is; a tested,
-// race-checked guarantee.
+// (streams.go): the jobs of a stream that run one after another form a
+// group (runPool), whose trace the lane generates while the workers
+// replay the traces before it, and the trace is recycled after its last
+// replay. So a few traces are held at a time rather than all of them.
+// The results are byte-identical to calling ReplayTrace serially per
+// job, whatever Workers is; a tested, race-checked guarantee.
 //
 //nurapid:coldpath
 func ReplayAll(model *cacti.Model, jobs []ReplayJob, opts ReplayOptions) []*ReplayResult {
@@ -68,21 +70,22 @@ func ReplayAll(model *cacti.Model, jobs []ReplayJob, opts ReplayOptions) []*Repl
 	}
 
 	// Every replay holds its trace from here until it finishes, so the
-	// last one recycles it; the first one's producer goes just ahead.
+	// last one recycles it.
 	var traces producers[Trace]
 	results := make([]*ReplayResult, len(jobs))
-	tasks := make([]func(), 0, 2*len(jobs))
-	for _, i := range jobOrder {
+	var groups []group
+	for k, i := range jobOrder {
 		i, job := i, jobs[i]
-		e, fresh := traces.plan(replayKey(job), 1)
-		if fresh {
-			tasks = append(tasks, func() {
-				traces.fill(context.Background(), e, "tracegen", func(reuse Trace) Trace {
+		e := traces.plan(replayKey(job), 1)
+		if k == 0 || replayKey(jobs[jobOrder[k-1]]) != replayKey(job) {
+			groups = append(groups, group{produce: func() {
+				traces.ensure(context.Background(), e, "tracegen", func(reuse Trace) Trace {
 					return extractTrace(reuse, workload.MustNewGenerator(job.App, job.Seed), job.N)
 				})
-			})
+			}})
 		}
-		tasks = append(tasks, func() {
+		g := &groups[len(groups)-1]
+		g.consume = append(g.consume, func() {
 			defer traces.release(e)
 			labels := pprof.Labels("app", job.App.Name, "org", job.Org.Key, "phase", "replay")
 			pprof.Do(context.Background(), labels, func(context.Context) {
@@ -90,7 +93,7 @@ func ReplayAll(model *cacti.Model, jobs []ReplayJob, opts ReplayOptions) []*Repl
 			})
 		})
 	}
-	runPool(opts.Workers, tasks)
+	runPool(opts.Workers, groups)
 	return results
 }
 
@@ -99,22 +102,41 @@ func replayKey(j ReplayJob) streamKey {
 	return streamKey{app: j.App, seed: j.Seed, n: int64(j.N)}
 }
 
-// runPool executes tasks on min(w, len(tasks)) goroutines, handing them
-// out in submission order; with w <= 1 it runs them inline, in order,
-// on the calling goroutine. Either way a task that panics does not stop
-// the rest: the panic is recovered, the one with the lowest submission
-// index is latched (so which panic wins is deterministic under any
-// completion order), the remaining tasks still run — filling every
+// group is one producer task and the consumer tasks that read what it
+// produces.
+type group struct {
+	produce func()
+	consume []func()
+}
+
+// runPool runs every group's producer on one goroutine, the lane, in
+// group order, and the consumers on min(w, consumers) worker goroutines
+// (at least one), handed out in submission order. A group is held from
+// the start of its producer until the lane and all its consumers are
+// done with it, and the lane starts a producer only while fewer than
+// workers+1 groups are held: it produces the next groups' values while
+// the workers consume the current ones, and holds at most workers+1 at
+// once. The pool cannot deadlock. A consumer waits only for its own
+// group's producer. The lane waits for room only while workers+1 groups
+// it has produced each have a consumer still to finish; consumers go
+// out in order, so no worker takes a later group's consumer before all
+// of theirs are out, and the workers cannot run workers+1 of them at
+// once, so some worker runs one of theirs, which waits on nothing.
+//
+// A task that panics does not stop the rest: the panic is recovered,
+// the one with the lowest submission index (each group's producer, then
+// its consumers) is latched, so which panic wins is deterministic under
+// any completion order, the remaining tasks still run — filling every
 // planned stream and releasing every singleflight waiter — and the
-// latched panic is re-raised on the caller's goroutine after the pool
-// drains.
-func runPool(w int, tasks []func()) {
+// latched panic is re-raised on the caller's goroutine once every
+// goroutine of the pool has exited.
+func runPool(w int, groups []group) {
 	var (
 		mu       sync.Mutex
 		panicIdx = -1
 		panicVal any
 	)
-	run := func(i int) {
+	run := func(i int, task func()) {
 		defer func() {
 			if p := recover(); p != nil {
 				mu.Lock()
@@ -124,30 +146,55 @@ func runPool(w int, tasks []func()) {
 				mu.Unlock()
 			}
 		}()
-		tasks[i]()
+		task()
 	}
-	if w = min(w, len(tasks)); w <= 1 {
-		for i := range tasks {
-			run(i)
-		}
-	} else {
-		next := make(chan int)
-		var wg sync.WaitGroup
-		wg.Add(w)
-		for range w {
-			go func() {
-				defer wg.Done()
-				for i := range next {
-					run(i)
-				}
-			}()
-		}
-		for i := range tasks {
-			next <- i
-		}
-		close(next)
-		wg.Wait()
+
+	// first[g] is the submission index of group g's producer; left[g]
+	// counts its tasks still to finish, the last of which frees its slot.
+	first := make([]int, len(groups))
+	left := make([]atomic.Int32, len(groups))
+	tasks := 0
+	for g, gr := range groups {
+		first[g] = tasks
+		left[g].Store(int32(len(gr.consume) + 1))
+		tasks += len(gr.consume) + 1
 	}
+	w = max(1, min(w, tasks-len(groups)))
+	slots := make(chan struct{}, w+1)
+	finish := func(g int) {
+		if left[g].Add(-1) == 0 {
+			<-slots
+		}
+	}
+
+	var wg sync.WaitGroup
+	wg.Add(1 + w)
+	go func() { // the lane
+		defer wg.Done()
+		for g, gr := range groups {
+			slots <- struct{}{}
+			run(first[g], gr.produce)
+			finish(g)
+		}
+	}()
+	type consumer struct{ g, k int } // group g's k-th consumer
+	next := make(chan consumer)
+	for range w {
+		go func() {
+			defer wg.Done()
+			for c := range next {
+				run(first[c.g]+1+c.k, groups[c.g].consume[c.k])
+				finish(c.g)
+			}
+		}()
+	}
+	for g, gr := range groups {
+		for k := range gr.consume {
+			next <- consumer{g, k}
+		}
+	}
+	close(next)
+	wg.Wait()
 	if panicIdx != -1 {
 		panic(fmt.Sprintf("sim: pooled task %d panicked: %v", panicIdx, panicVal))
 	}

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -334,15 +335,95 @@ func TestRunPoolPanicIsDeterministic(t *testing.T) {
 					caught = fmt.Sprint(p)
 				}
 			}()
-			runPool(4, []func(){
-				func() {},
-				func() { panic("sim: first seeded panic") },
-				func() { panic("sim: second seeded panic") },
-				func() {},
-			})
+			runPool(4, []group{{
+				produce: func() {},
+				consume: []func(){
+					func() { panic("sim: first seeded panic") },
+					func() { panic("sim: second seeded panic") },
+					func() {},
+				},
+			}})
 		}()
 		if !strings.Contains(caught, "task 1") || !strings.Contains(caught, "first seeded panic") {
 			t.Fatalf("trial %d: runPool re-raised %q, want the lowest-index panic (task 1)", trial, caught)
+		}
+	}
+}
+
+// TestLaneProducerPanic seeds a panic into the lane: app k of 4 is a
+// model the generator rejects, so recording its front end (prefetch) or
+// generating its trace (ReplayAll) panics, at 1, 2 and 4 workers. The
+// lane latches the panic on the stream and goes on producing, so every
+// consumer of app k is released to re-raise it and every other app's
+// runs finish; the caller gets the panic of app k's first consumer (the
+// lowest submission index), and no goroutine of the pool outlives the
+// call.
+func TestLaneProducerPanic(t *testing.T) {
+	var apps []workload.App
+	for _, name := range []string{"applu", "mcf", "gzip", "art"} {
+		app, _ := workload.ByName(name)
+		apps = append(apps, app)
+	}
+	orgs := []Organization{Base(), NuRAPID(nurapid.DefaultConfig())}
+	// Each app is one group: its producer, then one consumer per org.
+	firstConsumer := func(k int) string { return fmt.Sprintf("pooled task %d panicked", k*(1+len(orgs))+1) }
+	catch := func(f func()) (caught string) {
+		defer func() { caught = fmt.Sprint(recover()) }()
+		f()
+		return ""
+	}
+	settled := func(t *testing.T, start int) {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); runtime.NumGoroutine() > start; {
+			if time.Now().After(deadline) {
+				t.Fatalf("%d goroutines outlived the pool, started with %d", runtime.NumGoroutine(), start)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	for k := range apps {
+		broken := append([]workload.App(nil), apps...)
+		broken[k].CodeKB = 0 // the generator rejects it
+		for _, workers := range []int{1, 2, 4} {
+			t.Run(fmt.Sprintf("prefetch/app=%d/workers=%d", k, workers), func(t *testing.T) {
+				start := runtime.NumGoroutine()
+				var mu sync.Mutex
+				finishes := 0
+				r := NewRunner(WithInstructions(20_000), WithApps(broken...), WithWorkers(workers),
+					WithObserver(ObserverFunc(func(e RunEvent) {
+						if e.Kind == RunFinish {
+							mu.Lock()
+							finishes++
+							mu.Unlock()
+						}
+					})))
+				r.fronts = &producers[[]*cpu.Stream]{}
+				caught := catch(func() { r.prefetch(runSet{apps: broken, orgs: orgs}) })
+				if !strings.Contains(caught, firstConsumer(k)) || !strings.Contains(caught, "bad code footprint") {
+					t.Fatalf("prefetch re-raised %q, want app %d's first consumer (%s) re-raising the recorder's panic", caught, k, firstConsumer(k))
+				}
+				if want := (len(apps) - 1) * len(orgs); finishes != want {
+					t.Fatalf("%d runs finished, want every run of the %d healthy apps (%d)", finishes, len(apps)-1, want)
+				}
+				if filled, _, live := streamState(r.fronts); filled != 0 || len(live) != 0 {
+					t.Fatalf("after the failed prefetch %d front ends held, live %v; want none", filled, live)
+				}
+				settled(t, start)
+			})
+			t.Run(fmt.Sprintf("replay/app=%d/workers=%d", k, workers), func(t *testing.T) {
+				start := runtime.NumGoroutine()
+				var jobs []ReplayJob
+				for _, app := range broken {
+					for _, org := range orgs {
+						jobs = append(jobs, ReplayJob{App: app, Seed: 1, N: 2000, Org: org})
+					}
+				}
+				caught := catch(func() { ReplayAll(cacti.Default(), jobs, ReplayOptions{Workers: workers}) })
+				if !strings.Contains(caught, firstConsumer(k)) || !strings.Contains(caught, "bad code footprint") {
+					t.Fatalf("ReplayAll re-raised %q, want app %d's first replay (%s) re-raising the generator's panic", caught, k, firstConsumer(k))
+				}
+				settled(t, start)
+			})
 		}
 	}
 }

@@ -83,14 +83,15 @@ func ExperimentIDs() []string {
 // full run set up front, then assembles its table from memoized results
 // in deterministic order.
 //
-// Tasks go out app by app: one task recording the app's front end (its
-// stream, or for a CMP set its fronts), then its organizations' runs,
-// which time it; the last of them retires it. So the pool holds at most
-// workers+1 front ends (one on a serial Runner), each app is recorded
-// once, and each run's RunEvent.Elapsed stays the cost of its own
-// organization.
+// Runs go out app by app as one group each (runPool): the front-end
+// lane records the app's front end (its stream, or for a CMP set its
+// fronts) while the workers time the apps before it, then its
+// organizations' runs time it; the last of them retires it. So each app
+// is recorded once, at most workers+1 front ends are held (two on a
+// serial Runner), and each run's RunEvent.Elapsed stays the cost of its
+// own organization.
 func (r *Runner) prefetch(p runSet) {
-	var tasks []func()
+	var groups []group
 	for _, app := range p.apps {
 		var runs []func()
 		r.mu.Lock()
@@ -103,10 +104,10 @@ func (r *Runner) prefetch(p runSet) {
 		}
 		r.mu.Unlock()
 		if len(runs) > 0 {
-			tasks = schedule(tasks, r.frontEnds(), r.frontKey(app, p.cmp), r.recorder(app, p.cmp), runs)
+			groups = schedule(groups, r.frontEnds(), r.frontKey(app, p.cmp), r.recorder(app, p.cmp), runs)
 		}
 	}
-	runPool(r.workers, tasks)
+	runPool(r.workers, groups)
 }
 
 // execute prefetches p's run set, then assembles its experiment.

@@ -142,6 +142,7 @@ func ReplayTrace(model *cacti.Model, org Organization, t Trace) *ReplayResult {
 	for _, name := range l2.Counters().Names() {
 		res.Ctrs.Add(name, l2.Counters().Get(name))
 	}
+	release(l2)
 	return res
 }
 

@@ -140,10 +140,11 @@ func (r *RunResult) Snapshot() []stats.KV {
 // first caller for a (app, org) key executes the simulation, concurrent
 // callers for the same key block until that one result is ready, and
 // later callers get it instantly. Each experiment prefetches its full
-// run set onto the worker pool (WithWorkers; a pool of one runs its
-// tasks inline, in submission order) and then assembles its table from
-// completed results in deterministic order, so the rendered output is
-// byte-identical at every worker count for the same seed.
+// run set onto the worker pool (WithWorkers; the pool's lane records
+// each app's front end while the workers time the app before it) and
+// then assembles its table from completed results in deterministic
+// order, so the rendered output is byte-identical at every worker count
+// for the same seed.
 type Runner struct {
 	model        *cacti.Model
 	instructions int64
@@ -311,8 +312,17 @@ func (r *Runner) Run(app workload.App, org Organization) *RunResult {
 			res.L2GroupAccesses = nc.GroupAccesses()
 		}
 		res.ObsMetrics = r.finishProbes(probes)
+		release(l2)
 		return res, RunEvent{IPC: cres.IPC, APKI: cres.APKI, HasAPKI: true, Metrics: res.Snapshot(), FrontEnd: frontEnd}
 	})
+}
+
+// release hands l2's storage back to the process-wide free lists when
+// it has any (memsys.Releaser), once its results are harvested.
+func release(l2 memsys.LowerLevel) {
+	if rl, ok := l2.(memsys.Releaser); ok {
+		rl.Release()
+	}
 }
 
 // withFrontEnd runs run on app's recorded front end — its stream as a

@@ -41,6 +41,7 @@ type shared[T any] struct {
 	val      T
 	panicked any
 	refs     int  // holders; guarded by producers.mu
+	claimed  bool // a fill has started; guarded by producers.mu
 	done     bool // fill has finished; guarded by producers.mu
 }
 
@@ -62,13 +63,14 @@ func (e *shared[T]) wait() T {
 // stop allocating once the buffers have grown.
 //
 // Planned streams are the schedule: plan registers a stream and its
-// consumer count before any task runs, and the caller submits one
-// producer task (fill) ahead of the consumers, each of which releases
-// the stream when done. A consumer blocked in wait always has its
-// producer already handed to a worker, so the pool cannot deadlock, and
-// with tasks handed out app by app at most workers+1 streams hold
-// buffers at once. get hands a consumer its stream: the planned one
-// when live, or else one produced inline for that caller.
+// consumer count before any task runs, and the caller hands runPool a
+// group per stream: a producer (ensure) for its lane and the consumers,
+// each of which releases the stream when done. ensure fills the stream
+// unless another producer has started to, and then waits for that fill,
+// which waits on nothing; so a stream planned by two concurrent
+// prefetches is produced once, by whichever lane reaches it first. get
+// hands a consumer its stream: the planned one when live, or else one
+// produced inline for that caller.
 type producers[T any] struct {
 	mu       sync.Mutex
 	live     map[streamKey]*shared[T]
@@ -79,16 +81,30 @@ type producers[T any] struct {
 }
 
 // plan registers consumers more holders of key's stream, creating it if
-// none is live; fresh reports that the caller must submit a fill task
-// for it ahead of the consumers.
-func (p *producers[T]) plan(key streamKey, consumers int) (e *shared[T], fresh bool) {
+// none is live.
+func (p *producers[T]) plan(key streamKey, consumers int) *shared[T] {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if e, ok := p.live[key]; ok {
 		e.refs += consumers
-		return e, false
+		return e
 	}
-	return p.addLocked(key, consumers), true
+	return p.addLocked(key, consumers)
+}
+
+// ensure produces e's stream unless a producer has claimed it already,
+// and then waits for that one to publish it. It never re-raises: a
+// producer panic is latched on e for its consumers.
+func (p *producers[T]) ensure(ctx context.Context, e *shared[T], phase string, produce func(reuse T) T) {
+	p.mu.Lock()
+	claim := !e.claimed
+	e.claimed = true
+	p.mu.Unlock()
+	if claim {
+		p.fill(ctx, e, phase, produce)
+	} else {
+		<-e.ready
+	}
 }
 
 // get returns key's stream, produced, with one hold the caller must
@@ -103,6 +119,7 @@ func (p *producers[T]) get(ctx context.Context, key streamKey, phase string, pro
 		e.refs++
 	} else {
 		e = p.addLocked(key, 1)
+		e.claimed = true
 	}
 	p.mu.Unlock()
 	if !ok {
@@ -189,19 +206,17 @@ func (p *producers[T]) retireLocked(e *shared[T]) {
 	e.val = zero
 }
 
-// schedule appends the tasks of one app's planned runs to tasks: a task
-// producing key's stream, unless a live one is already planned, then
-// the runs, each releasing the stream when done.
-func schedule[T any](tasks []func(), p *producers[T], key streamKey, produce func(reuse T) T, runs []func()) []func() {
-	e, fresh := p.plan(key, len(runs))
-	if fresh {
-		tasks = append(tasks, func() { p.fill(context.Background(), e, "front-end", produce) })
-	}
+// schedule appends the group of one app's planned runs to groups: a
+// producer ensuring key's stream, then the runs, each releasing the
+// stream when done.
+func schedule[T any](groups []group, p *producers[T], key streamKey, produce func(reuse T) T, runs []func()) []group {
+	e := p.plan(key, len(runs))
+	g := group{produce: func() { p.ensure(context.Background(), e, "front-end", produce) }}
 	for _, run := range runs {
-		tasks = append(tasks, func() {
+		g.consume = append(g.consume, func() {
 			defer p.release(e)
 			run()
 		})
 	}
-	return tasks
+	return append(groups, g)
 }

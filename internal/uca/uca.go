@@ -65,6 +65,10 @@ func NewIdeal(m *cacti.Model, mem *memsys.Memory) *Uniform {
 	}
 }
 
+// Release hands the cache's tag array back to the process-wide free
+// list (memsys.Releaser); any later access panics.
+func (u *Uniform) Release() { cache.ReleaseArrays(u.c.Array()) }
+
 // Name implements memsys.LowerLevel.
 func (u *Uniform) Name() string { return u.name }
 
@@ -191,6 +195,10 @@ func NewHierarchy(m *cacti.Model, mem *memsys.Memory) *Hierarchy {
 		dist: stats.NewDistribution("L2", "L3"),
 	}
 }
+
+// Release hands both levels' tag arrays back to the process-wide free
+// list (memsys.Releaser); any later access panics.
+func (h *Hierarchy) Release() { cache.ReleaseArrays(h.l2.Array(), h.l3.Array()) }
 
 // Name implements memsys.LowerLevel.
 func (h *Hierarchy) Name() string { return "base-l2l3" }
