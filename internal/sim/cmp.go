@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"context"
 	"fmt"
 
 	"nurapid/internal/cmp"
@@ -84,14 +83,24 @@ func (r *Runner) cmpCores() int {
 // RunCMP simulates app on Cores copies of the out-of-order core over
 // one shared org, memoized on (app, cores, sharing, org key). Each core
 // retires Instructions instructions, so the aggregate work scales with
-// the core count. The cores time app's recorded fronts, which every
-// organization shares: the fronts prefetch planned for the app,
-// or else ones recorded for this run alone. Probes and traces attach to
-// the shared organization exactly as in single-core runs, under the cmp
-// label.
+// the core count. Like Run, a call outside an experiment prefetches
+// that one run: the lane records app's fronts, which every organization
+// of the app shares, and the cores time them. Probes and traces attach
+// to the shared organization exactly as in single-core runs, under the
+// cmp label.
 func (r *Runner) RunCMP(app workload.App, org Organization) *CMPRunResult {
+	r.prefetch(runSet{apps: []workload.App{app}, orgs: []Organization{org}, cmp: true})
+	return memoized(r, r.cmpMemo, runKey(app.Name, r.cmpLabel(org)))
+}
+
+// runCMP executes app on org at the Runner's cores, memoized, timing
+// the fronts fe that prefetch's schedule planned for it. A probed run
+// also harvests the windowed time-series registry, fed the bank
+// queue's latency profile: the latency waterfall, per-bank contention
+// and rolling fairness land in ObsMetrics.
+func (r *Runner) runCMP(app workload.App, org Organization, fe *shared[[]*cpu.Stream]) *CMPRunResult {
 	label := r.cmpLabel(org)
-	return runOnce(r, &r.cmpMemo, app.Name+"/"+label, app.Name, label, func(ctx context.Context) (*CMPRunResult, RunEvent) {
+	return runOnce(r, r.cmpMemo, runKey(app.Name, label), app.Name, label, func() (*CMPRunResult, RunEvent) {
 		mem := memsys.NewMemory(org.blockBytes())
 		l2 := org.Factory(r.model, mem)
 		sys, err := cmp.New(l2, cmp.Config{
@@ -109,9 +118,13 @@ func (r *Runner) RunCMP(app workload.App, org Organization) *CMPRunResult {
 			// All inputs are runner-controlled; an error is a bug.
 			panic(fmt.Sprintf("sim: cmp system construction failed: %v", err))
 		}
-		probes := r.instrumentCMP(app.Name, label, sys)
-		var cres cmp.Result
-		frontEnd := r.withFrontEnd(ctx, app, true, func(fronts []*cpu.Stream) { cres = sys.RunFronts(fronts) })
+		probe := r.instrument(app.Name, label, sys, func() obs.Probe {
+			ts := obs.NewTimeSeries("ts", 0)
+			ts.SetProfile(sys.Queue().LatencyProfile())
+			return ts
+		})
+		fronts, frontEnd := r.waitFrontEnd(fe)
+		cres := sys.RunFronts(fronts)
 
 		res := &CMPRunResult{
 			App:          app.Name,
@@ -121,29 +134,11 @@ func (r *Runner) RunCMP(app workload.App, org Organization) *CMPRunResult {
 			L2EnergyNJ:   l2.EnergyNJ(),
 			MemEnergyNJ:  mem.EnergyNJ(),
 			QueueMetrics: sys.Queue().Snapshot(),
-			ObsMetrics:   r.finishProbes(probes),
+			ObsMetrics:   r.finishProbe(probe),
 		}
 		sys.Release()
 		return res, RunEvent{IPC: cres.AggregateIPC, Metrics: res.Snapshot(), FrontEnd: frontEnd}
 	})
-}
-
-// instrumentCMP attaches the run's probe chain to the whole shared
-// side (coherence shoot-downs, bank queue, and wrapped organization)
-// and appends the windowed time-series registry so probed CMP runs
-// harvest the latency waterfall, per-bank contention, and rolling
-// fairness into ObsMetrics. Unprobed runs keep the nil-probe fast
-// path untouched.
-func (r *Runner) instrumentCMP(app, label string, sys *cmp.System) []obs.Probe {
-	ps := r.buildProbes(app, label)
-	if len(ps) == 0 {
-		return nil
-	}
-	ts := obs.NewTimeSeries("ts", 0)
-	ts.SetProfile(sys.Queue().LatencyProfile())
-	ps = append(ps, ts)
-	sys.SetProbe(obs.Multi(ps...))
-	return ps
 }
 
 // CMP compares the three shared-L2 organizations under multi-core load:

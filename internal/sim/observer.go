@@ -49,10 +49,9 @@ type RunEvent struct {
 	APKI    float64
 	HasAPKI bool          // false for CMP runs, which report no APKI
 	Elapsed time.Duration // zero unless the Runner has a clock
-	// FrontEnd is the host time the run spent obtaining its app's
-	// recorded front end, a stream or a CMP run's fronts (recording
-	// it, or waiting for the task that does), zero unless the Runner
-	// has a clock. Elapsed excludes it: the recording is shared by
+	// FrontEnd is the host time the run spent waiting for its app's
+	// recorded front end, a stream or a CMP run's fronts, which the
+	// pool's lane records; zero unless the Runner has a clock. Elapsed excludes it: the recording is shared by
 	// every organization the app runs on, so Elapsed stays the cost of
 	// this organization alone.
 	FrontEnd time.Duration

@@ -20,6 +20,8 @@ func NewRunner(opts ...Option) *Runner {
 		seed:         1,
 		apps:         workload.Apps(),
 		workers:      1,
+		memo:         map[string]*memoCell[*RunResult]{},
+		cmpMemo:      map[string]*memoCell[*CMPRunResult]{},
 	}
 	for _, o := range opts {
 		o(r)
@@ -38,10 +40,11 @@ func WithSeed(seed uint64) Option {
 	return func(r *Runner) { r.seed = seed }
 }
 
-// WithWorkers bounds the worker pool that executes prefetched runs.
-// n <= 1 is a pool of one worker, which runs the runs in submission
-// order while the pool's front-end lane records the next app's front
-// end; the schedule and the rendered output are the same at every n.
+// WithWorkers bounds the worker pool that executes runs, the calling
+// goroutine included. n <= 1 is a pool of one: the caller runs the runs
+// in submission order while the pool's front-end lane records the next
+// app's front end. The schedule and the rendered output are the same at
+// every n.
 func WithWorkers(n int) Option {
 	return func(r *Runner) { r.workers = n }
 }

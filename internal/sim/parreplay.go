@@ -33,9 +33,9 @@ type ReplayJob struct {
 
 // ReplayOptions configures ReplayAll's worker pool.
 type ReplayOptions struct {
-	// Workers bounds the pool that replays the jobs; <= 1 is a pool of
-	// one, which replays them in job order while the lane generates the
-	// next trace.
+	// Workers bounds the pool that replays the jobs, the calling
+	// goroutine included; <= 1 is a pool of one, the caller, which
+	// replays them in job order while the lane generates the next trace.
 	Workers int
 
 	// order permutes replay-task submission (a test hook: shuffled
@@ -46,8 +46,8 @@ type ReplayOptions struct {
 // ReplayAll runs every job on a bounded worker pool and returns the
 // results indexed like jobs (the deterministic merge). Trace generation
 // is sharded per (app, seed, n) stream on the shared producer cache
-// (streams.go): the jobs of a stream that run one after another form a
-// group (runPool), whose trace the lane generates while the workers
+// (streams.go): the jobs of a stream that run one after another form
+// one group (schedule, runPool), whose trace the lane generates while the workers
 // replay the traces before it, and the trace is recycled after its last
 // replay. So a few traces are held at a time rather than all of them.
 // The results are byte-identical to calling ReplayTrace serially per
@@ -69,29 +69,27 @@ func ReplayAll(model *cacti.Model, jobs []ReplayJob, opts ReplayOptions) []*Repl
 			len(jobOrder), len(jobs)))
 	}
 
-	// Every replay holds its trace from here until it finishes, so the
-	// last one recycles it.
+	// Each run of consecutive jobs on one trace is one group: every
+	// replay holds the trace from here until it finishes, so the last one
+	// recycles it.
 	var traces producers[Trace]
 	results := make([]*ReplayResult, len(jobs))
 	var groups []group
-	for k, i := range jobOrder {
-		i, job := i, jobs[i]
-		e := traces.plan(replayKey(job), 1)
-		if k == 0 || replayKey(jobs[jobOrder[k-1]]) != replayKey(job) {
-			groups = append(groups, group{produce: func() {
-				traces.ensure(context.Background(), e, "tracegen", func(reuse Trace) Trace {
-					return extractTrace(reuse, workload.MustNewGenerator(job.App, job.Seed), job.N)
+	for k := 0; k < len(jobOrder); {
+		lead := jobs[jobOrder[k]]
+		var replays []func(*shared[Trace])
+		for ; k < len(jobOrder) && replayKey(jobs[jobOrder[k]]) == replayKey(lead); k++ {
+			i, job := jobOrder[k], jobs[jobOrder[k]]
+			replays = append(replays, func(e *shared[Trace]) {
+				labels := pprof.Labels("app", job.App.Name, "org", job.Org.Key, "phase", "replay")
+				pprof.Do(context.Background(), labels, func(context.Context) {
+					results[i] = ReplayTrace(model, job.Org, e.wait())
 				})
-			}})
-		}
-		g := &groups[len(groups)-1]
-		g.consume = append(g.consume, func() {
-			defer traces.release(e)
-			labels := pprof.Labels("app", job.App.Name, "org", job.Org.Key, "phase", "replay")
-			pprof.Do(context.Background(), labels, func(context.Context) {
-				results[i] = ReplayTrace(model, job.Org, e.wait())
 			})
-		})
+		}
+		groups = schedule(groups, &traces, replayKey(lead), "tracegen", func(reuse Trace) Trace {
+			return extractTrace(reuse, workload.MustNewGenerator(lead.App, lead.Seed), lead.N)
+		}, replays)
 	}
 	runPool(opts.Workers, groups)
 	return results
@@ -110,18 +108,22 @@ type group struct {
 }
 
 // runPool runs every group's producer on one goroutine, the lane, in
-// group order, and the consumers on min(w, consumers) worker goroutines
-// (at least one), handed out in submission order. A group is held from
-// the start of its producer until the lane and all its consumers are
-// done with it, and the lane starts a producer only while fewer than
+// group order, and the consumers on min(w, consumers) workers (at least
+// one): the calling goroutine and as many more goroutines as that
+// leaves. Every worker takes the next consumer from one atomic cursor,
+// so consumers go out in submission order. A group is held from the
+// start of its producer until the lane and all its consumers are done
+// with it, and the lane starts a producer only while fewer than
 // workers+1 groups are held: it produces the next groups' values while
 // the workers consume the current ones, and holds at most workers+1 at
 // once. The pool cannot deadlock. A consumer waits only for its own
 // group's producer. The lane waits for room only while workers+1 groups
-// it has produced each have a consumer still to finish; consumers go
-// out in order, so no worker takes a later group's consumer before all
-// of theirs are out, and the workers cannot run workers+1 of them at
-// once, so some worker runs one of theirs, which waits on nothing.
+// it has produced each have a consumer still to finish. The cursor
+// hands a later group's consumer to no worker before every consumer of
+// those groups has been taken, and the workers cannot run workers+1 of
+// them at once, so one of them is still untaken: no worker holds a
+// consumer whose producer is waiting, and some worker runs a consumer
+// of a produced group, which waits on nothing.
 //
 // A task that panics does not stop the rest: the panic is recovered,
 // the one with the lowest submission index (each group's producer, then
@@ -129,8 +131,12 @@ type group struct {
 // any completion order, the remaining tasks still run — filling every
 // planned stream and releasing every singleflight waiter — and the
 // latched panic is re-raised on the caller's goroutine once every
-// goroutine of the pool has exited.
+// goroutine of the pool has exited. With no groups, runPool returns at
+// once and starts no goroutine.
 func runPool(w int, groups []group) {
+	if len(groups) == 0 {
+		return
+	}
 	var (
 		mu       sync.Mutex
 		panicIdx = -1
@@ -151,24 +157,36 @@ func runPool(w int, groups []group) {
 
 	// first[g] is the submission index of group g's producer; left[g]
 	// counts its tasks still to finish, the last of which frees its slot.
+	// consumers lists every consumer in submission order.
+	type consumer struct{ g, k int } // group g's k-th consumer
 	first := make([]int, len(groups))
 	left := make([]atomic.Int32, len(groups))
-	tasks := 0
+	var consumers []consumer
 	for g, gr := range groups {
-		first[g] = tasks
+		first[g] = g + len(consumers)
 		left[g].Store(int32(len(gr.consume) + 1))
-		tasks += len(gr.consume) + 1
+		for k := range gr.consume {
+			consumers = append(consumers, consumer{g, k})
+		}
 	}
-	w = max(1, min(w, tasks-len(groups)))
+	w = max(1, min(w, len(consumers)))
 	slots := make(chan struct{}, w+1)
 	finish := func(g int) {
 		if left[g].Add(-1) == 0 {
 			<-slots
 		}
 	}
+	var cursor atomic.Int64
+	work := func() {
+		for i := cursor.Add(1) - 1; i < int64(len(consumers)); i = cursor.Add(1) - 1 {
+			c := consumers[i]
+			run(first[c.g]+1+c.k, groups[c.g].consume[c.k])
+			finish(c.g)
+		}
+	}
 
 	var wg sync.WaitGroup
-	wg.Add(1 + w)
+	wg.Add(w)
 	go func() { // the lane
 		defer wg.Done()
 		for g, gr := range groups {
@@ -177,23 +195,13 @@ func runPool(w int, groups []group) {
 			finish(g)
 		}
 	}()
-	type consumer struct{ g, k int } // group g's k-th consumer
-	next := make(chan consumer)
-	for range w {
+	for range w - 1 {
 		go func() {
 			defer wg.Done()
-			for c := range next {
-				run(first[c.g]+1+c.k, groups[c.g].consume[c.k])
-				finish(c.g)
-			}
+			work()
 		}()
 	}
-	for g, gr := range groups {
-		for k := range gr.consume {
-			next <- consumer{g, k}
-		}
-	}
-	close(next)
+	work() // the caller is worker 0
 	wg.Wait()
 	if panicIdx != -1 {
 		panic(fmt.Sprintf("sim: pooled task %d panicked: %v", panicIdx, panicVal))

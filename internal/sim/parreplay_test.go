@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -267,15 +268,20 @@ func TestRunPanicReleasesSingleflight(t *testing.T) {
 // instead of killing the process from an anonymous worker goroutine
 // mid-fan-out. Draining matters for the shared stream cache too: a
 // stream prefetch planned but never filled would block a later
-// Runner's run of that app forever.
+// Runner's run of that app forever. A serial pool's one worker is the
+// caller: every run finishes on its goroutine.
 func TestPrefetchPanicPropagates(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			finishes := 0
+			finishes, onCaller := 0, 0
+			caller := goid()
 			r := smallRunner(t, WithInstructions(60_000), WithWorkers(workers),
 				WithObserver(ObserverFunc(func(e RunEvent) {
 					if e.Kind == RunFinish {
 						finishes++
+						if goid() == caller {
+							onCaller++
+						}
 					}
 				})))
 			fronts := &producers[[]*cpu.Stream]{}
@@ -302,6 +308,9 @@ func TestPrefetchPanicPropagates(t *testing.T) {
 			if want := len(r.apps) * 2; finishes != want {
 				t.Fatalf("pool finished %d healthy runs before re-raising, want %d", finishes, want)
 			}
+			if workers == 1 && onCaller != finishes {
+				t.Fatalf("%d of %d runs finished on the caller's goroutine, want all of them at one worker", onCaller, finishes)
+			}
 			if filled, _, live := streamState(fronts); filled != 0 || len(live) != 0 {
 				t.Fatalf("after the failed prefetch %d streams held, live keys %v; want none", filled, live)
 			}
@@ -325,28 +334,77 @@ func TestPrefetchPanicPropagates(t *testing.T) {
 
 // TestRunPoolPanicIsDeterministic pins which panic wins when several
 // tasks fail: the lowest submission index, whatever the completion
-// order.
+// order, at one worker (the caller, which then runs every consumer
+// itself) and at four.
 func TestRunPoolPanicIsDeterministic(t *testing.T) {
-	for trial := 0; trial < 4; trial++ {
-		var caught string
-		func() {
-			defer func() {
-				if p := recover(); p != nil {
-					caught = fmt.Sprint(p)
+	caller := goid()
+	for _, workers := range []int{1, 4} {
+		for trial := 0; trial < 4; trial++ {
+			var caught string
+			var onCaller atomic.Int32
+			consumer := func(f func()) func() {
+				return func() {
+					if goid() == caller {
+						onCaller.Add(1)
+					}
+					f()
 				}
+			}
+			func() {
+				defer func() {
+					if p := recover(); p != nil {
+						caught = fmt.Sprint(p)
+					}
+				}()
+				runPool(workers, []group{{
+					produce: func() {},
+					consume: []func(){
+						consumer(func() { panic("sim: first seeded panic") }),
+						consumer(func() { panic("sim: second seeded panic") }),
+						consumer(func() {}),
+					},
+				}})
 			}()
-			runPool(4, []group{{
-				produce: func() {},
-				consume: []func(){
-					func() { panic("sim: first seeded panic") },
-					func() { panic("sim: second seeded panic") },
-					func() {},
-				},
-			}})
-		}()
-		if !strings.Contains(caught, "task 1") || !strings.Contains(caught, "first seeded panic") {
-			t.Fatalf("trial %d: runPool re-raised %q, want the lowest-index panic (task 1)", trial, caught)
+			if !strings.Contains(caught, "task 1") || !strings.Contains(caught, "first seeded panic") {
+				t.Fatalf("workers=%d trial %d: runPool re-raised %q, want the lowest-index panic (task 1)", workers, trial, caught)
+			}
+			if workers == 1 && onCaller.Load() != 3 {
+				t.Fatalf("trial %d: %d of 3 consumers ran on the caller's goroutine, want all of them at one worker", trial, onCaller.Load())
+			}
 		}
+	}
+}
+
+// TestRunPoolNoGroups pins the empty pool: runPool with no groups
+// returns at once, allocating nothing and so starting no goroutine (a
+// goroutine's closure over the pool's state would allocate).
+func TestRunPoolNoGroups(t *testing.T) {
+	start := runtime.NumGoroutine()
+	for _, groups := range [][]group{nil, {}} {
+		if allocs := testing.AllocsPerRun(100, func() { runPool(4, groups) }); allocs != 0 {
+			t.Fatalf("runPool(4, %#v) allocated %.0f times, want a return at once", groups, allocs)
+		}
+	}
+	if n := runtime.NumGoroutine(); n != start {
+		t.Fatalf("%d goroutines after an empty runPool, started with %d", n, start)
+	}
+}
+
+// goid returns the calling goroutine's id, read from its stack header.
+func goid() string {
+	buf := make([]byte, 64)
+	return strings.Fields(string(buf[:runtime.Stack(buf, false)]))[1]
+}
+
+// settled waits until no more than start goroutines are left, failing
+// the test if some are still running after 10 s.
+func settled(t *testing.T, start int) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); runtime.NumGoroutine() > start; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines outlived the pool, started with %d", runtime.NumGoroutine(), start)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 
@@ -357,7 +415,7 @@ func TestRunPoolPanicIsDeterministic(t *testing.T) {
 // consumer of app k is released to re-raise it and every other app's
 // runs finish; the caller gets the panic of app k's first consumer (the
 // lowest submission index), and no goroutine of the pool outlives the
-// call.
+// call. A standalone Run of app k fails the same way.
 func TestLaneProducerPanic(t *testing.T) {
 	var apps []workload.App
 	for _, name := range []string{"applu", "mcf", "gzip", "art"} {
@@ -371,15 +429,6 @@ func TestLaneProducerPanic(t *testing.T) {
 		defer func() { caught = fmt.Sprint(recover()) }()
 		f()
 		return ""
-	}
-	settled := func(t *testing.T, start int) {
-		t.Helper()
-		for deadline := time.Now().Add(10 * time.Second); runtime.NumGoroutine() > start; {
-			if time.Now().After(deadline) {
-				t.Fatalf("%d goroutines outlived the pool, started with %d", runtime.NumGoroutine(), start)
-			}
-			time.Sleep(time.Millisecond)
-		}
 	}
 	for k := range apps {
 		broken := append([]workload.App(nil), apps...)
@@ -407,6 +456,19 @@ func TestLaneProducerPanic(t *testing.T) {
 				}
 				if filled, _, live := streamState(r.fronts); filled != 0 || len(live) != 0 {
 					t.Fatalf("after the failed prefetch %d front ends held, live %v; want none", filled, live)
+				}
+				settled(t, start)
+			})
+			t.Run(fmt.Sprintf("run/app=%d/workers=%d", k, workers), func(t *testing.T) {
+				start := runtime.NumGoroutine()
+				r := NewRunner(WithInstructions(20_000), WithApps(broken...), WithWorkers(workers))
+				r.fronts = &producers[[]*cpu.Stream]{}
+				caught := catch(func() { r.Run(broken[k], orgs[1]) })
+				if key := broken[k].Name + "/" + orgs[1].Key; !strings.Contains(caught, key) || !strings.Contains(caught, "bad code footprint") {
+					t.Fatalf("a standalone Run re-raised %q, want the run key %s and the recorder's panic", caught, key)
+				}
+				if filled, _, live := streamState(r.fronts); filled != 0 || len(live) != 0 || produced(r.fronts) != 1 {
+					t.Fatalf("after the failed Run %d front ends held, live %v, %d recorded; want none, none, 1", filled, live, produced(r.fronts))
 				}
 				settled(t, start)
 			})

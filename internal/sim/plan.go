@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"nurapid/internal/cpu"
 	"nurapid/internal/workload"
 )
 
@@ -81,11 +82,12 @@ func ExperimentIDs() []string {
 // prefetch simulates every run of p not yet memoized on the worker
 // pool and blocks until all are done. Each experiment calls it with its
 // full run set up front, then assembles its table from memoized results
-// in deterministic order.
+// in deterministic order; a standalone Run or RunCMP calls it with its
+// one run.
 //
-// Runs go out app by app as one group each (runPool): the front-end
-// lane records the app's front end (its stream, or for a CMP set its
-// fronts) while the workers time the apps before it, then its
+// Runs go out app by app as one group each (schedule, runPool): the
+// front-end lane records the app's front end (its stream, or for a CMP
+// set its fronts) while the workers time the apps before it, then its
 // organizations' runs time it; the last of them retires it. So each app
 // is recorded once, at most workers+1 front ends are held (two on a
 // serial Runner), and each run's RunEvent.Elapsed stays the cost of its
@@ -93,18 +95,18 @@ func ExperimentIDs() []string {
 func (r *Runner) prefetch(p runSet) {
 	var groups []group
 	for _, app := range p.apps {
-		var runs []func()
+		var runs []func(*shared[[]*cpu.Stream])
 		r.mu.Lock()
 		for _, org := range p.orgs {
-			if !p.cmp && r.memo[app.Name+"/"+org.Key] == nil {
-				runs = append(runs, func() { r.Run(app, org) })
-			} else if p.cmp && r.cmpMemo[app.Name+"/"+r.cmpLabel(org)] == nil {
-				runs = append(runs, func() { r.RunCMP(app, org) })
+			if !p.cmp && r.memo[runKey(app.Name, org.Key)] == nil {
+				runs = append(runs, func(fe *shared[[]*cpu.Stream]) { r.run(app, org, fe) })
+			} else if p.cmp && r.cmpMemo[runKey(app.Name, r.cmpLabel(org))] == nil {
+				runs = append(runs, func(fe *shared[[]*cpu.Stream]) { r.runCMP(app, org, fe) })
 			}
 		}
 		r.mu.Unlock()
 		if len(runs) > 0 {
-			groups = schedule(groups, r.frontEnds(), r.frontKey(app, p.cmp), r.recorder(app, p.cmp), runs)
+			groups = schedule(groups, r.frontEnds(), r.frontKey(app, p.cmp), "front-end", r.recorder(app, p.cmp), runs)
 		}
 	}
 	runPool(r.workers, groups)

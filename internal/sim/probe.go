@@ -6,7 +6,6 @@ import (
 	"os"
 	"path/filepath"
 
-	"nurapid/internal/memsys"
 	"nurapid/internal/obs"
 	"nurapid/internal/stats"
 )
@@ -62,45 +61,42 @@ func (r *Runner) buildProbes(app, org string) []obs.Probe {
 	return ps
 }
 
-// instrument attaches the run's probe chain to l2 and returns the
-// probes so finishProbes can harvest and close them after the run.
-// With no probes configured it returns nil and l2 keeps its nil-probe
-// fast path.
-func (r *Runner) instrument(app, org string, l2 memsys.LowerLevel) []obs.Probe {
+// instrument composes the run's probes (obs.Multi) and attaches them
+// to target, the run's organization or CMP system, returning the
+// composed probe for finishProbe to harvest and close after the run.
+// last, when set, builds one more member, appended only when the run
+// has other probes. With no probes configured it returns nil and
+// target keeps its nil-probe fast path.
+func (r *Runner) instrument(app, org string, target any, last func() obs.Probe) obs.Probe {
 	ps := r.buildProbes(app, org)
 	if len(ps) == 0 {
 		return nil
 	}
-	pb, ok := l2.(obs.Probeable)
+	if last != nil {
+		ps = append(ps, last())
+	}
+	probe := obs.Multi(ps...)
+	pb, ok := target.(obs.Probeable)
 	if !ok {
 		r.noteProbeErr(fmt.Errorf("sim: organization %s does not accept probes", org))
-		r.closeProbes(ps)
+		r.finishProbe(probe)
 		return nil
 	}
-	pb.SetProbe(obs.Multi(ps...))
-	return ps
+	pb.SetProbe(probe)
+	return probe
 }
 
-// finishProbes closes the run's probes (trace sinks flush here) after
-// harvesting their metrics snapshots, which it returns; nil when the
-// run was not probed.
-func (r *Runner) finishProbes(ps []obs.Probe) []stats.KV {
+// finishProbe harvests the run's composed probe — every member's
+// Snapshot, in fan-out order — and then closes it (trace sinks flush
+// here), latching the first error. It returns nil when the run was not
+// probed.
+func (r *Runner) finishProbe(probe obs.Probe) []stats.KV {
 	var kvs []stats.KV
-	for _, p := range ps {
-		if s, ok := p.(interface{ Snapshot() []stats.KV }); ok {
-			kvs = append(kvs, s.Snapshot()...)
-		}
+	if s, ok := probe.(interface{ Snapshot() []stats.KV }); ok {
+		kvs = s.Snapshot()
 	}
-	r.closeProbes(ps)
+	if c, ok := probe.(io.Closer); ok {
+		r.noteProbeErr(c.Close())
+	}
 	return kvs
-}
-
-// closeProbes closes every probe that is an io.Closer, latching the
-// first error.
-func (r *Runner) closeProbes(ps []obs.Probe) {
-	for _, p := range ps {
-		if c, ok := p.(io.Closer); ok {
-			r.noteProbeErr(c.Close())
-		}
-	}
 }

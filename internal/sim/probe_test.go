@@ -2,8 +2,10 @@ package sim
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -418,5 +420,50 @@ func TestTraceRunEventMetricsNames(t *testing.T) {
 		if !seen {
 			t.Errorf("metric %s missing from finish event (got %d metrics)", name, len(metrics))
 		}
+	}
+}
+
+// TestProbeMetricsFanOutOrder pins ObsMetrics to the run's composed
+// probe, for a probed single-core run and a probed 2-core CMP run: each
+// member's Snapshot in fan-out order — the factory's probe, then the
+// trace sink, then, for CMP, the time-series registry.
+func TestProbeMetricsFanOutOrder(t *testing.T) {
+	for _, cmpRun := range []bool{false, true} {
+		t.Run(fmt.Sprintf("cmp=%v", cmpRun), func(t *testing.T) {
+			dir := t.TempDir()
+			var coll *obs.Collector
+			r := smallRunner(t, WithInstructions(30_000), WithCores(2), WithTrace(dir),
+				WithProbe(func(app, org string) obs.Probe {
+					coll = obs.NewCollector()
+					return coll
+				}))
+			app, org := r.apps[0], NuRAPID(nurapid.DefaultConfig())
+			label, got := org.Key, []stats.KV(nil)
+			if cmpRun {
+				label, got = r.cmpLabel(org), r.RunCMP(app, org).ObsMetrics
+			} else {
+				got = r.Run(app, org).ObsMetrics
+			}
+			if err := r.ProbeErr(); err != nil {
+				t.Fatal(err)
+			}
+			trace, err := os.ReadFile(filepath.Join(dir, app.Name+"__"+label+".jsonl"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := append(coll.Snapshot(), stats.KV{Name: "trace_events", Value: float64(bytes.Count(trace, []byte("\n")))})
+			if len(got) < len(want) || !slices.Equal(got[:len(want)], want) {
+				t.Fatalf("ObsMetrics does not open with the collector's snapshot and then the trace sink's:\n got %v\nwant %v", got, want)
+			}
+			rest := got[len(want):]
+			if cmpRun == (len(rest) == 0) {
+				t.Fatalf("%d metrics after the trace sink's; want the time series' on a CMP run only", len(rest))
+			}
+			for _, kv := range rest {
+				if !strings.HasPrefix(kv.Name, "ts_") {
+					t.Fatalf("metric %s after the trace sink's is not the time series'", kv.Name)
+				}
+			}
+		})
 	}
 }

@@ -144,7 +144,8 @@ func (r *RunResult) Snapshot() []stats.KV {
 // each app's front end while the workers time the app before it) and
 // then assembles its table from completed results in deterministic
 // order, so the rendered output is byte-identical at every worker count
-// for the same seed.
+// for the same seed. A Run or RunCMP outside an experiment is a
+// prefetch of that one run, so every run takes the same path.
 type Runner struct {
 	model        *cacti.Model
 	instructions int64
@@ -169,6 +170,7 @@ type Runner struct {
 	probeMu  sync.Mutex
 	probeErr error
 
+	// mu guards the memos, which NewRunner makes.
 	mu      sync.Mutex
 	memo    map[string]*memoCell[*RunResult]
 	cmpMemo map[string]*memoCell[*CMPRunResult]
@@ -197,17 +199,25 @@ func (r *Runner) frontEnds() *producers[[]*cpu.Stream] {
 	return &frontEnds
 }
 
-// memoCell is one singleflight slot: the once gates the single
-// execution, res is written inside it and read only after Do returns.
-// panicked latches a panic escaping the one execution: sync.Once marks
-// itself done even when f panics, so without the latch concurrent
-// callers blocked on the Once would be released with a nil result and
-// crash on a confusing secondary nil dereference. With it, every caller
-// of the key — first and waiters alike — re-raises the original panic.
+// memoCell is one singleflight slot: the caller that creates it
+// executes the run, and every caller of the key waits on done. res is
+// written before done closes; panicked latches a panic escaping the
+// one execution, so every caller of the key — executor and waiters
+// alike — re-raises the original panic instead of reading a nil result.
 type memoCell[T any] struct {
-	once     sync.Once
+	done     chan struct{}
 	res      T
 	panicked any
+}
+
+// result waits for the cell's run and returns its result, re-raising
+// its panic under the run's key.
+func (c *memoCell[T]) result(key string) T {
+	<-c.done
+	if c.panicked != nil {
+		panic(fmt.Sprintf("sim: run %s panicked: %v", key, c.panicked))
+	}
+	return c.res
 }
 
 // emit delivers an event to the observer, serialized so observers need
@@ -235,60 +245,72 @@ func (r *Runner) now() time.Duration {
 // that one execution; job returns the result and its finish event's
 // metrics, and runOnce stamps the identity and the clock's elapsed
 // time, less the job's fin.FrontEnd. The job runs under pprof labels
-// {app, org, phase=run}, carried by its ctx. A panic inside job is
+// {app, org, phase=run}. A panic inside job is
 // recovered, latched on the cell, and re-raised from every caller of
 // the key — releasing concurrent singleflight waiters with the real
 // failure instead of a nil result.
-func runOnce[T any](r *Runner, memo *map[string]*memoCell[T], key, app, org string, job func(ctx context.Context) (T, RunEvent)) T {
+func runOnce[T any](r *Runner, memo map[string]*memoCell[T], key, app, org string, job func() (T, RunEvent)) T {
 	r.mu.Lock()
-	if *memo == nil {
-		*memo = make(map[string]*memoCell[T])
-	}
-	c, ok := (*memo)[key]
+	c, ok := memo[key]
 	if !ok {
-		c = &memoCell[T]{}
-		(*memo)[key] = c
+		c = &memoCell[T]{done: make(chan struct{})}
+		memo[key] = c
 	}
 	r.mu.Unlock()
-
-	c.once.Do(func() {
-		defer func() {
-			if p := recover(); p != nil {
-				c.panicked = p
-			}
+	if !ok {
+		func() {
+			defer func() {
+				c.panicked = recover()
+				close(c.done)
+			}()
+			r.emit(RunEvent{Kind: RunStart, App: app, Org: org})
+			start := r.now()
+			var fin RunEvent
+			pprof.Do(context.Background(), pprof.Labels("app", app, "org", org, "phase", "run"), func(context.Context) {
+				c.res, fin = job()
+			})
+			fin.Kind, fin.App, fin.Org, fin.Elapsed = RunFinish, app, org, r.now()-start-fin.FrontEnd
+			r.emit(fin)
 		}()
-		r.emit(RunEvent{Kind: RunStart, App: app, Org: org})
-		start := r.now()
-		var (
-			res T
-			fin RunEvent
-		)
-		pprof.Do(context.Background(), pprof.Labels("app", app, "org", org, "phase", "run"), func(ctx context.Context) {
-			res, fin = job(ctx)
-		})
-		fin.Kind, fin.App, fin.Org, fin.Elapsed = RunFinish, app, org, r.now()-start-fin.FrontEnd
-		c.res = res
-		r.emit(fin)
-	})
-	if c.panicked != nil {
-		panic(fmt.Sprintf("sim: run %s panicked: %v", key, c.panicked))
 	}
-	return c.res
+	return c.result(key)
 }
 
-// Run simulates app on org, memoized on (app, org key). The core
-// replays app's recorded front end (cpu.Stream), which every
-// organization shares: the stream prefetch planned for the app, or
-// else one recorded for this run alone. The result is identical to
-// running the core on the live front end.
+// memoized returns the result of key's run, which has started, once it
+// is done, re-raising its panic.
+func memoized[T any](r *Runner, memo map[string]*memoCell[T], key string) T {
+	r.mu.Lock()
+	c := memo[key]
+	r.mu.Unlock()
+	return c.result(key)
+}
+
+// runKey names a run in the memo: its app and its organization's key
+// (or, for a CMP run, its cmp label).
+func runKey(app, org string) string { return app + "/" + org }
+
+// Run simulates app on org, memoized on (app, org key): a call outside
+// an experiment prefetches that one run, on the same pool and lane as
+// a campaign, so the lane records app's front end (cpu.Stream) and
+// retires it after the run, unless another run already holds it. The
+// core replays that recorded stream, which every organization of the
+// app shares; the result is identical to running the core on the live
+// front end. A memoized run is only looked up.
 func (r *Runner) Run(app workload.App, org Organization) *RunResult {
-	return runOnce(r, &r.memo, app.Name+"/"+org.Key, app.Name, org.Key, func(ctx context.Context) (*RunResult, RunEvent) {
+	r.prefetch(runSet{apps: []workload.App{app}, orgs: []Organization{org}})
+	return memoized(r, r.memo, runKey(app.Name, org.Key))
+}
+
+// run executes app on org, memoized, timing the front end fe that
+// prefetch's schedule planned for it.
+func (r *Runner) run(app workload.App, org Organization, fe *shared[[]*cpu.Stream]) *RunResult {
+	return runOnce(r, r.memo, runKey(app.Name, org.Key), app.Name, org.Key, func() (*RunResult, RunEvent) {
 		mem := memsys.NewMemory(org.blockBytes())
 		l2 := org.Factory(r.model, mem)
-		probes := r.instrument(app.Name, org.Key, l2)
+		probe := r.instrument(app.Name, org.Key, l2, nil)
 		core := cpu.MustNew(l2, cpu.WithL1EnergyNJ(r.model.L1NJ))
-		var cres cpu.Result
-		frontEnd := r.withFrontEnd(ctx, app, false, func(fe []*cpu.Stream) { cres = core.RunStream(fe[0]) })
+		stream, frontEnd := r.waitFrontEnd(fe)
+		cres := core.RunStream(stream[0])
 
 		params := energy.DefaultParams(r.model)
 		bd := params.Collect(cres.Cycles, cres.Instructions,
@@ -311,7 +333,7 @@ func (r *Runner) Run(app workload.App, org Organization) *RunResult {
 		if nc, ok := l2.(*nurapid.Cache); ok {
 			res.L2GroupAccesses = nc.GroupAccesses()
 		}
-		res.ObsMetrics = r.finishProbes(probes)
+		res.ObsMetrics = r.finishProbe(probe)
 		release(l2)
 		return res, RunEvent{IPC: cres.IPC, APKI: cres.APKI, HasAPKI: true, Metrics: res.Snapshot(), FrontEnd: frontEnd}
 	})
@@ -325,17 +347,13 @@ func release(l2 memsys.LowerLevel) {
 	}
 }
 
-// withFrontEnd runs run on app's recorded front end — its stream as a
-// one-element set, or its CMP fronts when cmpRun is set —, holding it
-// for run's duration, and returns the time spent obtaining it (the
-// RunEvent.FrontEnd of the run).
-func (r *Runner) withFrontEnd(ctx context.Context, app workload.App, cmpRun bool, run func([]*cpu.Stream)) time.Duration {
+// waitFrontEnd waits for fe, a run's planned front end — its stream
+// as a one-element set, or its CMP fronts —, and returns its value and
+// the time spent waiting (the RunEvent.FrontEnd of the run).
+func (r *Runner) waitFrontEnd(fe *shared[[]*cpu.Stream]) ([]*cpu.Stream, time.Duration) {
 	t0 := r.now()
-	fe := r.frontEnds().get(ctx, r.frontKey(app, cmpRun), "front-end", r.recorder(app, cmpRun))
-	defer r.frontEnds().release(fe)
-	wait := r.now() - t0
-	run(fe.val)
-	return wait
+	val := fe.wait()
+	return val, r.now() - t0
 }
 
 // frontKey names app's front end: its stream, or its CMP fronts, which

@@ -62,15 +62,15 @@ func (e *shared[T]) wait() T {
 // a short free list the next producer reuses, so a campaign's streams
 // stop allocating once the buffers have grown.
 //
-// Planned streams are the schedule: plan registers a stream and its
-// consumer count before any task runs, and the caller hands runPool a
-// group per stream: a producer (ensure) for its lane and the consumers,
-// each of which releases the stream when done. ensure fills the stream
-// unless another producer has started to, and then waits for that fill,
-// which waits on nothing; so a stream planned by two concurrent
-// prefetches is produced once, by whichever lane reaches it first. get
-// hands a consumer its stream: the planned one when live, or else one
-// produced inline for that caller.
+// Every stream is planned, and schedule is the one planner: it
+// registers a stream and its consumer count before any task runs, and
+// hands runPool a group per stream: a producer (ensure) for its lane
+// and the consumers, each handed the stream and releasing it when
+// done. ensure fills the stream unless another producer has started
+// to, and then waits for that fill, which waits on nothing; so a
+// stream planned by two concurrent schedules (two prefetches, or two
+// standalone runs of one app) is produced once, by whichever lane
+// reaches it first.
 type producers[T any] struct {
 	mu       sync.Mutex
 	live     map[streamKey]*shared[T]
@@ -89,64 +89,28 @@ func (p *producers[T]) plan(key streamKey, consumers int) *shared[T] {
 		e.refs += consumers
 		return e
 	}
-	return p.addLocked(key, consumers)
-}
-
-// ensure produces e's stream unless a producer has claimed it already,
-// and then waits for that one to publish it. It never re-raises: a
-// producer panic is latched on e for its consumers.
-func (p *producers[T]) ensure(ctx context.Context, e *shared[T], phase string, produce func(reuse T) T) {
-	p.mu.Lock()
-	claim := !e.claimed
-	e.claimed = true
-	p.mu.Unlock()
-	if claim {
-		p.fill(ctx, e, phase, produce)
-	} else {
-		<-e.ready
-	}
-}
-
-// get returns key's stream, produced, with one hold the caller must
-// release. A live stream (planned, or being produced for another
-// caller) is shared; otherwise the stream is produced on the calling
-// goroutine for this caller, and retired on the last release. If
-// producing it panicked, get drops the caller's hold and re-raises.
-func (p *producers[T]) get(ctx context.Context, key streamKey, phase string, produce func(reuse T) T) *shared[T] {
-	p.mu.Lock()
-	e, ok := p.live[key]
-	if ok {
-		e.refs++
-	} else {
-		e = p.addLocked(key, 1)
-		e.claimed = true
-	}
-	p.mu.Unlock()
-	if !ok {
-		p.fill(ctx, e, phase, produce)
-	}
-	if <-e.ready; e.panicked != nil {
-		p.release(e)
-	}
-	e.wait() // returns at once, or re-raises the producer's panic
-	return e
-}
-
-func (p *producers[T]) addLocked(key streamKey, refs int) *shared[T] {
 	if p.live == nil {
 		p.live = make(map[streamKey]*shared[T])
 	}
-	e := &shared[T]{key: key, ready: make(chan struct{}), refs: refs}
+	e := &shared[T]{key: key, ready: make(chan struct{}), refs: consumers}
 	p.live[key] = e
 	return e
 }
 
-// fill produces e's value from a recycled one (the zero T when the free
-// list is empty), under pprof labels {app, phase} added to ctx's, and
-// publishes it. A producer panic is latched on e rather than raised:
-// every consumer re-raises it from wait instead of blocking forever.
-func (p *producers[T]) fill(ctx context.Context, e *shared[T], phase string, produce func(reuse T) T) {
+// ensure produces e's stream unless a producer has claimed it already,
+// and otherwise waits for that one to publish it. It produces the value
+// from a recycled one (the zero T when the free list is empty), under
+// pprof labels {app, phase}, and publishes it. It never re-raises: a
+// producer panic is latched on e, and every consumer re-raises it from
+// wait instead of blocking forever.
+func (p *producers[T]) ensure(e *shared[T], phase string, produce func(reuse T) T) {
 	p.mu.Lock()
+	if e.claimed {
+		p.mu.Unlock()
+		<-e.ready
+		return
+	}
+	e.claimed = true
 	var reuse T
 	if n := len(p.free); n > 0 {
 		var zero T
@@ -169,7 +133,7 @@ func (p *producers[T]) fill(ctx context.Context, e *shared[T], phase string, pro
 		}
 		p.mu.Unlock()
 	}()
-	pprof.Do(ctx, pprof.Labels("app", e.key.app.Name, "phase", phase), func(context.Context) {
+	pprof.Do(context.Background(), pprof.Labels("app", e.key.app.Name, "phase", phase), func(context.Context) {
 		e.val = produce(reuse)
 	})
 }
@@ -177,18 +141,14 @@ func (p *producers[T]) fill(ctx context.Context, e *shared[T], phase string, pro
 // release drops one hold on e; the last one retires the stream.
 func (p *producers[T]) release(e *shared[T]) {
 	p.mu.Lock()
-	p.releaseLocked(e)
-	p.mu.Unlock()
-}
-
-func (p *producers[T]) releaseLocked(e *shared[T]) {
+	defer p.mu.Unlock()
 	if e.refs--; e.refs > 0 {
 		return
 	}
 	delete(p.live, e.key)
 	if e.done {
 		p.retireLocked(e)
-	} // else fill retires it once produced
+	} // else ensure retires it once produced
 }
 
 // maxFree bounds the free list: a released stream is recycled by the
@@ -206,16 +166,17 @@ func (p *producers[T]) retireLocked(e *shared[T]) {
 	e.val = zero
 }
 
-// schedule appends the group of one app's planned runs to groups: a
-// producer ensuring key's stream, then the runs, each releasing the
-// stream when done.
-func schedule[T any](groups []group, p *producers[T], key streamKey, produce func(reuse T) T, runs []func()) []group {
-	e := p.plan(key, len(runs))
-	g := group{produce: func() { p.ensure(context.Background(), e, "front-end", produce) }}
-	for _, run := range runs {
+// schedule appends the group of one stream's planned consumers to
+// groups: a producer ensuring key's stream under pprof phase, then the
+// consumers, each handed the stream's entry (wait returns its value)
+// and releasing it when done.
+func schedule[T any](groups []group, p *producers[T], key streamKey, phase string, produce func(reuse T) T, consumers []func(*shared[T])) []group {
+	e := p.plan(key, len(consumers))
+	g := group{produce: func() { p.ensure(e, phase, produce) }}
+	for _, consume := range consumers {
 		g.consume = append(g.consume, func() {
 			defer p.release(e)
-			run()
+			consume(e)
 		})
 	}
 	return append(groups, g)

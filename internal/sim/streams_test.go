@@ -1,8 +1,8 @@
 package sim
 
 import (
-	"context"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -72,6 +72,49 @@ func TestStreamSerialRunnerHoldsTwo(t *testing.T) {
 	}
 	if got := produced(r.fronts); got != len(r.apps)+1 {
 		t.Fatalf("an unplanned Run recorded %d streams, want 1", got-len(r.apps))
+	}
+}
+
+// TestStreamStandaloneRun pins a Run or RunCMP outside any experiment
+// to the one path, at 1 and 4 workers: its front end is planned before
+// the run starts, recorded once, held alone, and retired after the run,
+// and no goroutine of the pool outlives the call.
+func TestStreamStandaloneRun(t *testing.T) {
+	for _, cmpRun := range []bool{false, true} {
+		for _, workers := range []int{1, 4} {
+			t.Run(fmt.Sprintf("cmp=%v/workers=%d", cmpRun, workers), func(t *testing.T) {
+				var r *Runner
+				starts, planned := 0, 0
+				r = smallRunner(t, WithInstructions(20_000), WithWorkers(workers),
+					WithObserver(ObserverFunc(func(e RunEvent) {
+						if e.Kind != RunStart {
+							return
+						}
+						starts++
+						app, _ := workload.ByName(e.App)
+						r.fronts.mu.Lock()
+						if r.fronts.live[r.frontKey(app, cmpRun)] != nil {
+							planned++
+						}
+						r.fronts.mu.Unlock()
+					})))
+				r.fronts = &producers[[]*cpu.Stream]{}
+				start := runtime.NumGoroutine()
+				if cmpRun {
+					r.RunCMP(r.apps[0], Base())
+				} else {
+					r.Run(r.apps[0], Base())
+				}
+				if starts != 1 || planned != 1 {
+					t.Fatalf("%d runs started, %d with their front end planned; want 1, 1", starts, planned)
+				}
+				if filled, peak, live := streamState(r.fronts); produced(r.fronts) != 1 || peak != 1 || filled != 0 || len(live) != 0 {
+					t.Fatalf("%d front ends recorded, peak %d, %d held, live %v; want 1, 1, 0, none",
+						produced(r.fronts), peak, filled, live)
+				}
+				settled(t, start)
+			})
+		}
 	}
 }
 
@@ -225,15 +268,11 @@ func TestStreamProducerPanic(t *testing.T) {
 	app, _ := workload.ByName("applu")
 	key := streamKey{app: app, seed: 1, n: 10}
 	const consumers = 3
-	e := p.plan(key, consumers)
-	g := group{produce: func() {
-		p.ensure(context.Background(), e, "test", func(int) int { panic("sim: seeded producer panic") })
-	}}
 	var mu sync.Mutex
 	var caught []string
+	var consume []func(*shared[int])
 	for i := 0; i < consumers; i++ {
-		g.consume = append(g.consume, func() {
-			defer p.release(e)
+		consume = append(consume, func(e *shared[int]) {
 			defer func() {
 				mu.Lock()
 				caught = append(caught, fmt.Sprint(recover()))
@@ -242,7 +281,7 @@ func TestStreamProducerPanic(t *testing.T) {
 			e.wait()
 		})
 	}
-	runPool(2, []group{g})
+	runPool(2, schedule(nil, &p, key, "test", func(int) int { panic("sim: seeded producer panic") }, consume))
 	if len(caught) != consumers {
 		t.Fatalf("%d of %d consumers returned", len(caught), consumers)
 	}
