@@ -2,13 +2,15 @@ package cache
 
 import "fmt"
 
-// Line is one tag-array entry. Aux is an opaque per-line payload for the
-// owning organization — NuRAPID stores its forward pointer there.
+// Line is one tag-array entry, 16 bytes. Aux is an opaque per-line
+// payload for the owning organization: NuRAPID stores its forward
+// pointer there, as frame id + 1 (0 is no frame), and its frame ids are
+// int32 (nurapid.New rejects a geometry with more frames).
 type Line struct {
+	Tag   uint64
+	Aux   int32
 	Valid bool
 	Dirty bool
-	Tag   uint64
-	Aux   int64
 }
 
 // Array is a set-associative tag array with true-LRU replacement, the

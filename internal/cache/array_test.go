@@ -3,12 +3,22 @@ package cache
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"nurapid/internal/mathx"
 )
 
 func smallGeo() Geometry {
 	return Geometry{CapacityBytes: 4096, BlockBytes: 64, Assoc: 4} // 16 sets
+}
+
+// TestLineSize pins the 16-byte tag entry: every tag array and the free
+// list that holds its lines scale with it, and the field order keeps
+// the two flags in what would otherwise be padding after Aux.
+func TestLineSize(t *testing.T) {
+	if got := unsafe.Sizeof(Line{}); got != 16 {
+		t.Fatalf("cache.Line is %d bytes, want 16", got)
+	}
 }
 
 func TestNewArrayRejectsBadGeometry(t *testing.T) {

@@ -242,18 +242,19 @@ func (q *Queue) Snapshot() []stats.KV {
 		wait += q.banks[i].WaitCycles
 		busy += q.banks[i].BusyCycles
 	}
-	out := []stats.KV{
-		{Name: "queue_banks", Value: float64(len(q.banks))},
-		{Name: "queue_occupancy_cycles", Value: float64(q.occupancy)},
-		{Name: "queue_conflicts", Value: float64(conflicts)},
-		{Name: "queue_wait_cycles", Value: float64(wait)},
-		{Name: "queue_busy_cycles", Value: float64(busy)},
-		{Name: "queue_miss_stall_cycles", Value: float64(q.missStalls)},
-	}
 	perGroup, _ := q.GroupStalls()
+	out := make([]stats.KV, 0, 6+len(perGroup))
+	out = append(out,
+		stats.KV{Name: "queue_banks", Value: float64(len(q.banks))},
+		stats.KV{Name: "queue_occupancy_cycles", Value: float64(q.occupancy)},
+		stats.KV{Name: "queue_conflicts", Value: float64(conflicts)},
+		stats.KV{Name: "queue_wait_cycles", Value: float64(wait)},
+		stats.KV{Name: "queue_busy_cycles", Value: float64(busy)},
+		stats.KV{Name: "queue_miss_stall_cycles", Value: float64(q.missStalls)},
+	)
 	for g, s := range perGroup {
 		out = append(out, stats.KV{
-			Name:  fmt.Sprintf("queue_dgroup_%d_stall_cycles", g),
+			Name:  stats.Name("queue_dgroup_", stats.Itoa(g), "_stall_cycles"),
 			Value: float64(s),
 		})
 	}

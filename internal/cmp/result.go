@@ -1,8 +1,6 @@
 package cmp
 
 import (
-	"fmt"
-
 	"nurapid/internal/cpu"
 	"nurapid/internal/stats"
 )
@@ -64,30 +62,37 @@ func (s *System) Result() Result {
 // Snapshot emits the aggregate figures plus each core's nested summary
 // (statsreg convention: every counter field must appear here).
 func (r Result) Snapshot() []stats.KV {
-	out := []stats.KV{
-		{Name: "cycles", Value: float64(r.Cycles)},
-		{Name: "instructions", Value: float64(r.Instructions)},
-		{Name: "aggregate_ipc", Value: r.AggregateIPC},
-		{Name: "fairness", Value: r.Fairness},
-		{Name: "invalidations", Value: float64(r.Invalidations)},
-		{Name: "miss_stall_cycles", Value: float64(r.MissStallCycles)},
+	cores := make([][]stats.KV, len(r.Cores))
+	n := 6 + len(r.GroupStallCycles)
+	for i := range r.Cores {
+		cores[i] = r.Cores[i].Snapshot()
+		n += len(cores[i]) + 4
 	}
+	out := make([]stats.KV, 0, n)
+	out = append(out,
+		stats.KV{Name: "cycles", Value: float64(r.Cycles)},
+		stats.KV{Name: "instructions", Value: float64(r.Instructions)},
+		stats.KV{Name: "aggregate_ipc", Value: r.AggregateIPC},
+		stats.KV{Name: "fairness", Value: r.Fairness},
+		stats.KV{Name: "invalidations", Value: float64(r.Invalidations)},
+		stats.KV{Name: "miss_stall_cycles", Value: float64(r.MissStallCycles)},
+	)
 	for g, s := range r.GroupStallCycles {
 		out = append(out, stats.KV{
-			Name:  fmt.Sprintf("dgroup_%d_stall_cycles", g),
+			Name:  stats.Name("dgroup_", stats.Itoa(g), "_stall_cycles"),
 			Value: float64(s),
 		})
 	}
-	for i := range r.Cores {
-		prefix := fmt.Sprintf("core%d_", i)
-		for _, kv := range r.Cores[i].Snapshot() {
-			out = append(out, stats.KV{Name: prefix + kv.Name, Value: kv.Value})
+	for i, core := range cores {
+		id := stats.Itoa(i)
+		for _, kv := range core {
+			out = append(out, stats.KV{Name: stats.Name("core", id, "_", kv.Name), Value: kv.Value})
 		}
 		out = append(out,
-			stats.KV{Name: prefix + "queue_accesses", Value: float64(r.PerCore[i].Accesses)},
-			stats.KV{Name: prefix + "queue_writes", Value: float64(r.PerCore[i].Writes)},
-			stats.KV{Name: prefix + "queue_stall_cycles", Value: float64(r.PerCore[i].StallCycles)},
-			stats.KV{Name: prefix + "queue_latency_cycles", Value: float64(r.PerCore[i].LatencyCycles)},
+			stats.KV{Name: stats.Name("core", id, "_queue_accesses"), Value: float64(r.PerCore[i].Accesses)},
+			stats.KV{Name: stats.Name("core", id, "_queue_writes"), Value: float64(r.PerCore[i].Writes)},
+			stats.KV{Name: stats.Name("core", id, "_queue_stall_cycles"), Value: float64(r.PerCore[i].StallCycles)},
+			stats.KV{Name: stats.Name("core", id, "_queue_latency_cycles"), Value: float64(r.PerCore[i].LatencyCycles)},
 		)
 	}
 	return out

@@ -1,6 +1,9 @@
 package mathx
 
-import "math"
+import (
+	"math"
+	"sync"
+)
 
 // Zipf draws integers in [0, N) with probability proportional to
 // 1/(rank+1)^S. It is used by the workload generators to model the
@@ -10,19 +13,46 @@ import "math"
 // The implementation precomputes the CDF once and samples by binary
 // search, which is exact and allocation-free per draw. N is bounded by
 // the hot-region block count (tens of thousands), so the table is cheap.
+// Tables are shared read-only: every sampler of one (exponent, size)
+// reads the table the first one built.
 type Zipf struct {
 	rng *RNG
-	cdf []float64
+	cdf []float64 // shared; never written after zipfCDF builds it
+}
+
+// zipfTables caches the CDF tables for the life of the process, one per
+// distinct (exponent, size) pair sampled.
+var zipfTables = struct {
+	mu sync.Mutex
+	m  map[zipfKey][]float64
+}{m: make(map[zipfKey][]float64)}
+
+type zipfKey struct {
+	s float64
+	n int
 }
 
 // NewZipf builds a sampler over [0, n) with exponent s >= 0.
-// s == 0 degenerates to the uniform distribution. It panics if n <= 0.
+// s == 0 degenerates to the uniform distribution. It panics if n <= 0
+// or s is negative or NaN.
 func NewZipf(rng *RNG, s float64, n int) *Zipf {
 	if n <= 0 {
 		panic("mathx: NewZipf called with non-positive n")
 	}
-	if s < 0 {
-		panic("mathx: NewZipf called with negative exponent")
+	if !(s >= 0) {
+		panic("mathx: NewZipf called with negative or NaN exponent")
+	}
+	return &Zipf{rng: rng, cdf: zipfCDF(s, n)}
+}
+
+// zipfCDF returns the shared CDF table of (s, n), building it on first
+// use.
+func zipfCDF(s float64, n int) []float64 {
+	k := zipfKey{s, n}
+	zipfTables.mu.Lock()
+	defer zipfTables.mu.Unlock()
+	if cdf, ok := zipfTables.m[k]; ok {
+		return cdf
 	}
 	cdf := make([]float64, n)
 	sum := 0.0
@@ -35,7 +65,8 @@ func NewZipf(rng *RNG, s float64, n int) *Zipf {
 		cdf[i] *= inv
 	}
 	cdf[n-1] = 1.0 // guard against float round-off at the tail
-	return &Zipf{rng: rng, cdf: cdf}
+	zipfTables.m[k] = cdf
+	return cdf
 }
 
 // N returns the size of the sampled domain.

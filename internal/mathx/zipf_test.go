@@ -20,7 +20,7 @@ func TestZipfPanicsOnBadArgs(t *testing.T) {
 	for _, tc := range []struct {
 		s float64
 		n int
-	}{{1.0, 0}, {1.0, -3}, {-0.5, 10}} {
+	}{{1.0, 0}, {1.0, -3}, {-0.5, 10}, {math.NaN(), 10}} {
 		func() {
 			defer func() {
 				if recover() == nil {
@@ -116,5 +116,30 @@ func TestZipfQuickDrawInRange(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestZipfTablesShared pins the shared CDF tables: a second sampler of
+// one (exponent, size) reads the first one's table, so building it
+// allocates only the sampler, and both draw what a sampler seeded alike
+// draws.
+func TestZipfTablesShared(t *testing.T) {
+	const s, n = 0.77, 3001 // a pair no other test builds
+	z1 := NewZipf(NewRNG(7), s, n)
+	var z2 *Zipf
+	if allocs := testing.AllocsPerRun(10, func() { z2 = NewZipf(NewRNG(7), s, n) }); allocs > 2 {
+		t.Fatalf("NewZipf of a cached (s, n) made %v allocations, want 2 (the RNG and the sampler)", allocs)
+	}
+	if &z1.cdf[0] != &z2.cdf[0] {
+		t.Fatal("two samplers of one (s, n) hold different tables")
+	}
+	if z3 := NewZipf(NewRNG(7), s, n+1); &z3.cdf[0] == &z1.cdf[0] {
+		t.Fatal("samplers of different sizes share a table")
+	}
+	z2 = NewZipf(NewRNG(7), s, n)
+	for i := 0; i < 10000; i++ {
+		if a, b := z1.Draw(), z2.Draw(); a != b {
+			t.Fatalf("draw %d: %d vs %d", i, a, b)
+		}
 	}
 }

@@ -148,7 +148,7 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 	}{
 		{"dangling-forward-pointer", func(t *testing.T, c *Cache) {
 			set, way, _ := firstValid(t, c)
-			c.tags.Line(set, way).Aux = int64(c.store.numFrames()) + 7
+			c.tags.Line(set, way).Aux = int32(c.store.numFrames()) + 7
 		}, "out of range"},
 		{"reverse-pointer-mismatch", func(t *testing.T, c *Cache) {
 			_, _, gid := firstValid(t, c)

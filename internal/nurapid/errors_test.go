@@ -43,6 +43,10 @@ func TestNewErrorMessages(t *testing.T) {
 		// promoting on every hit).
 		{"uint8-wrap-trigger", func(c *Config) { c.PromoteHits = 256 }, "saturates at 255"},
 		{"way-past-uint8-trigger", func(c *Config) { c.PromoteHits = 1000 }, "saturates at 255"},
+		// 2^31 frames, one past the largest int32 frame id + 1: frame
+		// ids, the frame store's links and the tag entries' forward
+		// pointers would wrap. Rejected before anything is allocated.
+		{"frames-past-int32", func(c *Config) { c.CapacityBytes = 1 << 38 }, "2147483648 frames exceed"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -13,12 +13,18 @@ import (
 // every field free to take values New rejects: a capacity off the MB
 // grid, a block size or associativity that is not a power of two, a
 // d-group count that does not divide, policy values past the defined
-// ones, restrictions and promotion triggers out of range. Audit stays
-// off; the fuzz target checks the invariants itself.
+// ones, restrictions and promotion triggers out of range. Bit 1 of
+// b[10] scales the capacity by 2^24, to 16–64 TB: at most 8-KB blocks,
+// that is at least 2^31 frames, more than int32 frame ids address, so
+// New must reject it before allocating. Audit stays off; the fuzz
+// target checks the invariants itself.
 func decodeConfig(b []byte) Config {
 	capacity := int64(1+b[0]&3) << 20
 	if b[0]&0x80 != 0 {
 		capacity += int64(b[0]>>2&0x1f) << 12
+	}
+	if b[10]&2 != 0 {
+		capacity <<= 24
 	}
 	return Config{
 		CapacityBytes:  capacity,
@@ -46,6 +52,7 @@ func FuzzNewConfig(f *testing.F) {
 	f.Add([]byte{3, 7, 7, 4, 2, 1, 0, 16, 3, 0, 1, 7})            // 4 MB, 8-KB blocks, restricted, memoized
 	f.Add([]byte{3, 7, 7, 4, 3, 2, 1, 0, 2, 0, 0, 3})             // set-associative, predictive, dead-on-arrival
 	f.Add([]byte{0x87, 2, 5, 3, 1, 0, 0, 0xff, 0xff, 0xff, 0, 0}) // rejected on every count
+	f.Add([]byte{0, 7, 7, 4, 1, 0, 0, 0, 0, 0, 2, 1})             // 16 TB of 8-KB blocks: 2^31 frames
 	model := cacti.Default()
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 12 {

@@ -46,7 +46,7 @@ func (c *Cache) CheckInvariants() error {
 			if l.Aux <= 0 || int(l.Aux-1) >= len(claimed) {
 				return fmt.Errorf("tag (%d,%d): forward pointer %d out of range", set, way, l.Aux)
 			}
-			gid := int32(l.Aux - 1)
+			gid := l.Aux - 1
 			g, f := c.groupOfGid(gid), gid%int32(c.framesPerGroup)
 			if claimed[gid] {
 				return fmt.Errorf("frame %d/%d double-mapped; tag (%d,%d) claims an already-claimed frame",

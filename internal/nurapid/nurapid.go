@@ -26,6 +26,7 @@ package nurapid
 
 import (
 	"fmt"
+	"math"
 
 	"nurapid/internal/cache"
 	"nurapid/internal/cacti"
@@ -263,6 +264,12 @@ func New(cfg Config, m *cacti.Model, mem *memsys.Memory) (*Cache, error) {
 	if err := geo.Validate(); err != nil {
 		return nil, err
 	}
+	if geo.NumBlocks() > math.MaxInt32 {
+		// Frame ids, the frame store's links and the tag entries'
+		// forward pointers (frame id + 1) are int32.
+		return nil, fmt.Errorf("nurapid: %d frames exceed the %d that int32 frame ids address",
+			geo.NumBlocks(), math.MaxInt32)
+	}
 	if cfg.NumDGroups <= 0 || geo.NumBlocks()%cfg.NumDGroups != 0 {
 		return nil, fmt.Errorf("nurapid: %d blocks do not divide into %d d-groups",
 			geo.NumBlocks(), cfg.NumDGroups)
@@ -439,18 +446,18 @@ func (c *Cache) partition(set int32) int {
 // Forward pointers are stored in tag-line Aux as 1+global frame id so
 // that the zero value means "no frame".
 
-func (c *Cache) decodeFrame(aux int64) (group int, f int32) {
+func (c *Cache) decodeFrame(aux int32) (group int, f int32) {
 	gid := c.decodeGid(aux)
 	g := c.groupOfGid(gid)
 	return g, gid - int32(g*c.framesPerGroup)
 }
 
 // decodeGid extracts the global frame id from a tag line's Aux.
-func (c *Cache) decodeGid(aux int64) int32 {
+func (c *Cache) decodeGid(aux int32) int32 {
 	if aux == 0 {
 		panic("nurapid: tag entry has no forward pointer")
 	}
-	return int32(aux - 1)
+	return aux - 1
 }
 
 // groupOfGid maps a global frame id to its d-group: a shift when the
@@ -670,7 +677,7 @@ func (c *Cache) place(now int64, set int32, way int8, g int) {
 		h := g*c.nParts + p
 		if f := c.store.takeFree(h); f != nilFrame {
 			c.store.occupy(f, h, set, way)
-			c.tags.Line(int(set), int(way)).Aux = int64(f) + 1
+			c.tags.Line(int(set), int(way)).Aux = f + 1
 			c.chargeAccess(g) // fill write, off the port's critical path
 			if c.probe != nil {
 				c.probe.Emit(obs.Place(now, g, depth))
@@ -686,7 +693,7 @@ func (c *Cache) place(now int64, set int32, way int8, g int) {
 		base := int32(g*c.framesPerGroup + p*c.partSize)
 		fv := c.store.victim(h, base, useLRU, c.rng)
 		oldSet, oldWay := c.store.replace(fv, h, set, way)
-		c.tags.Line(int(set), int(way)).Aux = int64(fv) + 1
+		c.tags.Line(int(set), int(way)).Aux = fv + 1
 		c.chargeAccess(g) // victim read
 		c.chargeAccess(g) // incoming write
 		c.port.Extend(2 * movementOccupancy)
@@ -715,7 +722,7 @@ func (c *Cache) placeDead(now int64, set int32, way int8) {
 			continue
 		}
 		c.store.occupy(f, h, set, way)
-		c.tags.Line(int(set), int(way)).Aux = int64(f) + 1
+		c.tags.Line(int(set), int(way)).Aux = f + 1
 		c.chargeAccess(g) // fill write, off the port's critical path
 		c.hot.deadFills++
 		if c.probe != nil {

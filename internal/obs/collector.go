@@ -1,10 +1,6 @@
 package obs
 
-import (
-	"strconv"
-
-	"nurapid/internal/stats"
-)
+import "nurapid/internal/stats"
 
 // chainDepthBuckets bounds the chain-depth histogram: NuRAPID chains
 // are at most nGroups-1 links (conservation, paper Sec. 2.2) and the
@@ -149,12 +145,14 @@ func (c *Collector) GroupHits() []int64 {
 // per-group hit counts (statsreg convention: every counter field must
 // appear here).
 func (c *Collector) Snapshot() []stats.KV {
-	out := c.Counters().Snapshot()
-	out = append(out, c.chain.Snapshot()...)
-	out = append(out, c.hitLat.Snapshot()...)
+	ctrs := c.Counters().Snapshot()
+	out := make([]stats.KV, 0, len(ctrs)+c.chain.SnapshotLen()+c.hitLat.SnapshotLen()+len(c.groups))
+	out = append(out, ctrs...)
+	out = c.chain.AppendSnapshot(out)
+	out = c.hitLat.AppendSnapshot(out)
 	for g, n := range c.groups {
 		out = append(out, stats.KV{
-			Name:  "dgroup_" + strconv.Itoa(g) + "_hits",
+			Name:  stats.Name("dgroup_", stats.Itoa(g), "_hits"),
 			Value: float64(n),
 		})
 	}

@@ -376,11 +376,22 @@ func (m multi) Emit(e Event) {
 // a composed probe reports everything its members report (sim harvests
 // snapshots through this interface).
 func (m multi) Snapshot() []stats.KV {
-	var out []stats.KV
+	var parts [4][]stats.KV
+	snaps := parts[:0]
+	n := 0
 	for _, p := range m {
 		if s, ok := p.(interface{ Snapshot() []stats.KV }); ok {
-			out = append(out, s.Snapshot()...)
+			kvs := s.Snapshot()
+			snaps = append(snaps, kvs)
+			n += len(kvs)
 		}
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]stats.KV, 0, n)
+	for _, kvs := range snaps {
+		out = append(out, kvs...)
 	}
 	return out
 }

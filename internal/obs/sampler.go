@@ -1,10 +1,6 @@
 package obs
 
-import (
-	"strconv"
-
-	"nurapid/internal/stats"
-)
+import "nurapid/internal/stats"
 
 // DefaultEpochAccesses is the Sampler's default epoch length: one
 // occupancy sample per 4096 cache accesses keeps a 2M-instruction run's
@@ -97,14 +93,15 @@ func (s *Sampler) Occupancy() []int64 {
 // occupancy per group (statsreg convention: every counter field must
 // appear here). inEpoch is the partially filled current epoch.
 func (s *Sampler) Snapshot() []stats.KV {
-	out := []stats.KV{
-		{Name: s.name + "_epoch_accesses", Value: float64(s.epoch)},
-		{Name: s.name + "_epoch_fill", Value: float64(s.inEpoch)},
-		{Name: s.name + "_samples", Value: float64(len(s.samples))},
-	}
+	out := make([]stats.KV, 0, 3+len(s.occ))
+	out = append(out,
+		stats.KV{Name: stats.Name(s.name, "_epoch_accesses"), Value: float64(s.epoch)},
+		stats.KV{Name: stats.Name(s.name, "_epoch_fill"), Value: float64(s.inEpoch)},
+		stats.KV{Name: stats.Name(s.name, "_samples"), Value: float64(len(s.samples))},
+	)
 	for g, n := range s.occ {
 		out = append(out, stats.KV{
-			Name:  s.name + "_dgroup_" + strconv.Itoa(g),
+			Name:  stats.Name(s.name, "_dgroup_", stats.Itoa(g)),
 			Value: float64(n),
 		})
 	}

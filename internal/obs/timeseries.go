@@ -1,10 +1,6 @@
 package obs
 
-import (
-	"strconv"
-
-	"nurapid/internal/stats"
-)
+import "nurapid/internal/stats"
 
 // DefaultWindowCycles is the TimeSeries' default epoch length: 65536
 // cycles keeps a 2M-instruction CMP run's timeline within the ring.
@@ -376,7 +372,7 @@ func (ts *TimeSeries) growCores(core int) {
 	for len(ts.cores) <= core {
 		i := len(ts.cores)
 		ts.cores = append(ts.cores, tsCore{
-			lat: stats.NewHistogram(ts.name+"_core"+strconv.Itoa(i)+"_lat", tsLatBuckets, tsLatWidth),
+			lat: stats.NewHistogram(stats.Name(ts.name, "_core", stats.Itoa(i), "_lat"), tsLatBuckets, tsLatWidth),
 		})
 	}
 }
@@ -385,7 +381,7 @@ func (ts *TimeSeries) growBanks(bank int) {
 	for len(ts.banks) <= bank {
 		i := len(ts.banks)
 		ts.banks = append(ts.banks, tsBank{
-			wait: stats.NewHistogram(ts.name+"_bank"+strconv.Itoa(i)+"_wait", tsWaitBuckets, tsWaitWidth),
+			wait: stats.NewHistogram(stats.Name(ts.name, "_bank", stats.Itoa(i), "_wait"), tsWaitBuckets, tsWaitWidth),
 		})
 	}
 }
@@ -478,19 +474,27 @@ func (ts *TimeSeries) Fairness() float64 {
 // histograms. It flushes any in-flight access first.
 func (ts *TimeSeries) Snapshot() []stats.KV {
 	ts.Flush()
-	out := []stats.KV{
-		{Name: ts.name + "_epoch_cycles", Value: float64(ts.epochCycles)},
-		{Name: ts.name + "_windows_started", Value: float64(ts.started)},
-		{Name: ts.name + "_wf_accesses", Value: float64(ts.wfAccesses)},
-		{Name: ts.name + "_wf_unattributed", Value: float64(ts.wfUnattributed)},
+	n := 6 + len(ts.wfComps)
+	for i := range ts.cores {
+		n += 6 + ts.cores[i].lat.SnapshotLen()
 	}
+	for i := range ts.banks {
+		n += 3 + ts.banks[i].wait.SnapshotLen()
+	}
+	out := make([]stats.KV, 0, n)
+	out = append(out,
+		stats.KV{Name: stats.Name(ts.name, "_epoch_cycles"), Value: float64(ts.epochCycles)},
+		stats.KV{Name: stats.Name(ts.name, "_windows_started"), Value: float64(ts.started)},
+		stats.KV{Name: stats.Name(ts.name, "_wf_accesses"), Value: float64(ts.wfAccesses)},
+		stats.KV{Name: stats.Name(ts.name, "_wf_unattributed"), Value: float64(ts.wfUnattributed)},
+	)
 	for i, v := range ts.wfComps {
 		out = append(out, stats.KV{
-			Name:  ts.name + "_wf_" + WaterfallNames[i] + "_cycles",
+			Name:  stats.Name(ts.name, "_wf_", WaterfallNames[i], "_cycles"),
 			Value: float64(v),
 		})
 	}
-	out = append(out, stats.KV{Name: ts.name + "_fairness", Value: ts.Fairness()})
+	out = append(out, stats.KV{Name: stats.Name(ts.name, "_fairness"), Value: ts.Fairness()})
 	var winFair float64
 	var closed int
 	for k := 0; k < ts.count; k++ {
@@ -503,29 +507,29 @@ func (ts *TimeSeries) Snapshot() []stats.KV {
 	if closed == 0 {
 		winFair, closed = 1, 1
 	}
-	out = append(out, stats.KV{Name: ts.name + "_fairness_window", Value: winFair / float64(closed)})
+	out = append(out, stats.KV{Name: stats.Name(ts.name, "_fairness_window"), Value: winFair / float64(closed)})
 	for i := range ts.cores {
 		c := &ts.cores[i]
-		pre := ts.name + "_core" + strconv.Itoa(i)
+		id := stats.Itoa(i)
 		out = append(out,
-			stats.KV{Name: pre + "_accesses", Value: float64(c.accesses)},
-			stats.KV{Name: pre + "_hits", Value: float64(c.hits)},
-			stats.KV{Name: pre + "_invals", Value: float64(c.invals)},
-			stats.KV{Name: pre + "_queue_wait_cycles", Value: float64(c.queueWait)},
-			stats.KV{Name: pre + "_latency_cycles", Value: float64(c.latency)},
-			stats.KV{Name: pre + "_latency_samples", Value: float64(c.latSamples)},
+			stats.KV{Name: stats.Name(ts.name, "_core", id, "_accesses"), Value: float64(c.accesses)},
+			stats.KV{Name: stats.Name(ts.name, "_core", id, "_hits"), Value: float64(c.hits)},
+			stats.KV{Name: stats.Name(ts.name, "_core", id, "_invals"), Value: float64(c.invals)},
+			stats.KV{Name: stats.Name(ts.name, "_core", id, "_queue_wait_cycles"), Value: float64(c.queueWait)},
+			stats.KV{Name: stats.Name(ts.name, "_core", id, "_latency_cycles"), Value: float64(c.latency)},
+			stats.KV{Name: stats.Name(ts.name, "_core", id, "_latency_samples"), Value: float64(c.latSamples)},
 		)
-		out = append(out, c.lat.Snapshot()...)
+		out = c.lat.AppendSnapshot(out)
 	}
 	for i := range ts.banks {
 		b := &ts.banks[i]
-		pre := ts.name + "_bank" + strconv.Itoa(i)
+		id := stats.Itoa(i)
 		out = append(out,
-			stats.KV{Name: pre + "_enqueues", Value: float64(b.enqueues)},
-			stats.KV{Name: pre + "_wait_cycles", Value: float64(b.waitCycles)},
-			stats.KV{Name: pre + "_depth_hwm", Value: float64(b.depthHWM)},
+			stats.KV{Name: stats.Name(ts.name, "_bank", id, "_enqueues"), Value: float64(b.enqueues)},
+			stats.KV{Name: stats.Name(ts.name, "_bank", id, "_wait_cycles"), Value: float64(b.waitCycles)},
+			stats.KV{Name: stats.Name(ts.name, "_bank", id, "_depth_hwm"), Value: float64(b.depthHWM)},
 		)
-		out = append(out, b.wait.Snapshot()...)
+		out = b.wait.AppendSnapshot(out)
 	}
 	return out
 }

@@ -52,15 +52,17 @@ type CMPRunResult struct {
 // Snapshot emits the run's metrics (statsreg convention: every counter
 // field must appear here).
 func (r *CMPRunResult) Snapshot() []stats.KV {
-	out := []stats.KV{
-		{Name: "cores", Value: float64(r.Cores)},
-		{Name: "l2_energy_nj", Value: r.L2EnergyNJ},
-		{Name: "mem_energy_nj", Value: r.MemEnergyNJ},
-	}
-	out = append(out, r.Res.Snapshot()...)
+	res := r.Res.Snapshot()
+	out := make([]stats.KV, 0, 3+len(res)+len(r.QueueMetrics)+len(r.ObsMetrics))
+	out = append(out,
+		stats.KV{Name: "cores", Value: float64(r.Cores)},
+		stats.KV{Name: "l2_energy_nj", Value: r.L2EnergyNJ},
+		stats.KV{Name: "mem_energy_nj", Value: r.MemEnergyNJ},
+	)
+	out = append(out, res...)
 	out = append(out, r.QueueMetrics...)
 	for _, kv := range r.ObsMetrics {
-		out = append(out, stats.KV{Name: "obs_" + kv.Name, Value: kv.Value})
+		out = append(out, stats.KV{Name: stats.Name("obs_", kv.Name), Value: kv.Value})
 	}
 	return out
 }
@@ -118,11 +120,7 @@ func (r *Runner) runCMP(app workload.App, org Organization, fe *shared[[]*cpu.St
 			// All inputs are runner-controlled; an error is a bug.
 			panic(fmt.Sprintf("sim: cmp system construction failed: %v", err))
 		}
-		probe := r.instrument(app.Name, label, sys, func() obs.Probe {
-			ts := obs.NewTimeSeries("ts", 0)
-			ts.SetProfile(sys.Queue().LatencyProfile())
-			return ts
-		})
+		probe := r.instrument(app.Name, label, sys, cmpTimeSeries(sys))
 		fronts, frontEnd := r.waitFrontEnd(fe)
 		cres := sys.RunFronts(fronts)
 
@@ -139,6 +137,16 @@ func (r *Runner) runCMP(app workload.App, org Organization, fe *shared[[]*cpu.St
 		sys.Release()
 		return res, RunEvent{IPC: cres.AggregateIPC, Metrics: res.Snapshot(), FrontEnd: frontEnd}
 	})
+}
+
+// cmpTimeSeries builds a probed CMP run's last probe: the windowed
+// time series, fed sys's bank-queue latency profile.
+func cmpTimeSeries(sys *cmp.System) func() obs.Probe {
+	return func() obs.Probe {
+		ts := obs.NewTimeSeries("ts", 0)
+		ts.SetProfile(sys.Queue().LatencyProfile())
+		return ts
+	}
 }
 
 // CMP compares the three shared-L2 organizations under multi-core load:

@@ -117,17 +117,19 @@ type RunResult struct {
 // Snapshot emits the run's headline metrics plus the nested CPU summary
 // (statsreg convention: every counter field must appear here).
 func (r *RunResult) Snapshot() []stats.KV {
-	out := []stats.KV{
-		{Name: "l2_energy_nj", Value: r.L2EnergyNJ},
-		{Name: "mem_energy_nj", Value: r.MemEnergyNJ},
-		{Name: "mem_accesses", Value: float64(r.MemAccesses)},
-		{Name: "energy_delay", Value: r.ED},
-	}
-	for _, kv := range r.CPU.Snapshot() {
-		out = append(out, stats.KV{Name: "cpu_" + kv.Name, Value: kv.Value})
+	core := r.CPU.Snapshot()
+	out := make([]stats.KV, 0, 4+len(core)+len(r.ObsMetrics))
+	out = append(out,
+		stats.KV{Name: "l2_energy_nj", Value: r.L2EnergyNJ},
+		stats.KV{Name: "mem_energy_nj", Value: r.MemEnergyNJ},
+		stats.KV{Name: "mem_accesses", Value: float64(r.MemAccesses)},
+		stats.KV{Name: "energy_delay", Value: r.ED},
+	)
+	for _, kv := range core {
+		out = append(out, stats.KV{Name: stats.Name("cpu_", kv.Name), Value: kv.Value})
 	}
 	for _, kv := range r.ObsMetrics {
-		out = append(out, stats.KV{Name: "obs_" + kv.Name, Value: kv.Value})
+		out = append(out, stats.KV{Name: stats.Name("obs_", kv.Name), Value: kv.Value})
 	}
 	return out
 }

@@ -85,16 +85,29 @@ func (h *Histogram) BucketLabel(i int) string {
 // Snapshot emits every bucket in order, then the overflow, total, and
 // sum (statsreg convention: every counter field must appear here).
 func (h *Histogram) Snapshot() []KV {
-	out := make([]KV, 0, len(h.buckets)+3)
-	for i, c := range h.buckets {
+	return appendHistogram(make([]KV, 0, h.SnapshotLen()), h.name, h.width, h.buckets, h.over, h.total, h.sum)
+}
+
+// AppendSnapshot appends Snapshot's metrics to out, for a caller that
+// sizes one slice for several snapshots.
+func (h *Histogram) AppendSnapshot(out []KV) []KV {
+	return appendHistogram(out, h.name, h.width, h.buckets, h.over, h.total, h.sum)
+}
+
+// SnapshotLen returns the number of metrics Snapshot emits.
+func (h *Histogram) SnapshotLen() int { return len(h.buckets) + 3 }
+
+// appendHistogram appends a histogram's metrics, named from name: one
+// per bucket, keyed by its upper edge, then the overflow, total and sum.
+func appendHistogram(out []KV, name string, width int64, buckets []int64, over, total, sum int64) []KV {
+	for i, c := range buckets {
 		out = append(out, KV{
-			Name:  fmt.Sprintf("%s_le_%d", h.name, int64(i+1)*h.width-1),
+			Name:  Name(name, "_le_", Itoa(int(int64(i+1)*width-1))),
 			Value: float64(c),
 		})
 	}
-	out = append(out,
-		KV{Name: h.name + "_overflow", Value: float64(h.over)},
-		KV{Name: h.name + "_total", Value: float64(h.total)},
-		KV{Name: h.name + "_sum", Value: float64(h.sum)})
-	return out
+	return append(out,
+		KV{Name: Name(name, "_overflow"), Value: float64(over)},
+		KV{Name: Name(name, "_total"), Value: float64(total)},
+		KV{Name: Name(name, "_sum"), Value: float64(sum)})
 }
